@@ -13,6 +13,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -144,7 +145,7 @@ class JsonReport {
       }
       // Derived field: every row carrying both a message count and a
       // completed-op count also reports msgs/op, the batching/overhead
-      // metric CI gates on — readers no longer divide by hand.
+      // metric — readers no longer divide by hand.
       if (!has_field(rows_[r], "msgs_per_op")) {
         double msgs = 0, ops = 0;
         if (numeric_field(rows_[r], "msgs", &msgs) &&
@@ -216,6 +217,41 @@ inline std::string json_path(int argc, char** argv) {
     return argv[i + 1];
   }
   return {};
+}
+
+/// One pass/fail check a bench enforces on its own measurements: prints
+/// the value next to the bound it must meet and returns whether it held,
+/// so a binary ANDs its gates into its exit status. `op` is one of
+/// ">=", ">", "<=", "<", "==". A missing value (the run that produces it
+/// was not part of this invocation) fails the gate.
+inline bool gate(const std::string& what, std::optional<double> value,
+                 const std::string& op, double bound) {
+  bool pass = false;
+  if (value) {
+    const double v = *value;
+    if (op == ">=") {
+      pass = v >= bound;
+    } else if (op == ">") {
+      pass = v > bound;
+    } else if (op == "<=") {
+      pass = v <= bound;
+    } else if (op == "<") {
+      pass = v < bound;
+    } else if (op == "==") {
+      pass = v == bound;
+    } else {
+      std::cerr << "gate: unknown comparison '" << op << "'\n";
+      std::abort();
+    }
+  }
+  std::cout << "[gate] " << (pass ? "PASS " : "FAIL ") << what << ": ";
+  if (value) {
+    std::cout << *value;
+  } else {
+    std::cout << "missing";
+  }
+  std::cout << " (want " << op << " " << bound << ")\n";
+  return pass;
 }
 
 /// Builds a SimEnv over a WAN profile; returns the env and keeps the

@@ -23,9 +23,10 @@
 // counters are pre-interned ledger slots, the delivery closure fits in
 // Task's inline buffer, the mailbox ring never shrinks, messages come
 // from the slab pool, and the wire path encodes into recycled arena
-// chunks — so after warm-up, no message touches the allocator. CI
-// enforces that plus an ns/msg regression bound against the committed
-// baseline (and --gate-spsc-ns bounds threads/spsc absolutely).
+// chunks — so after warm-up, no message touches the allocator. The
+// binary exits nonzero when that fails (and --gate-spsc-ns bounds
+// threads/spsc absolutely); CI adds an ns/msg regression bound against
+// the committed baseline.
 //
 // Senders pace themselves (bounded backlog, wait for the sink to catch
 // up) so queues plateau during warm-up and the measured window exercises
@@ -455,23 +456,17 @@ int run(int argc, char** argv) {
     if (!report.write(path)) return 1;
   }
 
-  // Self-check (CI re-gates from the JSON): the thread runtime, socket
-  // runtime, message pool, and raw mailbox must all be allocation-free
-  // per message in steady state; --gate-spsc-ns bounds threads/spsc
-  // absolutely against the committed baseline.
+  // Self-check: the thread runtime, socket runtime, message pool, and raw
+  // mailbox must all be allocation-free per message in steady state;
+  // --gate-spsc-ns bounds threads/spsc absolutely.
   bool ok = true;
   for (const NamedRow& r : rows) {
-    const std::string rt = r.runtime;
-    if (rt != "sim" && r.m.allocs_per_msg != 0.0) {
-      std::cerr << "[gate] FAIL: " << r.runtime << "/" << r.mode << " made "
-                << r.m.allocs_per_msg << " allocs/msg (want 0)\n";
-      ok = false;
+    const std::string name = std::string(r.runtime) + "/" + r.mode;
+    if (std::string(r.runtime) != "sim") {
+      ok &= gate(name + " allocs/msg", r.m.allocs_per_msg, "==", 0);
     }
-    if (gate_spsc_ns > 0 && rt == "threads" &&
-        std::string(r.mode) == "spsc" && r.m.ns_per_msg > gate_spsc_ns) {
-      std::cerr << "[gate] FAIL: threads/spsc " << r.m.ns_per_msg
-                << " ns/msg exceeds bound " << gate_spsc_ns << "\n";
-      ok = false;
+    if (gate_spsc_ns > 0 && name == "threads/spsc") {
+      ok &= gate(name + " ns/msg", r.m.ns_per_msg, "<=", gate_spsc_ns);
     }
   }
   return ok ? 0 : 1;

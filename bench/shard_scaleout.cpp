@@ -27,8 +27,7 @@
 // 1,8) at 2 shards under a lighter service time (0.1ms, so the point is
 // offered-load- rather than capacity-bound and frames genuinely
 // coalesce): batching(w, 2ms) must cut msgs/op by ~w while atomicity,
-// throughput, and the modeled per-frame CPU stay unchanged. CI gates on
-// the window-8/window-1 msgs-per-op ratio (<= 0.5) from these rows.
+// throughput, and the modeled per-frame CPU stay unchanged.
 //
 // EXP-SNAP measures cross-shard atomic snapshots at 4 shards. The quiet
 // point issues sequential ClientHandle::snapshot() cuts against a
@@ -36,14 +35,21 @@
 // 2 rounds, no fallback), which pins the per-cut message budget. The
 // mixed point races cuts against the open-loop write workload on the
 // same keys (WorkloadParams::snapshot_every_ops) and reports realized
-// rounds/cut, fenced-fallback rate, and cut latency. CI gates quiet
-// rounds == 2 / fallbacks == 0 / msgs-per-cut, and mixed liveness
-// (every issued cut resolves).
+// rounds/cut, fenced-fallback rate, and cut latency.
 //
 //   shard_scaleout [--json <path>] [--ops <per-client arrivals>]
 //                  [--runtime sim|threads|both] [--shards 1,2,4,8]
 //                  [--batch 1,8]
+//
+// The binary gates its own results and exits nonzero when one fails (each
+// gate prints its value and bound; thresholds live in check_gates()):
+// SH1 1->4-shard speedup, SH3 batch-8/batch-1 msgs/op and the threads
+// batch-1 throughput floor, SH2R rebalanced speedup, and the EXP-SNAP
+// budgets. A gate whose runs were left out (--runtime other than both,
+// --shards without 1 and 4, --batch without 1 and 8) fails as missing.
 #include <cstring>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,6 +107,31 @@ struct SweepPoint {
   double ops_per_sec = 0;
   std::size_t completed = 0;
   double msgs_per_op = 0;
+  double corrected_p99_ms = 0;
+};
+
+/// Swept points keyed by (runtime, shard count or batch window).
+using Sweep = std::map<std::pair<Runtime, std::uint32_t>, SweepPoint>;
+
+/// `field` of point `num` over point `den` of one runtime's sweep;
+/// nullopt when either point was not run.
+std::optional<double> ratio(const Sweep& sweep, Runtime rt, std::uint32_t num,
+                            std::uint32_t den, double SweepPoint::*field) {
+  auto a = sweep.find({rt, num});
+  auto b = sweep.find({rt, den});
+  if (a == sweep.end() || b == sweep.end() || b->second.*field <= 0) {
+    return std::nullopt;
+  }
+  return a->second.*field / b->second.*field;
+}
+
+/// The quiet and mixed EXP-SNAP points' gated results.
+struct SnapPoint {
+  double issued = 0;
+  double done = 0;
+  double fallbacks = 0;
+  double rounds_per_cut = 0;
+  double msgs_per_cut = 0;
 };
 
 std::string runtime_name(Runtime rt) {
@@ -194,6 +225,7 @@ SweepPoint run_point(Runtime rt, const PointCfg& cfg, JsonReport& report) {
     point.msgs_per_op = static_cast<double>(c.traffic().get("msgs")) /
                         static_cast<double>(point.completed);
   }
+  point.corrected_p99_ms = corrected.percentile(99) / 1e6;
 
   for (ShardId g = 0; g < cfg.shards; ++g) {
     const Counters& t = c.shard_traffic(g);
@@ -237,7 +269,7 @@ SweepPoint run_point(Runtime rt, const PointCfg& cfg, JsonReport& report) {
       .field("p99_ms", latency.percentile(99) / 1e6)
       .field("corrected_p50_ms", corrected.percentile(50) / 1e6)
       .field("corrected_p95_ms", corrected.percentile(95) / 1e6)
-      .field("corrected_p99_ms", corrected.percentile(99) / 1e6)
+      .field("corrected_p99_ms", point.corrected_p99_ms)
       .field("msgs", static_cast<double>(c.traffic().get("msgs")))
       .field("bytes", static_cast<double>(c.traffic().get("bytes")))
       .field("num_keys", static_cast<double>(cfg.num_keys))
@@ -262,13 +294,14 @@ SweepPoint run_point(Runtime rt, const PointCfg& cfg, JsonReport& report) {
 }
 
 void sweep(Runtime rt, const std::vector<std::uint32_t>& shard_counts,
-           std::size_t ops, JsonReport& report, Table& table) {
+           std::size_t ops, JsonReport& report, Table& table, Sweep& out) {
   double base = 0;
   for (std::uint32_t shards : shard_counts) {
     PointCfg cfg;
     cfg.shards = shards;
     cfg.ops = ops;
     SweepPoint p = run_point(rt, cfg, report);
+    out[{rt, shards}] = p;
     if (base <= 0) base = p.ops_per_sec;
     double speedup = base > 0 ? p.ops_per_sec / base : 0;
     // Lands on the aggregate ("all") row, which run_point opened last.
@@ -280,7 +313,8 @@ void sweep(Runtime rt, const std::vector<std::uint32_t>& shard_counts,
 }
 
 void batch_sweep(Runtime rt, const std::vector<std::uint32_t>& windows,
-                 std::size_t ops, JsonReport& report, Table& table) {
+                 std::size_t ops, JsonReport& report, Table& table,
+                 Sweep& out) {
   double base_msgs_per_op = 0;
   for (std::uint32_t window : windows) {
     PointCfg cfg;
@@ -295,6 +329,7 @@ void batch_sweep(Runtime rt, const std::vector<std::uint32_t>& windows,
     // sweep's delay on its row would mislabel the artifact.
     cfg.batch_delay = window > 1 ? kBatchDelay : 0;
     SweepPoint p = run_point(rt, cfg, report);
+    out[{rt, window}] = p;
     if (base_msgs_per_op <= 0) base_msgs_per_op = p.msgs_per_op;
     double reduction =
         p.msgs_per_op > 0 ? base_msgs_per_op / p.msgs_per_op : 0;
@@ -303,6 +338,40 @@ void batch_sweep(Runtime rt, const std::vector<std::uint32_t>& windows,
                    std::to_string(p.completed), Table::fmt(p.ops_per_sec),
                    Table::fmt(p.msgs_per_op), Table::fmt(reduction)});
   }
+}
+
+/// Every threshold this bench enforces, evaluated over the runs it made.
+bool check_gates(const Sweep& scale, const Sweep& batch,
+                 double rebalanced_speedup, const SnapPoint& quiet,
+                 const SnapPoint& mixed) {
+  banner("gates", "thresholds on the runs above");
+  bool ok = true;
+  for (Runtime rt : {Runtime::kSim, Runtime::kThread}) {
+    ok &= gate("EXP-SH1 " + runtime_name(rt) + " 1->4 shard speedup",
+               ratio(scale, rt, 4, 1, &SweepPoint::ops_per_sec), ">=", 1.5);
+  }
+  for (Runtime rt : {Runtime::kSim, Runtime::kThread}) {
+    ok &= gate("EXP-SH3 " + runtime_name(rt) + " batch-8/batch-1 msgs/op",
+               ratio(batch, rt, 8, 1, &SweepPoint::msgs_per_op), "<=", 0.5);
+  }
+  std::optional<double> floor_ops, floor_p99;
+  if (auto it = batch.find({Runtime::kThread, 1}); it != batch.end()) {
+    floor_ops = it->second.ops_per_sec;
+    floor_p99 = it->second.corrected_p99_ms;
+  }
+  ok &= gate("EXP-SH3 threads batch-1 ops/s", floor_ops, ">=", 7000);
+  ok &= gate("EXP-SH3 threads batch-1 corrected p99 ms", floor_p99, "<", 50);
+  ok &= gate("EXP-SH2R rebalanced/static ops/s", rebalanced_speedup, ">=", 2);
+  ok &= gate("EXP-SNAP quiet cuts issued", quiet.issued, ">", 0);
+  ok &= gate("EXP-SNAP quiet cuts done", quiet.done, "==", quiet.issued);
+  ok &= gate("EXP-SNAP quiet fallbacks", quiet.fallbacks, "==", 0);
+  ok &= gate("EXP-SNAP quiet rounds/cut", quiet.rounds_per_cut, "==", 2);
+  ok &= gate("EXP-SNAP quiet msgs/cut", quiet.msgs_per_cut, ">", 0);
+  ok &= gate("EXP-SNAP quiet msgs/cut", quiet.msgs_per_cut, "<=", 96);
+  ok &= gate("EXP-SNAP mixed cuts issued", mixed.issued, ">", 0);
+  ok &= gate("EXP-SNAP mixed cuts done", mixed.done, "==", mixed.issued);
+  ok &= gate("EXP-SNAP mixed rounds/cut", mixed.rounds_per_cut, ">=", 2);
+  return ok;
 }
 
 std::vector<std::uint32_t> parse_list(const char* arg) {
@@ -352,8 +421,11 @@ int main(int argc, char** argv) {
   Table table({"runtime", "shards", "ops", "ops/s", "speedup"});
   JsonReport scaleout("EXP-SH1 shard scale-out");
   scaleout.seed(kSeed);
-  if (run_sim) sweep(Runtime::kSim, shard_counts, ops, scaleout, table);
-  if (run_threads) sweep(Runtime::kThread, shard_counts, ops, scaleout, table);
+  Sweep scale;
+  if (run_sim) sweep(Runtime::kSim, shard_counts, ops, scaleout, table, scale);
+  if (run_threads) {
+    sweep(Runtime::kThread, shard_counts, ops, scaleout, table, scale);
+  }
   table.print();
 
   banner("EXP-SH2", "zipfian key popularity across shards (theta=0.99)");
@@ -379,9 +451,10 @@ int main(int argc, char** argv) {
   note("the 24 hottest keys (~4/5 of the zipf mass) are migrated onto "
        "shard 0 up front; the static point then holds the map fixed "
        "(hot-shard-bound), the rebalanced point lets the controller "
-       "disperse them — CI gates rebalanced/static ops/s >= 2x");
+       "disperse them — gated at rebalanced/static ops/s >= 2x");
   JsonReport resharded("EXP-SH2R rebalanced zipfian hotspot");
   resharded.seed(kSeed);
+  double rebalanced_speedup = 0;
   {
     Table rbt({"mode", "ops", "ops/s", "moved", "speedup"});
     PointCfg cfg;
@@ -399,6 +472,7 @@ int main(int argc, char** argv) {
     SweepPoint rb = run_point(Runtime::kSim, cfg, resharded);
     double speedup = st.ops_per_sec > 0 ? rb.ops_per_sec / st.ops_per_sec : 0;
     resharded.field("speedup_rebalanced_vs_static", speedup);
+    rebalanced_speedup = speedup;
     rbt.add_row({"static", std::to_string(st.completed),
                  Table::fmt(st.ops_per_sec), "0", "1.00"});
     rbt.add_row({"rebalanced", std::to_string(rb.completed),
@@ -416,11 +490,14 @@ int main(int argc, char** argv) {
        "throughput holds (per-frame M/D/1 service cost)");
   JsonReport batched("EXP-SH3 batched wire protocol");
   batched.seed(kSeed);
+  Sweep batch;
   {
     Table bt({"runtime", "batch", "ops", "ops/s", "msgs/op", "reduction"});
-    if (run_sim) batch_sweep(Runtime::kSim, batch_windows, ops, batched, bt);
+    if (run_sim) {
+      batch_sweep(Runtime::kSim, batch_windows, ops, batched, bt, batch);
+    }
     if (run_threads) {
-      batch_sweep(Runtime::kThread, batch_windows, ops, batched, bt);
+      batch_sweep(Runtime::kThread, batch_windows, ops, batched, bt, batch);
     }
     bt.print();
   }
@@ -459,6 +536,7 @@ int main(int argc, char** argv) {
        "mixed: cuts race the open-loop write workload on the same keys");
   JsonReport snapshots("EXP-SNAP atomic snapshots");
   snapshots.seed(kSeed);
+  SnapPoint quiet, mixed;
   {
     constexpr std::uint32_t kSnapShards = 4;
     constexpr std::size_t kSnapKeysPerCut = 8;
@@ -504,6 +582,9 @@ int main(int argc, char** argv) {
       double msgs_per_cut =
           static_cast<double>(c.traffic().get("msgs") - msgs0) / kQuietCuts;
       double rounds_per_cut = static_cast<double>(rounds) / kQuietCuts;
+      quiet = {static_cast<double>(kQuietCuts),
+               static_cast<double>(kQuietCuts),
+               static_cast<double>(fallbacks), rounds_per_cut, msgs_per_cut};
       snapshots.row()
           .field("mode", std::string("quiet"))
           .field("runtime", std::string("sim"))
@@ -565,6 +646,8 @@ int main(int argc, char** argv) {
       double rounds_per_cut =
           done > 0 ? static_cast<double>(rounds) / static_cast<double>(done)
                    : 0;
+      mixed = {static_cast<double>(issued), static_cast<double>(done),
+               static_cast<double>(fallbacks), rounds_per_cut, 0};
       snapshots.row()
           .field("mode", std::string("mixed"))
           .field("runtime", std::string("sim"))
@@ -588,14 +671,15 @@ int main(int argc, char** argv) {
     st.print();
   }
 
+  bool ok = true;
   if (!json.empty()) {
-    bool ok = scaleout.write(json);
+    ok = scaleout.write(json);
     ok = zipf.write(json) && ok;
     ok = resharded.write(json) && ok;
     ok = batched.write(json) && ok;
     ok = readheavy.write(json) && ok;
     ok = snapshots.write(json) && ok;
-    return ok ? 0 : 1;
   }
-  return 0;
+  ok = check_gates(scale, batch, rebalanced_speedup, quiet, mixed) && ok;
+  return ok ? 0 : 1;
 }

@@ -95,7 +95,7 @@ ShardMap Cluster::build_shard_map(const ClusterBuilder& spec) {
     throw std::invalid_argument("Cluster: shards(s) needs s >= 1");
   }
   std::uint32_t f =
-      spec.fault_.faults ? *spec.fault_.faults : (spec.n_ - 1) / 2;
+      spec.faults_ ? *spec.faults_ : (spec.n_ - 1) / 2;
   WeightMap tmpl =
       spec.weights_ ? *spec.weights_ : WeightMap::uniform(spec.n_);
   // shards(1) — and the unsharded default — is exactly one group with
@@ -112,7 +112,10 @@ Cluster::Cluster(const ClusterBuilder& spec)
       kind_(spec.kind_),
       mode_(spec.mode_),
       history_(spec.history_),
-      tuning_(spec.tuning_) {
+      retry_(spec.retry_),
+      read_fast_path_(spec.read_fast_path_),
+      batch_ops_(spec.batch_ops_),
+      batch_delay_(spec.batch_delay_) {
   if (spec.workload_.has_value() &&
       (kind_ == ClusterBuilder::Kind::kReassign ||
        kind_ == ClusterBuilder::Kind::kCustom)) {
@@ -159,7 +162,7 @@ Cluster::Cluster(const ClusterBuilder& spec)
     // the single-process deployment exercises the real wire path.
     opts.loopback_self = true;
     opts.latency = degradable_;
-    opts.seed = spec.fault_.seed;
+    opts.seed = spec.seed_;
     socket_ = std::make_shared<SocketEnv>(opts);
     socket_env_ = socket_.get();
 #else
@@ -167,10 +170,10 @@ Cluster::Cluster(const ClusterBuilder& spec)
         "Cluster: Transport::kSocket requires Linux (epoll)");
 #endif
   } else if (runtime_ == Runtime::kSim) {
-    sim_ = std::make_unique<SimEnv>(degradable_, spec.fault_.seed);
+    sim_ = std::make_unique<SimEnv>(degradable_, spec.seed_);
     pump_ = std::make_shared<SimPump>(sim_.get());
   } else {
-    thread_ = std::make_unique<ThreadEnv>(degradable_, spec.fault_.seed);
+    thread_ = std::make_unique<ThreadEnv>(degradable_, spec.seed_);
   }
   Env& e = env();
 
@@ -233,14 +236,14 @@ Cluster::Cluster(const ClusterBuilder& spec)
       }
       // Fault-tolerance hardening (defaults off: fault-free deployments
       // run byte-identically to pre-chaos builds).
-      if (tuning_.retry > 0 && slot.storage != nullptr) {
-        slot.storage->client().set_retry_interval(tuning_.retry);
+      if (retry_ > 0 && slot.storage != nullptr) {
+        slot.storage->client().set_retry_interval(retry_);
       }
       if (service_time_ > 0 && slot.storage != nullptr) {
         slot.storage->server().set_service_time(service_time_);
       }
-      if (tuning_.anti_entropy > 0 && slot.reassign != nullptr) {
-        slot.reassign->enable_sync(tuning_.anti_entropy);
+      if (spec.anti_entropy_ > 0 && slot.reassign != nullptr) {
+        slot.reassign->enable_sync(spec.anti_entropy_);
       }
       e.register_process(s, slot.process.get());
       servers_.push_back(std::move(slot));
@@ -259,7 +262,7 @@ Cluster::Cluster(const ClusterBuilder& spec)
       kind_ == ClusterBuilder::Kind::kStorage) {
     engine_ = std::make_unique<MigrationEngine>(e, kMigrationEnginePid,
                                                 shard_map_, mode_);
-    if (tuning_.retry > 0) engine_->set_retry_interval(tuning_.retry);
+    if (retry_ > 0) engine_->set_retry_interval(retry_);
     e.register_process(engine_->pid(), engine_.get());
     if (spec.rebalance_.has_value()) {
       std::vector<std::vector<AbdServer*>> shard_servers(
@@ -369,13 +372,9 @@ std::size_t Cluster::make_client_slot(const WorkloadParams* wp) {
     slot.router = &c->router();
     slot.process = std::move(c);
   }
-  if (tuning_.retry > 0) slot.router->set_retry_interval(tuning_.retry);
-  if (tuning_.read_fast_path) slot.router->set_read_fast_path(true);
-  if (tuning_.batch_ops > 1) {
-    slot.router->set_batching(tuning_.batch_ops, tuning_.batch_delay);
-  }
-  slot.router->set_snapshot_max_collect_rounds(
-      tuning_.snapshot_max_collect_rounds);
+  if (retry_ > 0) slot.router->set_retry_interval(retry_);
+  if (read_fast_path_) slot.router->set_read_fast_path(true);
+  if (batch_ops_ > 1) slot.router->set_batching(batch_ops_, batch_delay_);
   e.register_process(pid, slot.process.get());
   clients_.push_back(std::move(slot));
   return clients_.size() - 1;

@@ -76,9 +76,8 @@
 // early at `max_ops` frames), which servers answer with one BatchReply —
 // cutting msgs/op by the mean batch size at unchanged protocol
 // semantics. batching(1) is byte-identical to the unbatched wire
-// protocol, and CI gates on the batched/unbatched msgs-per-op ratio
-// (see bench/shard_scaleout --batch and README "Wire protocol &
-// batching").
+// protocol, and bench/shard_scaleout --batch gates on the batched/
+// unbatched msgs-per-op ratio (see README "Wire protocol & batching").
 //
 // Multi-key reads can be ATOMIC: client().snapshot({"a", "b", "c"})
 // resolves to a consistent cut across the named keys — and across the
@@ -86,17 +85,6 @@
 // wait-free fallback under contention (see shard/shard_router.h). The
 // history checker validates recorded cuts against per-cut consistency
 // and pairwise comparability (storage/history.h, conditions S1/S2).
-//
-// Deployment knobs group into option STRUCTS — TuningOptions (wire and
-// protocol tuning), FaultOptions (fault threshold + seed),
-// WorkloadOptions (op mix + history recorder) — each settable whole:
-//
-//   TuningOptions t{.retry = ms(10), .read_fast_path = true};
-//   Cluster c = Cluster::builder().servers(3).tuning(t).build();
-//
-// The original flat setters (retry(), batching(), seed(), ...) remain
-// and delegate field-by-field into the structs, so either style — or a
-// mix — builds the identical deployment.
 //
 // The low-level Env/Process API stays public — protocol internals and
 // white-box tests keep using it; the facade is the deployment surface.
@@ -140,50 +128,6 @@ class SocketEnv;
 class Cluster;
 class ClusterBuilder;
 
-/// Protocol and wire tuning knobs as ONE value. Everything here has a
-/// matching flat ClusterBuilder setter (those delegate into this struct,
-/// so the two surfaces can never drift); the struct form exists so a
-/// deployment's tuning can be named, stored, and passed around whole:
-///
-///   TuningOptions chaos_tuning{.retry = ms(10), .anti_entropy = ms(25)};
-///   auto c = Cluster::builder().servers(5).tuning(chaos_tuning).build();
-///
-/// Defaults are all "off": default-constructed TuningOptions is the
-/// byte-identical classical deployment, like never calling the setters.
-struct TuningOptions {
-  /// Batched wire protocol (ClusterBuilder::batching): frames per
-  /// envelope; <= 1 is the unbatched wire, byte for byte.
-  std::size_t batch_ops = 1;
-  TimeNs batch_delay = 0;
-  /// ABD phase retransmission interval (ClusterBuilder::retry); 0 off.
-  TimeNs retry = 0;
-  /// One-round read fast path (ClusterBuilder::read_fast_path).
-  bool read_fast_path = false;
-  /// Periodic <SYNC> change-set gossip (ClusterBuilder::anti_entropy);
-  /// 0 off.
-  TimeNs anti_entropy = 0;
-  /// Collect rounds a snapshot() tries before engaging the fenced
-  /// fallback (ShardRouter::set_snapshot_max_collect_rounds).
-  std::uint32_t snapshot_max_collect_rounds = 6;
-};
-
-/// Failure-model knobs as one value (ClusterBuilder::fault_options).
-struct FaultOptions {
-  /// Per-shard fault threshold f; unset derives the maximum (n-1)/2.
-  std::optional<std::uint32_t> faults;
-  /// Seed for every seeded decision in the deployment (latency draws,
-  /// fault-plane coin flips): same seed, same run on the simulator.
-  std::uint64_t seed = 1;
-};
-
-/// Workload attachment as one value (ClusterBuilder::workload_options):
-/// the op mix plus the recorder its history lands in.
-struct WorkloadOptions {
-  WorkloadParams params;
-  /// Optional: record every operation for check_atomicity().
-  std::shared_ptr<HistoryRecorder> history;
-};
-
 /// Awaitable storage endpoint: wraps one deployed client process (a
 /// StorageClient, or a WorkloadClient when a workload is attached).
 ///
@@ -217,8 +161,8 @@ class ClientHandle {
   /// (possibly spanning shards) that is CONSISTENT — some instant of the
   /// linearization holds exactly these (tag, value) pairs, even while
   /// writers and key migrations race the scan. Double-collect first, a
-  /// bounded fenced fallback under contention (see ShardRouter::snapshot);
-  /// TuningOptions::snapshot_max_collect_rounds sets the switch-over.
+  /// bounded fenced fallback under contention (see ShardRouter::snapshot;
+  /// ShardRouter::set_snapshot_max_collect_rounds sets the switch-over).
   /// The result also reports rounds taken and whether the fallback ran.
   Await<ShardRouter::SnapshotResult> snapshot(
       std::vector<RegisterKey> keys) const;
@@ -300,24 +244,11 @@ class ClusterBuilder {
   using ProcessFactory =
       std::function<std::unique_ptr<Process>(Env&, const SystemConfig&)>;
 
-  /// --- option groups -----------------------------------------------------
-  /// Each struct setter replaces the matching flat setters below with one
-  /// value; the flat setters are thin wrappers writing through to these
-  /// structs, so mixing the two styles is well-defined (last write wins
-  /// field by field).
-  ClusterBuilder& tuning(TuningOptions t) { tuning_ = t; return *this; }
-  ClusterBuilder& fault_options(FaultOptions f) { fault_ = f; return *this; }
-  ClusterBuilder& workload_options(WorkloadOptions w) {
-    workload_ = std::move(w.params);
-    history_ = std::move(w.history);
-    return *this;
-  }
-
   /// --- topology ----------------------------------------------------------
   /// Servers PER SHARD (unsharded deployments have exactly one shard).
   ClusterBuilder& servers(std::uint32_t n) { n_ = n; return *this; }
-  /// Fault threshold per shard (== FaultOptions::faults).
-  ClusterBuilder& faults(std::uint32_t f) { fault_.faults = f; return *this; }
+  /// Fault threshold per shard; unset derives the maximum (n-1)/2.
+  ClusterBuilder& faults(std::uint32_t f) { faults_ = f; return *this; }
   /// Initial weight assignment, keyed 0..n-1; defaults to uniform weight
   /// 1 per server. Sharded deployments apply it as every shard's
   /// per-group template.
@@ -350,10 +281,9 @@ class ClusterBuilder {
   /// write tags, retries, and change-set restarts stay untouched.
   /// batching(1) (or never calling batching) is byte-identical to the
   /// unbatched wire protocol — pinned in tests like shards(1).
-  /// (== TuningOptions::batch_ops / batch_delay.)
   ClusterBuilder& batching(std::size_t max_ops, TimeNs max_delay = 0) {
-    tuning_.batch_ops = max_ops;
-    tuning_.batch_delay = max_delay;
+    batch_ops_ = max_ops;
+    batch_delay_ = max_delay;
     return *this;
   }
 
@@ -368,16 +298,16 @@ class ClusterBuilder {
   /// factories and add_process would need wire types the codec does not
   /// know). Incompatible with runtime(Runtime::kSim).
   ClusterBuilder& transport(Transport t) { transport_ = t; return *this; }
-  /// (== FaultOptions::seed.)
-  ClusterBuilder& seed(std::uint64_t s) { fault_.seed = s; return *this; }
+  /// Seed for every seeded decision in the deployment (latency draws,
+  /// fault-plane coin flips): same seed, same run on the simulator.
+  ClusterBuilder& seed(std::uint64_t s) { seed_ = s; return *this; }
 
   /// --- fault-tolerance hardening ------------------------------------------
   /// ABD phase retransmission interval for every client in the deployment
   /// (including each storage node's internal refresh client). Off by
   /// default; REQUIRED for liveness when the fault plane loses messages.
-  /// (== TuningOptions::retry.)
   ClusterBuilder& retry(TimeNs interval) {
-    tuning_.retry = interval;
+    retry_ = interval;
     return *this;
   }
   /// One-round read fast path on every deployed client: when the phase-1
@@ -385,16 +315,14 @@ class ClusterBuilder {
   /// round is provably redundant and is skipped (counted under
   /// "reads.fast_path"). Off by default so the classical two-round
   /// message pattern stays byte-for-byte for pinned traffic tests.
-  /// (== TuningOptions::read_fast_path.)
   ClusterBuilder& read_fast_path(bool on = true) {
-    tuning_.read_fast_path = on;
+    read_fast_path_ = on;
     return *this;
   }
   /// Periodic server anti-entropy (<SYNC> change-set broadcast). Off by
   /// default; makes reassignment state converge under message loss.
-  /// (== TuningOptions::anti_entropy.)
   ClusterBuilder& anti_entropy(TimeNs period) {
-    tuning_.anti_entropy = period;
+    anti_entropy_ = period;
     return *this;
   }
   ClusterBuilder& latency(std::shared_ptr<LatencyModel> model);
@@ -470,9 +398,13 @@ class ClusterBuilder {
   std::optional<WorkloadParams> workload_;
   std::shared_ptr<HistoryRecorder> history_;
   std::vector<std::pair<ProcessId, ProcessFactory>> extras_;
-  /// The flat setters write through into these; build() reads them only.
-  TuningOptions tuning_;
-  FaultOptions fault_;
+  std::optional<std::uint32_t> faults_;
+  std::uint64_t seed_ = 1;
+  std::size_t batch_ops_ = 1;
+  TimeNs batch_delay_ = 0;
+  TimeNs retry_ = 0;
+  bool read_fast_path_ = false;
+  TimeNs anti_entropy_ = 0;
   std::optional<RebalanceParams> rebalance_;
 };
 
@@ -719,8 +651,12 @@ class Cluster {
   ClusterBuilder::Kind kind_;
   AbdClient::Mode mode_ = AbdClient::Mode::kDynamic;
   std::shared_ptr<HistoryRecorder> history_;
-  /// Applied to every client slot — including clients added mid-run.
-  TuningOptions tuning_;
+  /// Client tuning, applied to every client slot — including clients
+  /// added mid-run.
+  TimeNs retry_ = 0;
+  bool read_fast_path_ = false;
+  std::size_t batch_ops_ = 1;
+  TimeNs batch_delay_ = 0;
 
   // env_ members are declared before the process slots so workers are
   // stopped (dtor body) and envs destroyed only after all processes died.

@@ -147,8 +147,8 @@ class EncodeArena {
 /// Thrown by SpanWriter on overflow; callers re-reserve and re-encode.
 struct ArenaFull {};
 
-/// Bounded little-endian writer over a raw span — the arena twin of the
-/// codec's vector-backed Writer, byte-for-byte the same encoding.
+/// Bounded little-endian writer over a raw span: the primitive layer
+/// every wire frame is encoded through.
 class SpanWriter {
  public:
   SpanWriter(std::uint8_t* base, std::size_t cap) : base_(base), cap_(cap) {}

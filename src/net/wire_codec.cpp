@@ -24,41 +24,6 @@ struct CodecError : std::runtime_error {
   explicit CodecError(const char* what) : std::runtime_error(what) {}
 };
 
-// --- primitive writer ------------------------------------------------------
-
-class Writer {
- public:
-  std::vector<std::uint8_t>& out() { return buf_; }
-  std::size_t size() const { return buf_.size(); }
-
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-
-  /// Patches a previously written u32 in place (length backfill).
-  void patch_u32(std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
 // --- primitive reader ------------------------------------------------------
 
 class Reader {
@@ -132,8 +97,7 @@ class Reader {
 
 // --- shared composite encodings --------------------------------------------
 
-template <typename W>
-void put_weight(W& w, const Weight& v) {
+void put_weight(SpanWriter& w, const Weight& v) {
   w.i64(v.num());
   w.i64(v.den());
 }
@@ -151,8 +115,7 @@ Weight get_weight(Reader& r) {
   return v;
 }
 
-template <typename W>
-void put_change(W& w, const Change& c) {
+void put_change(SpanWriter& w, const Change& c) {
   w.u32(c.id.issuer);
   w.u64(c.id.counter);
   w.u32(c.id.target);
@@ -169,8 +132,7 @@ Change get_change(Reader& r) {
   return Change(issuer, counter, target, std::move(delta));
 }
 
-template <typename W>
-void put_change_set(W& w, const ChangeSet& cs) {
+void put_change_set(SpanWriter& w, const ChangeSet& cs) {
   // all() iterates the underlying ordered map — deterministic order, so
   // round trips are byte-identical.
   std::vector<Change> changes = cs.all();
@@ -189,8 +151,7 @@ ChangeSet get_change_set(Reader& r) {
   return cs;
 }
 
-template <typename W>
-void put_changes_ptr(W& w, const ChangeSetPtr& cs) {
+void put_changes_ptr(SpanWriter& w, const ChangeSetPtr& cs) {
   w.u8(cs ? 1 : 0);
   if (cs) put_change_set(w, *cs);
 }
@@ -202,8 +163,7 @@ ChangeSetPtr get_changes_ptr(Reader& r) {
   return make_pooled<const ChangeSet>(get_change_set(r));
 }
 
-template <typename W>
-void put_tagged_value(W& w, const TaggedValue& tv) {
+void put_tagged_value(SpanWriter& w, const TaggedValue& tv) {
   w.i64(tv.tag.ts);
   w.u32(tv.tag.pid);
   w.str(tv.value);
@@ -217,8 +177,7 @@ TaggedValue get_tagged_value(Reader& r) {
   return tv;
 }
 
-template <typename W>
-void put_snap_entries(W& w, const std::vector<SnapEntry>& entries) {
+void put_snap_entries(SpanWriter& w, const std::vector<SnapEntry>& entries) {
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const SnapEntry& e : entries) {
     w.str(e.key);
@@ -249,8 +208,7 @@ std::vector<SnapEntry> get_snap_entries(Reader& r) {
   return entries;
 }
 
-template <typename W>
-void put_key_list(W& w, const std::vector<RegisterKey>& keys) {
+void put_key_list(SpanWriter& w, const std::vector<RegisterKey>& keys) {
   w.u32(static_cast<std::uint32_t>(keys.size()));
   for (const RegisterKey& k : keys) w.str(k);
 }
@@ -266,12 +224,10 @@ std::vector<RegisterKey> get_key_list(Reader& r) {
 
 // --- per-type payloads ------------------------------------------------------
 
-template <typename W>
-void put_message(W& w, const Message& msg, int depth);
+void put_message(SpanWriter& w, const Message& msg, int depth);
 MsgPtr get_message(Reader& r, int depth);
 
-template <typename W>
-void put_frames(W& w, const std::vector<MsgPtr>& frames, int depth) {
+void put_frames(SpanWriter& w, const std::vector<MsgPtr>& frames, int depth) {
   w.u32(static_cast<std::uint32_t>(frames.size()));
   for (const MsgPtr& f : frames) put_message(w, *f, depth);
 }
@@ -287,8 +243,7 @@ std::vector<MsgPtr> get_frames(Reader& r, int depth) {
 
 /// Writes one payload body (no tag, no length). `depth` is the nesting
 /// level already consumed; nested messages bump it.
-template <typename W>
-void put_body(W& w, const Message& msg, int depth) {
+void put_body(SpanWriter& w, const Message& msg, int depth) {
   if (const auto* m = msg_cast<ReadReq>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
@@ -627,8 +582,7 @@ std::optional<WireType> type_tag(const Message& msg) {
 }
 
 /// Nested encoding: u8 tag + u32 body length + body.
-template <typename W>
-void put_message(W& w, const Message& msg, int depth) {
+void put_message(SpanWriter& w, const Message& msg, int depth) {
   if (depth + 1 > kMaxNestingDepth) {
     throw std::invalid_argument("WireCodec: message nesting too deep");
   }
@@ -661,20 +615,9 @@ MsgPtr get_message(Reader& r, int depth) {
 
 std::vector<std::uint8_t> WireCodec::encode_frame(ProcessId from, ProcessId to,
                                                   const Message& msg) {
-  std::optional<WireType> type = type_tag(msg);
-  if (!type) {
-    throw std::invalid_argument("WireCodec: no wire mapping for message type " +
-                                msg.type_name());
-  }
-  Writer w;
-  w.u32(0);  // body length, backfilled
-  w.u8(kWireVersion);
-  w.u8(static_cast<std::uint8_t>(*type));
-  w.u32(from);
-  w.u32(to);
-  put_body(w, msg, /*depth=*/0);
-  w.patch_u32(0, static_cast<std::uint32_t>(w.size() - 4));
-  return std::move(w.out());
+  EncodeArena arena;
+  Segment seg = encode_frame_arena(arena, from, to, msg);
+  return {seg.data(), seg.data() + seg.size()};
 }
 
 Segment WireCodec::encode_frame_arena(EncodeArena& arena, ProcessId from,

@@ -24,18 +24,19 @@ struct DecodedFrame {
 class WireCodec {
  public:
   /// Serializes a routed message into one complete frame (length prefix
-  /// included) ready to write to a socket. Throws std::invalid_argument
-  /// for message types without a wire mapping (custom/test-only types —
-  /// the socket runtime refuses them at send time).
-  static std::vector<std::uint8_t> encode_frame(ProcessId from, ProcessId to,
-                                                const Message& msg);
-
-  /// Arena encode: byte-identical to encode_frame (pinned by test), but
-  /// written straight into `arena` — the steady-state socket send path
-  /// does zero heap allocations per frame. The returned Segment keeps
-  /// its chunk alive; copies share the encode (duplicate sends).
+  /// included), written straight into `arena` — the steady-state socket
+  /// send path does zero heap allocations per frame. The returned Segment
+  /// keeps its chunk alive; copies share the encode (duplicate sends).
+  /// Throws std::invalid_argument for message types without a wire
+  /// mapping (custom/test-only types — the socket runtime refuses them at
+  /// send time).
   static Segment encode_frame_arena(EncodeArena& arena, ProcessId from,
                                     ProcessId to, const Message& msg);
+
+  /// The same frame as an owned byte vector (a copy of one
+  /// encode_frame_arena segment), for callers off the send path.
+  static std::vector<std::uint8_t> encode_frame(ProcessId from, ProcessId to,
+                                                const Message& msg);
 
   /// Parses one frame BODY (the bytes after the u32 length prefix; the
   /// transport strips the prefix during reassembly). Returns nullopt on

@@ -355,17 +355,6 @@ AbdClient& ShardRouter::only_client() {
   return *clients_[0];
 }
 
-bool ShardRouter::busy() const {
-  return std::any_of(clients_.begin(), clients_.end(),
-                     [](const auto& c) { return c->busy(); });
-}
-
-std::size_t ShardRouter::in_flight() const {
-  std::size_t sum = 0;
-  for (const auto& c : clients_) sum += c->in_flight();
-  return sum;
-}
-
 std::size_t ShardRouter::max_in_flight() const {
   std::size_t best = 0;
   for (const auto& c : clients_) best = std::max(best, c->max_in_flight());
@@ -404,18 +393,8 @@ void ShardRouter::set_read_fast_path(bool on) {
   for (const auto& c : clients_) c->set_read_fast_path(on);
 }
 
-std::uint64_t ShardRouter::fast_path_reads() const {
-  std::uint64_t sum = 0;
-  for (const auto& c : clients_) sum += c->fast_path_reads();
-  return sum;
-}
-
 void ShardRouter::set_batching(std::size_t max_ops, TimeNs max_delay) {
   for (const auto& c : clients_) c->set_batching(max_ops, max_delay);
-}
-
-void ShardRouter::set_max_restarts(std::uint32_t m) {
-  for (const auto& c : clients_) c->set_max_restarts(m);
 }
 
 }  // namespace wrs

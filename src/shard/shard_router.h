@@ -110,8 +110,6 @@ class ShardRouter {
   AbdClient& only_client();
 
   // --- aggregated observability (sums/maxima over the inner clients) ------
-  bool busy() const;
-  std::size_t in_flight() const;
   /// Max over shards of each inner client's started-op high-water mark
   /// (a lower bound on the true cross-shard concurrency).
   std::size_t max_in_flight() const;
@@ -132,12 +130,9 @@ class ShardRouter {
   void set_snapshot_max_collect_rounds(std::uint32_t n);
 
   void set_retry_interval(TimeNs interval);
-  void set_max_restarts(std::uint32_t m);
   /// One-round read fast path on every inner client (see
   /// AbdClient::set_read_fast_path).
   void set_read_fast_path(bool on);
-  /// Reads completed in one round across all inner clients.
-  std::uint64_t fast_path_reads() const;
   /// Batched wire mode on every inner client. Batching is inherently
   /// same-shard: each inner client only ever talks to its own group, so
   /// coalescing its buffered phase broadcasts can never mix shards.

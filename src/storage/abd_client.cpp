@@ -495,7 +495,6 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
           }
         }
         if (unanimous) {
-          ++fast_path_reads_;
           env_.count_event(TrafficLedger::kReadsFastPath);
           op.read_result = maxreg;
           complete(op.id);

@@ -245,9 +245,6 @@ class AbdClient {
   void set_read_fast_path(bool on) { read_fast_path_ = on; }
   bool read_fast_path() const { return read_fast_path_; }
 
-  /// Reads completed via the one-round fast path (observability/tests).
-  std::uint64_t fast_path_reads() const { return fast_path_reads_; }
-
   /// Batched wire mode. `max_ops` <= 1 disables it (the default) — that
   /// path is byte-identical to the pre-batching client. With batching on,
   /// every phase broadcast is buffered and the buffer is flushed as ONE
@@ -362,7 +359,6 @@ class AbdClient {
   TimeNs retry_interval_ = 0;
   std::uint64_t retransmits_ = 0;
   bool read_fast_path_ = false;
-  std::uint64_t fast_path_reads_ = 0;
 
   // --- batched wire mode ---------------------------------------------------
   std::size_t batch_max_ops_ = 1;  // <= 1: unbatched (byte-identical)

@@ -393,9 +393,4 @@ class WorkloadClient : public Process {
   std::function<void()> on_done_;
 };
 
-/// Historical name from when the closed loop was the only mode; kept so
-/// old drivers compile, deprecated since the class has driven every loop
-/// shape (closed, open, snapshot-mixed) for a while. Use WorkloadClient.
-using ClosedLoopClient [[deprecated("use WorkloadClient")]] = WorkloadClient;
-
 }  // namespace wrs

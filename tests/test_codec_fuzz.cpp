@@ -2,6 +2,7 @@
 //
 //  * Round trip: random instances of EVERY wire message type must
 //    survive serialize -> deserialize -> serialize byte-identically.
+//  * Golden bytes: hand-built frames pin the exact encoding.
 //  * Truncation: every strict prefix of a valid frame body is rejected.
 //  * Corruption: seeded random byte flips either decode to a
 //    re-encodable message or are rejected — never a crash (run under
@@ -316,13 +317,18 @@ ProcessId rand_pid(Rng& rng) {
 // --- round trip -------------------------------------------------------------
 
 TEST(CodecFuzz, RoundTripByteIdenticalEveryType) {
+  // Every frame goes through ONE shared arena, with a random subset of
+  // segments kept alive, so encodes keep landing at fresh offsets and
+  // eventually rotate chunks mid-sweep.
   Rng rng(0xC0DEC);
+  net::EncodeArena arena;
+  std::vector<net::Segment> held;
   for (const auto& [name, make] : all_makers()) {
     for (int i = 0; i < 200; ++i) {
       MsgPtr msg = make(rng);
       ProcessId from = rand_pid(rng);
       ProcessId to = rand_pid(rng);
-      std::vector<std::uint8_t> bytes = WireCodec::encode_frame(from, to, *msg);
+      net::Segment bytes = WireCodec::encode_frame_arena(arena, from, to, *msg);
       ASSERT_GT(bytes.size(), 4u) << name;
       auto decoded = WireCodec::decode_frame(bytes.data() + 4, bytes.size() - 4);
       ASSERT_TRUE(decoded.has_value()) << name << " iteration " << i;
@@ -332,38 +338,93 @@ TEST(CodecFuzz, RoundTripByteIdenticalEveryType) {
       // The decoded message is a fresh object of the same concrete type
       // whose re-encoding is byte-identical.
       EXPECT_EQ(decoded->msg->type_name(), msg->type_name()) << name;
-      std::vector<std::uint8_t> again =
-          WireCodec::encode_frame(decoded->from, decoded->to, *decoded->msg);
-      EXPECT_EQ(bytes, again) << name << " iteration " << i
-                              << ": re-encode not byte-identical";
+      net::Segment again = WireCodec::encode_frame_arena(
+          arena, decoded->from, decoded->to, *decoded->msg);
+      ASSERT_EQ(again.size(), bytes.size()) << name << " iteration " << i;
+      EXPECT_EQ(std::memcmp(again.data(), bytes.data(), bytes.size()), 0)
+          << name << " iteration " << i << ": re-encode not byte-identical";
+      if (rng.below(4) == 0) held.push_back(std::move(bytes));
+      if (held.size() > 64) held.clear();
     }
   }
 }
 
-TEST(CodecFuzz, ArenaEncodeByteIdenticalToLegacyEveryType) {
-  // encode_frame_arena is the hot-path encoder (SocketEnv writes arena
-  // segments straight to the wire); it must produce exactly the bytes
-  // of the vector-returning encode_frame for every type — including
-  // when frames straddle a chunk boundary, which the shared arena below
-  // eventually forces.
-  Rng rng(0xA7E4A);
-  net::EncodeArena arena;
-  std::vector<net::Segment> held;  // pin chunks so offsets keep advancing
-  for (const auto& [name, make] : all_makers()) {
-    for (int i = 0; i < 100; ++i) {
-      MsgPtr msg = make(rng);
-      ProcessId from = rand_pid(rng);
-      ProcessId to = rand_pid(rng);
-      std::vector<std::uint8_t> legacy =
-          WireCodec::encode_frame(from, to, *msg);
-      net::Segment seg =
-          WireCodec::encode_frame_arena(arena, from, to, *msg);
-      ASSERT_EQ(seg.size(), legacy.size()) << name << " iteration " << i;
-      EXPECT_EQ(std::memcmp(seg.data(), legacy.data(), legacy.size()), 0)
-          << name << " iteration " << i << ": arena encode differs";
-      if (rng.below(4) == 0) held.push_back(std::move(seg));
-      if (held.size() > 64) held.clear();
-    }
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0xf]);
+  }
+  return out;
+}
+
+TEST(CodecFuzz, GoldenFramesArePinned) {
+  // Exact frame bytes are a protocol contract between nodes built from
+  // different trees: the encoder must reproduce them, and the decoder
+  // must accept them back into a message that re-encodes identically.
+  ChangeSet cs;
+  cs.add(Change(1, kFirstCounter, 2, Weight(-1, 4)));
+  cs.add(Change(3, kFirstCounter + 1, 0, Weight(1, 4)));
+  SnapEntry entry;
+  entry.key = "s";
+  entry.reg = TaggedValue{Tag{8, 1}, "z"};
+  entry.flag = SnapEntry::kMoved;
+  entry.owner = 3;
+  entry.epoch = 2;
+  struct Golden {
+    const char* name;
+    MsgPtr msg;
+    ProcessId from;
+    ProcessId to;
+    const char* hex;
+  };
+  const std::vector<Golden> goldens = {
+      {"ReadReq", std::make_shared<ReadReq>(7, "k1", 3, 2), 1, client_id(0),
+       "2000000001010100000000000100070000000000000003000000020000000200"
+       "00006b31"},
+      {"WriteReq",
+       std::make_shared<WriteReq>(9, TaggedValue{Tag{5, 2}, "val"}, "key", 4,
+                                  1),
+       client_id(1), 2,
+       "3400000001030100010002000000090000000000000004000000010000000500"
+       "000000000000020000000300000076616c030000006b6579"},
+      {"ReadAck",
+       std::make_shared<ReadAck>(11, TaggedValue{Tag{6, 3}, "v"},
+                                 std::make_shared<const ChangeSet>(cs), 5),
+       2, client_id(0),
+       "6c000000010202000000000001000b0000000000000005000000060000000000"
+       "0000030000000100000076010200000001000000020000000000000002000000"
+       "ffffffffffffffff040000000000000003000000030000000000000000000000"
+       "01000000000000000400000000000000"},
+      {"BatchRequest",
+       std::make_shared<BatchRequest>(
+           1, std::vector<MsgPtr>{
+                  std::make_shared<ReadReq>(12, "a", 1, 1),
+                  std::make_shared<WriteReq>(13, TaggedValue{Tag{2, 1}, "x"},
+                                             "b", 2, 1)}),
+       client_id(2), 4,
+       "5700000001070200010004000000010000000200000001150000000c00000000"
+       "0000000100000001000000010000006103260000000d00000000000000020000"
+       "000100000002000000000000000100000001000000780100000062"},
+      {"SnapAck",
+       std::make_shared<SnapAck>(21, std::vector<SnapEntry>{entry}, nullptr, 6,
+                                 true),
+       0, client_id(3),
+       "3f00000001180000000003000100150000000000000006000000010100000001"
+       "00000073080000000000000001000000010000007a0203000000020000000000"
+       "000000"},
+  };
+  for (const Golden& g : goldens) {
+    std::vector<std::uint8_t> bytes =
+        WireCodec::encode_frame(g.from, g.to, *g.msg);
+    EXPECT_EQ(hex(bytes), g.hex) << g.name;
+    auto decoded = WireCodec::decode_frame(bytes.data() + 4, bytes.size() - 4);
+    ASSERT_TRUE(decoded.has_value()) << g.name;
+    EXPECT_EQ(hex(WireCodec::encode_frame(decoded->from, decoded->to,
+                                          *decoded->msg)),
+              g.hex)
+        << g.name;
   }
 }
 

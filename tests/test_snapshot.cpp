@@ -1,5 +1,5 @@
 // Cross-shard atomic snapshots (ShardRouter::snapshot + the
-// ClientHandle verb) and the consolidated builder option structs:
+// ClientHandle verb):
 //
 //   * a quiet deployment: one double-collect (2 rounds, no fallback)
 //     returns exactly the written values, across shards, in key order;
@@ -10,15 +10,11 @@
 //     pressure once the collect budget is exhausted — and its cut is
 //     still consistent;
 //   * chaos: snapshots racing a MigrationStorm + Nemesis link faults on
-//     BOTH runtimes, every cut validated by check_atomicity;
-//   * TuningOptions/FaultOptions/WorkloadOptions build the IDENTICAL
-//     deployment as the legacy flat setter chain (same seed => same
-//     message-for-message traffic counters and op results on SimEnv).
+//     BOTH runtimes, every cut validated by check_atomicity.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -116,9 +112,6 @@ TEST(Snapshot, CutsUnderConcurrentWritersStayConsistent) {
 TEST(Snapshot, FallbackEngagesUnderWritePressure) {
   // Two collect rounds can never agree while an open-loop writer hammers
   // the snapshotted keys, so the fenced fallback must take the cut.
-  TuningOptions tuning;
-  tuning.snapshot_max_collect_rounds = 2;
-
   WorkloadParams wp;
   wp.num_ops = 400;
   wp.read_ratio = 0.0;  // writers only
@@ -132,7 +125,6 @@ TEST(Snapshot, FallbackEngagesUnderWritePressure) {
                   .servers(3)
                   .shards(2)
                   .clients(2)
-                  .tuning(tuning)
                   .workload(wp)
                   .history(history)
                   .runtime(Runtime::kSim)
@@ -144,6 +136,11 @@ TEST(Snapshot, FallbackEngagesUnderWritePressure) {
   ssp.attempts = 6;
   ssp.num_keys = 2;
   ssp.keys_per_snapshot = 2;
+  // The storm issues from every client round-robin; each gets the tight
+  // collect budget before the first cut is scheduled.
+  for (std::size_t k = 0; k < c.num_clients(); ++k) {
+    c.client(k).router().set_snapshot_max_collect_rounds(2);
+  }
   testing::SnapshotStorm snaps(c, 13, ssp, history);
   snaps.unleash();
 
@@ -296,111 +293,6 @@ TEST(SnapshotChaos, SimCutsSurviveMigrationStorm) {
 
 TEST(SnapshotChaos, ThreadCutsSurviveMigrationStorm) {
   expect_snapshot_chaos_consistent(Runtime::kThread, 404);
-}
-
-// --- builder option structs -------------------------------------------------
-
-/// Runs one deterministic script on `c` and fingerprints everything
-/// observable: op results plus the full traffic counter map (every wire
-/// message the deployment sent, by type).
-std::string deployment_fingerprint(Cluster& c) {
-  std::ostringstream fp;
-  auto keys = keyset(4);
-  std::vector<std::pair<RegisterKey, Value>> puts;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    puts.emplace_back(keys[i], "v" + std::to_string(i));
-  }
-  for (const Tag& t : when_all(c.client().write_batch(puts)).get()) {
-    fp << "w " << t.str() << "\n";
-  }
-  for (const TaggedValue& tv : when_all(c.client().read_batch(keys)).get()) {
-    fp << "r " << tv.tag.str() << " " << tv.value << "\n";
-  }
-  ShardRouter::SnapshotResult snap = c.client().snapshot(keys).get();
-  fp << "snap rounds=" << snap.rounds << " fb=" << snap.used_fallback << "\n";
-  for (const auto& [k, tv] : snap.cut) {
-    fp << "  " << k << " " << tv.tag.str() << " " << tv.value << "\n";
-  }
-  c.quiesce();
-  for (const auto& [name, count] : c.traffic().map()) {
-    fp << name << "=" << count << "\n";
-  }
-  return fp.str();
-}
-
-TEST(BuilderOptions, StructAndFlatSettersBuildIdenticalDeployments) {
-  // Same knobs through the legacy flat chain and through the option
-  // structs; same seed. On SimEnv the two deployments must be
-  // message-for-message identical — identical op results AND identical
-  // traffic counters, our byte-level equality proxy.
-  Cluster flat = Cluster::builder()
-                     .servers(3)
-                     .faults(1)
-                     .shards(2)
-                     .clients(2)
-                     .retry(ms(10))
-                     .read_fast_path(true)
-                     .anti_entropy(ms(25))
-                     .batching(4, us(50))
-                     .seed(42)
-                     .runtime(Runtime::kSim)
-                     .build();
-
-  TuningOptions tuning;
-  tuning.retry = ms(10);
-  tuning.read_fast_path = true;
-  tuning.anti_entropy = ms(25);
-  tuning.batch_ops = 4;
-  tuning.batch_delay = us(50);
-  FaultOptions faults;
-  faults.faults = 1;
-  faults.seed = 42;
-  Cluster grouped = Cluster::builder()
-                        .servers(3)
-                        .shards(2)
-                        .clients(2)
-                        .tuning(tuning)
-                        .fault_options(faults)
-                        .runtime(Runtime::kSim)
-                        .build();
-
-  EXPECT_EQ(deployment_fingerprint(flat), deployment_fingerprint(grouped));
-}
-
-TEST(BuilderOptions, WorkloadOptionsMatchesFlatWorkloadAndHistory) {
-  WorkloadParams wp;
-  wp.num_ops = 30;
-  wp.read_ratio = 0.5;
-  wp.num_keys = 4;
-  wp.snapshot_every_ops = 10;
-  wp.seed = 5;
-
-  auto run = [&](bool grouped) {
-    auto history = std::make_shared<HistoryRecorder>();
-    ClusterBuilder b = Cluster::builder();
-    b.servers(3).shards(2).runtime(Runtime::kSim).seed(9);
-    if (grouped) {
-      WorkloadOptions wo;
-      wo.params = wp;
-      wo.history = history;
-      b.workload_options(wo);
-    } else {
-      b.workload(wp).history(history);
-    }
-    Cluster c = b.build();
-    EXPECT_TRUE(c.workload_done().try_get(seconds(60)).has_value());
-    c.quiesce();
-    std::ostringstream fp;
-    for (const OpRecord& op : history->completed()) {
-      fp << (op.kind == OpRecord::Kind::kRead ? "R" : "W") << op.key << " "
-         << op.tag.str() << " " << op.value << " s=" << op.snap_id << "\n";
-    }
-    return fp.str();
-  };
-  std::string flat = run(false);
-  std::string grouped = run(true);
-  EXPECT_FALSE(flat.empty());
-  EXPECT_EQ(flat, grouped);
 }
 
 }  // namespace

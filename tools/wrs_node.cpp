@@ -1,9 +1,9 @@
 // wrs-node — one OS process hosting one replica group (shard) of the
 // weighted-quorum store, serving clients over TCP or Unix sockets.
 //
-//   wrs-node --shard=0 --num-shards=2 --servers=3 --faults=1 \
-//            --listen=tcp:127.0.0.1:7000 [--service-time-us=100] \
-//            [--retry-ms=10] [--anti-entropy-ms=25] [--seed=1] \
+//   wrs-node --shard=0 --num-shards=2 --servers=3 --faults=1
+//            --listen=tcp:127.0.0.1:7000 [--service-time-us=100]
+//            [--retry-ms=10] [--anti-entropy-ms=25] [--seed=1]
 //            [--ready-fd=N] [--config=node.json]
 //
 // After the listener is bound the process prints its actual address
