@@ -557,7 +557,8 @@ int main(int argc, char** argv) {
       Cluster c = b.build();
       std::vector<std::pair<RegisterKey, Value>> puts;
       for (std::size_t i = 0; i < kSnapKeyspace; ++i) {
-        puts.emplace_back("k" + std::to_string(i), "v" + std::to_string(i));
+        puts.emplace_back(std::string("k").append(std::to_string(i)),
+                          std::string("v").append(std::to_string(i)));
       }
       for (auto& aw : c.client(0).write_batch(std::move(puts))) aw.get();
 
@@ -569,8 +570,8 @@ int main(int argc, char** argv) {
         // Rotate through the keyspace so cuts cross every shard.
         std::vector<RegisterKey> keys;
         for (std::size_t j = 0; j < kSnapKeysPerCut; ++j) {
-          keys.push_back("k" + std::to_string((i * kSnapKeysPerCut + j) %
-                                              kSnapKeyspace));
+          keys.push_back(std::string("k").append(std::to_string(
+              (i * kSnapKeysPerCut + j) % kSnapKeyspace)));
         }
         TimeNs t0 = c.now();
         ShardRouter::SnapshotResult r =

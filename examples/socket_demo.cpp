@@ -93,7 +93,7 @@ int main() {
   Table table({"client", "completed", "ops/s", "p50 ms", "p99 ms"});
   for (std::uint32_t k = 0; k < kClients; ++k) {
     const Histogram& lat = clients[k]->op_latency();
-    table.add_row({"c" + std::to_string(k),
+    table.add_row({std::string("c").append(std::to_string(k)),
                    std::to_string(clients[k]->completed()),
                    Table::fmt(clients[k]->achieved_ops_per_sec()),
                    Table::fmt(lat.percentile(50) / 1e6),

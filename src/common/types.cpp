@@ -16,8 +16,8 @@ std::vector<ProcessId> server_range(ProcessId base, std::uint32_t n) {
 
 std::string process_name(ProcessId id) {
   if (id == kNoProcess) return "none";
-  if (is_server(id)) return "s" + std::to_string(id);
-  return "c" + std::to_string(id - kClientIdBase);
+  if (is_server(id)) return std::string("s").append(std::to_string(id));
+  return std::string("c").append(std::to_string(id - kClientIdBase));
 }
 
 }  // namespace wrs

@@ -41,8 +41,15 @@ struct Change {
   bool is_null() const { return delta.is_zero(); }
 
   std::string str() const {
-    return "<" + process_name(id.issuer) + "," + std::to_string(id.counter) +
-           "," + process_name(id.target) + "," + delta.str() + ">";
+    return std::string("<")
+        .append(process_name(id.issuer))
+        .append(",")
+        .append(std::to_string(id.counter))
+        .append(",")
+        .append(process_name(id.target))
+        .append(",")
+        .append(delta.str())
+        .append(">");
   }
 
   friend bool operator==(const Change& a, const Change& b) {

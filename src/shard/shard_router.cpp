@@ -8,10 +8,7 @@ namespace wrs {
 
 ShardRouter::ShardRouter(Env& env, ProcessId self, ShardMap map,
                          AbdClient::Mode mode)
-    : map_(std::move(map)),
-      env_(env),
-      self_(self),
-      snap_rng_(0x9E3779B97F4A7C15ull ^ self) {
+    : map_(std::move(map)), self_(self) {
   clients_.reserve(map_.num_shards());
   for (ShardId g = 0; g < map_.num_shards(); ++g) {
     clients_.push_back(
@@ -235,8 +232,9 @@ void ShardRouter::snap_fallback(SnapPtr st) {
   st->used_fallback = true;
   ++snapshot_fallbacks_;
   // Fresh instance id per attempt: a retry must never be confused with
-  // stale fences of its own previous attempt.
-  st->snap_id = (static_cast<SnapId>(self_) << 32) | ++snap_seq_;
+  // stale fences of its own previous attempt, and servers rank it by
+  // its (counter, client) pair.
+  st->snap_id = make_snap_id(self_, ++snap_seq_);
   st->frozen_parts = snap_partition(*st);
   st->pending = st->frozen_parts.size();
   for (auto& part : st->frozen_parts) {
@@ -256,9 +254,8 @@ void ShardRouter::snap_fallback(SnapPtr st) {
 }
 
 void ShardRouter::snap_freeze_done(SnapPtr st) {
-  // Adopt only a fully clean freeze: any migration fence, moved key, or
-  // foreign snapshot aborts (never hold our fences while waiting on
-  // someone else's — that is how distributed deadlocks are built).
+  // Adopt only a fully clean freeze: a moved key, or a fence this
+  // attempt already lost (kFrozen), aborts with a lift-only release.
   bool adopt = true;
   for (const AbdClient::CollectEntry& ce : st->acc) {
     if (ce.flag == SnapEntry::kMoved) {
@@ -289,18 +286,12 @@ void ShardRouter::snap_freeze_done(SnapPtr st) {
           if (!held) st->all_held = false;
           if (--st->pending != 0) return;
           if (adopt && st->all_held) return snap_finish(st);
-          // Aborted, or a fence TTL-expired before we released it (a
-          // write may have slipped past the cut): retry with a fresh
-          // instance id. Moved keys already taught the map, so the next
-          // attempt freezes at the current owners. The retry is DELAYED
-          // by seeded jittered exponential backoff: clients whose
-          // snapshots overlap abort on each other's fences, and bare
-          // re-freezing keeps them aborting in lockstep forever.
-          std::uint32_t shift = std::min<std::uint32_t>(st->backoffs++, 5);
-          auto delay = static_cast<TimeNs>(
-              snap_rng_.uniform(0.5, 1.5) *
-              static_cast<double>(ms(1) << shift));
-          env_.schedule(self_, delay, [this, st] { snap_fallback(st); });
+          // Aborted, or a fence was lost to a higher-ranked holder or its
+          // lease before we released it (a write may have slipped past
+          // the cut): retry at once with a fresh, lower-ranked instance
+          // id. Moved keys already taught the map, so the next attempt
+          // freezes at the current owners.
+          snap_fallback(st);
         });
   }
 }

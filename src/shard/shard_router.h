@@ -29,14 +29,14 @@
 // install before the cut returns. Under sustained write pressure the
 // double collect may never confirm, so after a bounded number of rounds
 // the router switches to the fenced fallback (scan embedded in update):
-// SnapFreeze parks writers behind per-key fences at every involved
-// shard, SnapRelease installs the frozen maxima and lifts the fences —
-// two rounds per shard, wait-free regardless of contention. A round that
-// observes a migration fence, a moved key, or a foreign snapshot aborts
-// (lift-only release) and retries under seeded jittered exponential
-// backoff — contending snapshotters that abort each other's fences in
-// lockstep would otherwise livelock; moved keys teach the router's map
-// the same way WrongShardAck redirects do.
+// SnapFreeze fences the keys at every involved shard, SnapRelease
+// installs the frozen maxima and lifts the fences — two rounds per
+// shard. Servers rank fences (migrations first, then snapshots by
+// instance id) and park a lower-ranked freeze until the fence lifts, so
+// contending snapshotters queue instead of aborting. An attempt that
+// sees a moved key, or that lost a fence before its release, retries at
+// once with a fresh instance id; moved keys teach the router's map the
+// same way WrongShardAck redirects do.
 //
 // Replies route back by SENDER: a server's global id names its shard, so
 // handle() dispatches to exactly one inner client (no per-client probing
@@ -49,7 +49,6 @@
 #include <set>
 #include <vector>
 
-#include "common/rng.h"
 #include "shard/shard_map.h"
 #include "storage/abd_client.h"
 
@@ -163,7 +162,6 @@ class ShardRouter {
     std::size_t pending = 0;  ///< shards (or installs) still outstanding
     bool all_held = true;
     SnapId snap_id = 0;
-    std::uint32_t backoffs = 0;  ///< aborted fallback attempts so far
     /// Fallback freeze partition (shard, key indices): the release round
     /// targets the SAME groups that were frozen, even if the map learns
     /// new overrides in between.
@@ -187,9 +185,7 @@ class ShardRouter {
   /// Learned routing state: starts as the static hash map, accumulates
   /// overrides from WrongShardAck redirects.
   ShardMap map_;
-  Env& env_;
   ProcessId self_ = 0;
-  Rng snap_rng_;  ///< fallback-retry jitter (seeded by self_)
   std::vector<std::unique_ptr<AbdClient>> clients_;
   std::uint64_t redirects_ = 0;
   std::uint64_t snapshots_taken_ = 0;

@@ -108,6 +108,11 @@ OpId AbdClient::snap_release(SnapId snap_id, std::vector<SnapEntry> installs,
   op.kind = OpKind::kSnapRelease;
   op.snap_id = snap_id;
   op.snap_installs = std::move(installs);
+  auto voters = freeze_voters_.find(snap_id);
+  if (voters != freeze_voters_.end()) {
+    op.snap_voters = std::move(voters->second);
+    freeze_voters_.erase(voters);
+  }
   op.relcb = std::move(cb);
   return enqueue(std::move(op));
 }
@@ -207,8 +212,25 @@ void AbdClient::start_phase1(Op& op) {
   op.keys_acc.clear();
   op.snap_replies.clear();
   op.snap_all_held = true;
+  op.snap_vouched.clear();
   broadcast_phase(op);
   schedule_retry(op.id, op.seq);
+  if (op.kind == OpKind::kSnapRelease && op.seq == 1) {
+    env_.schedule(self_, kSnapLease, [this, id = op.id] {
+      auto it = ops_.find(id);
+      if (it == ops_.end()) return;  // completed
+      // A lease after the freeze round, a voter still silent has lost
+      // its fences or is gone: nobody can vouch for the cut any more.
+      // Lift what a voter that missed the release may hold, install
+      // nothing, and give up.
+      Op& op = it->second;
+      for (SnapEntry& e : op.snap_installs) e.flag = SnapEntry::kFrozen;
+      ++retransmits_;
+      broadcast_phase(op);
+      op.snap_all_held = false;
+      complete(id);
+    });
+  }
 }
 
 void AbdClient::start_phase2(Op& op) {
@@ -350,8 +372,10 @@ void AbdClient::complete(OpId id) {
       finished.kcb(keys);
       break;
     }
-    case OpKind::kCollect:
     case OpKind::kSnapFreeze:
+      freeze_voters_[finished.snap_id] = finished.keys_acks;
+      [[fallthrough]];
+    case OpKind::kCollect:
       finished.ccb(aggregate_snap(finished));
       break;
     case OpKind::kSnapRelease:
@@ -548,24 +572,30 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
       return true;  // stale reply (from a restarted attempt): consumed
     }
     if (merge_and_maybe_restart(ack->changes())) return true;
-    if (std::find(op.keys_acks.begin(), op.keys_acks.end(), from) ==
-        op.keys_acks.end()) {
-      op.keys_acks.push_back(from);
-    }
+    bool first = std::find(op.keys_acks.begin(), op.keys_acks.end(),
+                           from) == op.keys_acks.end();
+    if (first) op.keys_acks.push_back(from);
     if (op.kind == OpKind::kSnapRelease) {
-      // One false `held` poisons the round: some fence TTL-expired (or a
-      // retransmit raced the first release) and writes may have slipped
-      // past the cut — the caller discards and retries.
-      if (!ack->held()) op.snap_all_held = false;
-    } else {
-      auto slot = std::find_if(
-          op.snap_replies.begin(), op.snap_replies.end(),
-          [from](const auto& reply) { return reply.first == from; });
-      if (slot == op.snap_replies.end()) {
-        op.snap_replies.emplace_back(from, ack->entries());
-      } else {
-        slot->second = ack->entries();  // duplicate reply: last one wins
+      // Only a server whose freeze reply went into the cut can vouch that
+      // its fences stood until the release, and only its first answer
+      // counts (a retransmit's echo finds the fence already lifted). One
+      // lost fence poisons the round: the caller discards and retries.
+      if (!first || std::find(op.snap_voters.begin(), op.snap_voters.end(),
+                              from) == op.snap_voters.end()) {
+        return true;
       }
+      if (!ack->held()) op.snap_all_held = false;
+      op.snap_vouched.push_back(from);
+      if (responders_form_quorum(op.snap_vouched)) complete(op.id);
+      return true;
+    }
+    auto slot = std::find_if(
+        op.snap_replies.begin(), op.snap_replies.end(),
+        [from](const auto& reply) { return reply.first == from; });
+    if (slot == op.snap_replies.end()) {
+      op.snap_replies.emplace_back(from, ack->entries());
+    } else {
+      slot->second = ack->entries();  // duplicate reply: last one wins
     }
     if (!responders_form_quorum(op.keys_acks)) return true;
     complete(op.id);

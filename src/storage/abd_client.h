@@ -153,9 +153,11 @@ class AbdClient {
 
   /// Fenced-fallback round 2: installs entries flagged kOk
   /// tag-monotonically, lifts the named fences, drains parked requests.
-  /// cb fires with all_held = true iff every quorum responder still held
-  /// every named fence under `snap_id` (false => a fence TTL-expired and
-  /// the round must be discarded).
+  /// Only the servers whose replies formed `snap_id`'s freeze aggregate
+  /// vouch: cb fires with all_held = true iff a weighted quorum of them
+  /// still held every named fence (false => a fence was lost, or a voter
+  /// stayed silent for a fence lease, kSnapLease, and the round must be
+  /// discarded).
   OpId snap_release(SnapId snap_id, std::vector<SnapEntry> installs,
                     ReleaseCallback cb);
 
@@ -228,7 +230,6 @@ class AbdClient {
   /// messages: without it a dropped quorum message stalls the operation
   /// forever, even after the link heals.
   void set_retry_interval(TimeNs interval) { retry_interval_ = interval; }
-  TimeNs retry_interval() const { return retry_interval_; }
 
   /// Phase broadcasts re-sent by the retry timer (observability/tests).
   std::uint64_t retransmits() const { return retransmits_; }
@@ -253,8 +254,6 @@ class AbdClient {
   /// first (max_delay 0 still defers to a zero-delay callback, so every
   /// operation issued in the same handler tick coalesces).
   void set_batching(std::size_t max_ops, TimeNs max_delay);
-  std::size_t batch_max_ops() const { return batch_max_ops_; }
-  TimeNs batch_max_delay() const { return batch_max_delay_; }
   bool batching() const { return batch_max_ops_ > 1; }
 
   /// Envelopes flushed / frames carried by them (observability: the mean
@@ -298,6 +297,10 @@ class AbdClient {
     /// wins — mirrors phase1_replies); keys_acks tracks the pids.
     std::vector<std::pair<ProcessId, std::vector<SnapEntry>>> snap_replies;
     bool snap_all_held = true;
+    /// Release only: the servers whose freeze replies formed the cut, and
+    /// those of them that answered this round.
+    std::vector<ProcessId> snap_voters;
+    std::vector<ProcessId> snap_vouched;
     CollectCallback ccb;
     ReleaseCallback relcb;
   };
@@ -368,6 +371,8 @@ class AbdClient {
   /// flush when its generation is still current (stale timers of already
   /// flushed batches must not split the batch that followed them).
   std::uint64_t batch_timer_gen_ = 0;
+  /// Responders of each completed freeze round, until its release.
+  FlatMap<SnapId, std::vector<ProcessId>> freeze_voters_;
   std::uint64_t batches_sent_ = 0;
   std::uint64_t batched_frames_ = 0;
 };

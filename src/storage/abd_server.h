@@ -27,23 +27,24 @@
 // capacity in scale-out benchmarks: the quorum protocol above it is
 // measured against a modeled per-node bottleneck instead of whatever
 // the host machine's core count happens to be.
-// Elastic resharding (PR 7): the server keeps a per-key ROUTE MARK
-// — (map epoch, owner shard, frozen?) — driven by the MigrationEngine's
-// MigFreeze/MigCommit rounds. A frozen key parks incoming client
-// requests (bounded queue) instead of serving them, so the engine's
-// final read is definitive; a key whose mark names another owner is
-// answered with a WrongShardAck redirect carrying the owner and epoch.
-// Marks apply with "newest epoch wins", mirroring ShardMap overrides.
 //
-// Atomic snapshots (PR 10): SnapReq answers a whole key list in one
-// round (the collect of the double-collect snapshot). The fenced
-// fallback adds per-key SNAP FENCES, separate from migration route
-// marks: SnapFreeze parks client requests AND MigFreeze rounds for the
-// named keys behind the snapshot's id, SnapRelease installs the adopted
-// replicas tag-monotonically and drains the parked queue. Fences are
-// leases — a TTL timer auto-releases them so a dead snapshot client
-// cannot park a key forever; the release ack's `held` bit tells the
-// client when its fence expired underneath it.
+// Fences: one per-key fence serves migrations and atomic snapshots. Its
+// holder is a migration or one snapshot attempt; client reads and writes
+// of a fenced key park in the key's bounded queue until it lifts. One
+// rule orders holders: a migration outranks every snapshot (its final
+// read must stay definitive), snapshots rank by the (counter, client)
+// pair of their SnapId, lower first. MigFreeze fences at once; a
+// SnapFreeze takes all its keys, preempting lower holders, unless a
+// higher holder fences one of them — then it parks whole in that key's
+// queue and is replayed when the fence lifts. Nobody waits on a lower
+// rank, so waits never form a cycle. A snapshot fence is a 1 s lease.
+// An attempt that released, lost or let expire a fence here is retired
+// with its client's older attempts and takes no fence here again, so a
+// release's held=true proves the fence stood unbroken since the freeze
+// read. MigCommit lifts the fence and flips the key's ROUTE MARK (map
+// epoch, owner; newest epoch wins); a key marked with another owner is
+// answered with a WrongShardAck redirect. SnapReq collects never wait:
+// fenced keys come back kFrozen.
 #pragma once
 
 #include <algorithm>
@@ -157,7 +158,6 @@ class AbdServer {
   void set_reg(TaggedValue reg, const RegisterKey& key = "") {
     regs_[key] = std::move(reg);
   }
-  std::size_t register_count() const { return regs_.size(); }
 
   ShardId shard() const { return shard_; }
   /// Requests dropped because they carried another group's shard id —
@@ -171,13 +171,12 @@ class AbdServer {
   void set_service_time(TimeNs t) { service_time_ = t; }
   TimeNs service_time() const { return service_time_; }
 
-  // --- elastic resharding -------------------------------------------------
+  // --- fences and route marks ---------------------------------------------
 
   /// The migration state of one key as this server knows it.
   struct RouteMark {
     std::uint64_t epoch = 0;  ///< newest map epoch seen for the key
     ShardId owner = 0;        ///< the key's owner shard as of `epoch`
-    bool frozen = false;      ///< fence up: park client requests
     bool committed = false;   ///< latest event was a commit (not a freeze)
   };
 
@@ -188,34 +187,16 @@ class AbdServer {
     if (it == route_marks_.end()) return std::nullopt;
     return it->second;
   }
+  /// Whether any fence is up on `key` (same calling rules as route_mark).
+  bool fenced(const RegisterKey& key) const { return fences_.count(key) > 0; }
 
-  /// Client requests parked behind a freeze fence (cumulative).
+  /// Requests parked behind a fence (cumulative).
   std::uint64_t frozen_parked() const { return frozen_parked_; }
   /// Parked requests dropped because a key's park queue overflowed —
   /// client retries cover these.
   std::uint64_t parked_dropped() const { return parked_dropped_; }
-  /// WrongShardAck redirects sent for moved keys.
-  std::uint64_t redirects_sent() const { return redirects_sent_; }
-  /// MigCommit rounds applied (either side of a handoff).
-  std::uint64_t migration_commits() const { return migration_commits_; }
-
-  // --- atomic snapshots ----------------------------------------------------
-
-  /// Snap fences currently up (test observability; call only from this
-  /// server's execution context or when the deployment is quiescent).
-  std::size_t snap_fences_up() const { return snap_fences_.size(); }
-  /// Snap fences installed by SnapFreeze rounds (cumulative).
+  /// Snapshot fences taken by SnapFreeze rounds (cumulative).
   std::uint64_t snap_fences_installed() const { return snap_fences_installed_; }
-  /// Snap fences auto-released by the TTL lease instead of a SnapRelease.
-  std::uint64_t snap_fences_expired() const { return snap_fences_expired_; }
-  /// SnapReq collect rounds served.
-  std::uint64_t snap_collects_served() const { return snap_collects_served_; }
-
-  /// Lease on a snap fence: a SnapRelease normally lifts it, the TTL
-  /// covers a crashed snapshot client. Default spans hundreds of quorum
-  /// round trips — long enough that a live client never loses its fence
-  /// mid-snapshot, short enough that chaos episodes drain.
-  void set_snap_fence_ttl(TimeNs ttl) { snap_fence_ttl_ = ttl; }
 
   /// Served read/write requests per key since the last drain, and clears
   /// the window. Thread-safe (the Rebalancer reads it from another
@@ -225,13 +206,10 @@ class AbdServer {
     return std::exchange(key_hits_, {});
   }
 
-  /// Cumulative served read/write requests (never cleared); thread-safe.
-  std::uint64_t hits_total() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return hits_total_;
-  }
-
  private:
+  /// Fence holder of a migration: snap_rank 0 outranks every snapshot.
+  static constexpr SnapId kMigration = 0;
+
   ChangeSetPtr snapshot() const {
     return changes_provider_ ? changes_provider_() : nullptr;
   }
@@ -246,7 +224,7 @@ class AbdServer {
   /// ack — or null when `msg` is no ABD request, is addressed to another
   /// shard (counted; defense in depth for frames of a batched envelope
   /// whose own shard id somehow disagrees with the envelope's), or was
-  /// parked behind a freeze fence (answered later, when the fence lifts).
+  /// parked behind a fence (answered later, when the fence lifts).
   MsgPtr apply(ProcessId from, const Message& msg) {
     if (const auto* r = msg_cast<ReadReq>(msg)) {
       if (misrouted(r->shard())) return nullptr;
@@ -287,33 +265,25 @@ class AbdServer {
     return nullptr;
   }
 
-  /// Shared read/write admission against the key's route mark and snap
-  /// fence: null means "serve it", the park sentinel means "parked,
-  /// answer later", anything else is the WrongShardAck to send instead.
-  /// The snap-fence check precedes the moved check so that requests a
-  /// concurrent migration drains early re-park until the snapshot's
-  /// release — the cut must not observe writes completing mid-fence.
+  /// Shared read/write admission: null means "serve it", the park
+  /// sentinel means "parked behind the key's fence, answer later",
+  /// anything else is the WrongShardAck to send instead.
   MsgPtr route_check(ProcessId from, const RegisterKey& key, OpId op_id,
                      std::uint32_t seq, MsgPtr req) {
+    if (fences_.count(key)) {
+      park(from, key, std::move(req));
+      return kParkedSentinel();
+    }
     auto it = route_marks_.find(key);
-    if (it != route_marks_.end() && it->second.frozen) {
-      park(from, key, std::move(req));
-      return kParkedSentinel();
-    }
-    if (snap_fences_.count(key)) {
-      park(from, key, std::move(req));
-      return kParkedSentinel();
-    }
     if (it != route_marks_.end() && it->second.owner != shard_) {
-      ++redirects_sent_;
       return make_msg<WrongShardAck>(op_id, key, it->second.owner,
                                              it->second.epoch, seq);
     }
     return nullptr;
   }
 
-  /// Parks one request behind a (migration or snap) fence, bounded per
-  /// key — overflow is shed to client retries.
+  /// Parks one request behind the key's fence, bounded per key —
+  /// overflow is shed to client retries.
   void park(ProcessId from, const RegisterKey& key, MsgPtr req) {
     auto& queue = parked_[key];
     if (queue.size() >= kMaxParkedPerKey) {
@@ -331,27 +301,57 @@ class AbdServer {
     return sentinel;
   }
 
+  /// Puts `key` under `holder`'s fence, retiring a snapshot it displaces.
+  /// A snapshot fence (re)starts its lease; a migration's has none.
+  void fence(const RegisterKey& key, SnapId holder) {
+    Fence& f = fences_[key];  // gen 0: no fence was up
+    if (f.gen == 0 || f.holder != holder) {
+      if (f.gen != 0 && f.holder != kMigration) retire(f.holder);
+      if (holder != kMigration) ++snap_fences_installed_;
+    }
+    f.holder = holder;
+    f.gen = ++fence_gen_;
+    if (holder == kMigration) return;
+    env_.schedule(self_, kSnapLease, [this, key, gen = f.gen] {
+      auto it = fences_.find(key);
+      if (it != fences_.end() && it->second.gen == gen) lift(key);
+    });
+  }
+
+  /// Lifts the fence on `key`, if any (retiring a snapshot holder), and
+  /// replays the key's parked requests.
+  void lift(const RegisterKey& key) {
+    auto it = fences_.find(key);
+    if (it == fences_.end()) return;
+    if (it->second.holder != kMigration) retire(it->second.holder);
+    fences_.erase(it);
+    drain_parked(key);
+  }
+
+  /// Retires `snap` and, since a client's counters only grow, every
+  /// older attempt of its client: none of them fences here again.
+  void retire(SnapId snap) {
+    std::uint32_t& mark = retired_[snap_client(snap)];
+    mark = std::max(mark, snap_counter(snap));
+  }
+  bool retired(SnapId snap) const {
+    auto it = retired_.find(snap_client(snap));
+    return it != retired_.end() && snap_counter(snap) <= it->second;
+  }
+
   /// MigFreeze: fence the key and answer with the replica — the final
-  /// ABD read of the handoff. Stale fences (older than the newest mark,
+  /// ABD read of the handoff. Stale freezes (older than the newest mark,
   /// or a duplicate of an epoch already committed) are dropped so a
   /// delayed/duplicated freeze can never re-fence a finished migration.
   void handle_freeze(ProcessId from, const MigFreeze& f) {
-    // A snap fence parks the migration fence itself: the snapshot's
-    // freeze quorum intersects the migration's, so either the snapshot
-    // aborts on a frozen flag or the migration waits for the release —
-    // never a missed ownership move inside a cut.
-    if (snap_fences_.count(f.key())) {
-      park(from, f.key(), make_msg<MigFreeze>(f));
-      return;
-    }
     RouteMark& mark = route_marks_[f.key()];
     bool fresh = f.epoch() > mark.epoch;
     bool retry = f.epoch() == mark.epoch && !mark.committed;
     if (!fresh && !retry) return;
     mark.epoch = f.epoch();
     mark.owner = shard_;
-    mark.frozen = true;
     mark.committed = false;
+    fence(f.key(), kMigration);
     reply(from,
           make_msg<ReadAck>(f.op_id(), reg(f.key()), snapshot(),
                                     f.seq()),
@@ -359,18 +359,16 @@ class AbdServer {
   }
 
   /// MigCommit: adopt "key is owned by `owner` as of `epoch`", lift the
-  /// fence, and drain parked requests through the ordinary apply path
-  /// (they come out as redirects when ownership moved away). Applies for
-  /// any epoch >= the newest mark (idempotent under engine retries);
-  /// older commits are dropped without an ack.
+  /// fence, and drain parked requests (they come out as redirects when
+  /// ownership moved away). Applies for any epoch >= the newest mark
+  /// (idempotent under engine retries); older commits are dropped
+  /// without an ack.
   void handle_commit(ProcessId from, const MigCommit& c) {
     RouteMark& mark = route_marks_[c.key()];
     if (c.epoch() < mark.epoch) return;
     mark.epoch = c.epoch();
     mark.owner = c.owner();
-    mark.frozen = false;
     mark.committed = true;
-    ++migration_commits_;
     // The destination-side commit carries the frozen replica: install it
     // tag-monotonically in the same step that flips ownership, so a
     // destination quorum never serves the key without the migrated value.
@@ -380,24 +378,21 @@ class AbdServer {
     }
     reply(from, make_msg<WriteAck>(c.op_id(), snapshot(), c.seq()),
           service_time_);
-    drain_parked(c.key());
+    lift(c.key());
   }
 
-  /// Replays the key's parked queue: MigFreeze rounds re-enter
-  /// handle_freeze (they may re-park under a snap fence), client
-  /// requests go through the ordinary apply path (re-parking or
-  /// redirecting as the current marks dictate).
+  /// Replays the key's parked queue in arrival order: SnapFreeze rounds
+  /// re-enter handle_snap_freeze, client requests the ordinary apply
+  /// path — each re-parks, redirects or is served as the key now stands.
   void drain_parked(const RegisterKey& key) {
     auto parked = parked_.find(key);
     if (parked == parked_.end()) return;
     std::vector<Parked> queue = std::move(parked->second);
     parked_.erase(parked);
     for (Parked& p : queue) {
-      if (const auto* f = msg_cast<MigFreeze>(*p.req)) {
-        handle_freeze(p.from, *f);
-        continue;
-      }
-      if (MsgPtr ack = apply(p.from, *p.req)) {
+      if (const auto* f = msg_cast<SnapFreeze>(*p.req)) {
+        handle_snap_freeze(p.from, *f);
+      } else if (MsgPtr ack = apply(p.from, *p.req)) {
         reply(p.from, std::move(ack), service_time_);
       }
     }
@@ -405,46 +400,35 @@ class AbdServer {
 
   // --- atomic snapshots ----------------------------------------------------
 
-  /// One key's slice of a collect/freeze ack: the replica when the key
-  /// is serveable, else the flag the client routes around. `requester`
-  /// is the asking snapshot's id (its own fence does not block it); 0
-  /// for collects, which any fence blocks.
-  SnapEntry snap_entry_for(const RegisterKey& key, SnapId requester) {
+  /// One key's slice of a collect/freeze ack: kFrozen when `frozen`,
+  /// kMoved with the owner to route to when the key left this group,
+  /// else the replica.
+  SnapEntry snap_entry_for(const RegisterKey& key, bool frozen) {
     SnapEntry e;
     e.key = key;
     auto mark = route_marks_.find(key);
-    if (mark != route_marks_.end()) {
-      if (mark->second.frozen) {
-        e.flag = SnapEntry::kFrozen;
-        return e;
-      }
-      if (mark->second.owner != shard_) {
-        e.flag = SnapEntry::kMoved;
-        e.owner = mark->second.owner;
-        e.epoch = mark->second.epoch;
-        return e;
-      }
-    }
-    auto fence = snap_fences_.find(key);
-    if (fence != snap_fences_.end() && fence->second.snap_id != requester) {
+    if (frozen) {
       e.flag = SnapEntry::kFrozen;
-      return e;
+    } else if (mark != route_marks_.end() && mark->second.owner != shard_) {
+      e.flag = SnapEntry::kMoved;
+      e.owner = mark->second.owner;
+      e.epoch = mark->second.epoch;
+    } else {
+      note_hit(key);
+      e.reg = reg(key);
     }
-    note_hit(key);
-    e.reg = reg(key);
     return e;
   }
 
   /// SnapReq: the collect round — every requested key's replica (or its
-  /// blocking flag) in one reply. Costs one service_time per key: a
-  /// collect reads as many registers as the individual reads it
-  /// replaces, so it amortizes messages, never modeled CPU.
+  /// flag) in one reply; never waits on a fence. Costs one service_time
+  /// per key: a collect reads as many registers as the individual reads
+  /// it replaces, so it amortizes messages, never modeled CPU.
   void handle_snap_collect(ProcessId from, const SnapReq& s) {
-    ++snap_collects_served_;
     std::vector<SnapEntry> entries;
     entries.reserve(s.keys().size());
     for (const RegisterKey& key : s.keys()) {
-      entries.push_back(snap_entry_for(key, /*requester=*/0));
+      entries.push_back(snap_entry_for(key, fences_.count(key) > 0));
     }
     TimeNs cost = service_time_ * static_cast<TimeNs>(s.keys().size());
     reply(from,
@@ -453,32 +437,42 @@ class AbdServer {
           cost);
   }
 
-  /// SnapFreeze: fence every serveable key under the snapshot's id and
-  /// reply with the replicas (the freeze doubles as the fallback's
-  /// read). Keys blocked by a migration fence, a foreign snapshot, or a
-  /// moved mark are flagged instead of fenced — the client aborts and
-  /// retries on any non-ok flag. Re-fencing under the same snap_id
-  /// refreshes the TTL lease (idempotent under retransmits).
+  /// Matches the parked SnapFreeze of `m`'s snapshot attempt.
+  template <typename SnapMsg>
+  static auto parked_freeze(const SnapMsg& m) {
+    return [snap = m.snap_id()](const Parked& p) {
+      const auto* f = msg_cast<SnapFreeze>(*p.req);
+      return f != nullptr && f->snap_id() == snap;
+    };
+  }
+
+  /// SnapFreeze: parks whole behind the first key a higher-ranked holder
+  /// fences; otherwise fences every key that has not moved (preempting
+  /// lower-ranked snapshots) and replies with the replicas — the freeze
+  /// doubles as the fallback's read. A retired attempt takes no fence
+  /// and gets kFrozen for every key it does not still hold; re-fencing a
+  /// held key restarts the lease (idempotent under retransmits).
   void handle_snap_freeze(ProcessId from, const SnapFreeze& f) {
+    const bool dead = retired(f.snap_id());
+    for (const RegisterKey& key : f.keys()) {
+      auto it = fences_.find(key);
+      if (!dead && it != fences_.end() &&
+          snap_rank(it->second.holder) < snap_rank(f.snap_id())) {
+        auto& queue = parked_[key];
+        if (std::none_of(queue.begin(), queue.end(), parked_freeze(f))) {
+          park(from, key, make_msg<SnapFreeze>(f));  // once per attempt
+        }
+        return;
+      }
+    }
     std::vector<SnapEntry> entries;
     entries.reserve(f.keys().size());
     for (const RegisterKey& key : f.keys()) {
-      SnapEntry e = snap_entry_for(key, f.snap_id());
-      if (e.flag == SnapEntry::kOk) {
-        SnapFence& fence = snap_fences_[key];
-        if (fence.snap_id != f.snap_id()) ++snap_fences_installed_;
-        fence.snap_id = f.snap_id();
-        std::uint64_t gen = ++snap_fence_gen_;
-        fence.gen = gen;
-        env_.schedule(self_, snap_fence_ttl_, [this, key, gen] {
-          auto it = snap_fences_.find(key);
-          if (it == snap_fences_.end() || it->second.gen != gen) return;
-          snap_fences_.erase(it);
-          ++snap_fences_expired_;
-          drain_parked(key);
-        });
-      }
-      entries.push_back(std::move(e));
+      auto it = fences_.find(key);
+      const bool holds =
+          it != fences_.end() && it->second.holder == f.snap_id();
+      entries.push_back(snap_entry_for(key, dead && !holds));
+      if (entries.back().flag == SnapEntry::kOk) fence(key, f.snap_id());
     }
     TimeNs cost = service_time_ * static_cast<TimeNs>(f.keys().size());
     reply(from,
@@ -487,28 +481,31 @@ class AbdServer {
           cost);
   }
 
-  /// SnapRelease: adopt kOk installs tag-monotonically (the scanner's
-  /// scan-embedded-in-update — the cut's values land before any parked
-  /// writer resumes), lift this snapshot's fences, and drain the parked
-  /// queues. `held` reports whether every named fence was still up under
-  /// the releasing snap_id; a TTL-expired fence turns it false and the
-  /// client discards the round.
+  /// SnapRelease: for every named key this snapshot still fences, adopt
+  /// a kOk install tag-monotonically (the scanner's scan embedded in its
+  /// update — the cut's values land before any parked writer resumes),
+  /// lift the fence and drain the queue. Drops the snapshot's parked
+  /// freezes and retires it. `held` is false when any named fence was
+  /// lost (preempted, expired) or never taken.
   void handle_snap_release(ProcessId from, const SnapRelease& rel) {
     bool held = true;
     for (const SnapEntry& e : rel.installs()) {
-      auto it = snap_fences_.find(e.key);
-      bool mine =
-          it != snap_fences_.end() && it->second.snap_id == rel.snap_id();
-      if (!mine) held = false;
+      auto parked = parked_.find(e.key);
+      if (parked != parked_.end()) {
+        std::erase_if(parked->second, parked_freeze(rel));
+      }
+      auto it = fences_.find(e.key);
+      if (it == fences_.end() || it->second.holder != rel.snap_id()) {
+        held = false;
+        continue;
+      }
       if (e.flag == SnapEntry::kOk) {
         TaggedValue& slot = regs_[e.key];
         if (slot.tag < e.reg.tag) slot = e.reg;
       }
-      if (mine) {
-        snap_fences_.erase(it);
-        drain_parked(e.key);
-      }
+      lift(e.key);
     }
+    retire(rel.snap_id());
     reply(from,
           make_msg<SnapAck>(rel.op_id(), std::vector<SnapEntry>{}, snapshot(),
                             rel.seq(), held),
@@ -518,7 +515,6 @@ class AbdServer {
   void note_hit(const RegisterKey& key) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++key_hits_[key];
-    ++hits_total_;
   }
 
   /// Replies inline, or through the serial service queue: each request
@@ -540,7 +536,8 @@ class AbdServer {
                   });
   }
 
-  /// One client request waiting behind a freeze fence.
+  /// One request waiting behind a fence: a client read/write or a
+  /// lower-ranked SnapFreeze.
   struct Parked {
     ProcessId from;
     MsgPtr req;
@@ -549,6 +546,12 @@ class AbdServer {
   /// round trips, so anything past this is a pathological pile-up better
   /// shed to client retries than buffered.
   static constexpr std::size_t kMaxParkedPerKey = 512;
+  /// The per-key fence: its holder, and a generation that a stale lease
+  /// timer (after a refresh, preemption or release) fails to match.
+  struct Fence {
+    SnapId holder = kMigration;
+    std::uint64_t gen = 0;
+  };
 
   Env& env_;
   ProcessId self_;
@@ -556,36 +559,25 @@ class AbdServer {
   ChangesProvider changes_provider_;
   std::map<RegisterKey, TaggedValue> regs_;
   /// Checked on EVERY read/write (route_check) but populated only by the
-  /// rare migration verbs: flat and contiguous, so the common probe is a
-  /// binary search over a handful of entries instead of a tree walk.
+  /// rare migration and snapshot verbs: flat and contiguous, so the
+  /// common probe is a binary search over a handful of entries.
   FlatMap<RegisterKey, RouteMark> route_marks_;
+  FlatMap<RegisterKey, Fence> fences_;
   FlatMap<RegisterKey, std::vector<Parked>> parked_;
-  /// One fence per snap-frozen key. `gen` invalidates stale TTL timers:
-  /// every install/refresh bumps it, and an expiry callback fires only
-  /// when its captured gen still matches.
-  struct SnapFence {
-    SnapId snap_id = 0;
-    std::uint64_t gen = 0;
-  };
-  FlatMap<RegisterKey, SnapFence> snap_fences_;
-  std::uint64_t snap_fence_gen_ = 0;
-  TimeNs snap_fence_ttl_ = ms(1000);
+  std::uint64_t fence_gen_ = 0;
+  /// Per client: the newest counter of its retired snapshot attempts.
+  FlatMap<std::uint32_t, std::uint32_t> retired_;
   std::uint64_t snap_fences_installed_ = 0;
-  std::uint64_t snap_fences_expired_ = 0;
-  std::uint64_t snap_collects_served_ = 0;
   std::uint64_t misrouted_ = 0;
   std::uint64_t batches_served_ = 0;
   std::uint64_t frozen_parked_ = 0;
   std::uint64_t parked_dropped_ = 0;
-  std::uint64_t redirects_sent_ = 0;
-  std::uint64_t migration_commits_ = 0;
   TimeNs service_time_ = 0;
   TimeNs busy_until_ = 0;
   /// Guards the hit-count window: written on the serve path (server
   /// context), drained by the Rebalancer from the engine's context.
   mutable std::mutex stats_mu_;
   std::map<RegisterKey, std::uint64_t> key_hits_;
-  std::uint64_t hits_total_ = 0;
 };
 
 }  // namespace wrs

@@ -5,7 +5,9 @@
 //
 //   1. MigFreeze  -> source group.  Each server fences the key behind the
 //      migration's map epoch (client requests for the key are parked, see
-//      AbdServer) and answers with a plain ReadAck carrying its replica —
+//      AbdServer; the migration fence outranks, and so preempts, any
+//      snapshot fence, and never waits) and answers at once with a plain
+//      ReadAck carrying its replica —
 //      the freeze doubles as the final ABD read, so the engine's quorum
 //      of freeze acks yields the definitive (tag, value) by the standard
 //      intersection argument.
@@ -15,8 +17,9 @@
 //      WriteAck. Install and ownership flip atomically per server, so a
 //      destination quorum can serve reads the moment this round completes.
 //   3. MigCommit -> source group.  Flips the source servers' route marks
-//      to "owned by dest as of epoch e"; parked requests drain as
-//      WrongShardAck redirects and late clients learn the move lazily.
+//      to "owned by dest as of epoch e" and lifts the fence; parked
+//      requests drain as WrongShardAck redirects (parked snapshot freezes
+//      as kMoved flags) and late clients learn the move lazily.
 //
 // Acks reuse ReadAck/WriteAck — the fence rides the existing ABD quorum
 // machinery (AbdClient grows kFreeze/kCommit op kinds), so exactly three

@@ -18,23 +18,22 @@
 //   Fallback — fenced snapshot (the scan-embedded-in-update adaptation).
 //   After a bounded number of failed collect rounds under write
 //   pressure, the client sends SnapFreeze to each involved shard: every
-//   server parks client requests (and migration freezes) for the named
-//   keys behind a per-key snap fence and answers with its replicas.
-//   The client computes the per-key max over a quorum of freeze acks,
-//   then SnapRelease installs those (tag, value)s tag-monotonically,
-//   lifts the fences, and drains the parked requests — the scanner
-//   embeds its scan result into its own releasing update, so the
-//   snapshot completes in two rounds per shard regardless of writer
-//   contention. The cut linearizes after the last freeze quorum and
-//   before the first release: a write completing before that point was
-//   applied at a quorum-intersection server and is seen by the freeze
-//   read; a write parked at an intersection server completes only after
-//   the release and linearizes after the cut.
+//   server fences the named keys under the snapshot's id (client
+//   requests park behind the fence) and answers with its replicas. The
+//   client takes the per-key max over a quorum of freeze acks, then
+//   SnapRelease installs those (tag, value)s tag-monotonically, lifts the
+//   fences and drains the parked requests — the scanner embeds its scan
+//   result into its own releasing update. The cut linearizes after the
+//   last freeze read and before the first release: a write completing
+//   before that point was applied at a quorum-intersection server and
+//   is seen by the freeze read; a write parked at an intersection server
+//   completes only after the release and linearizes after the cut.
 //
-//   Fences are leases: each server auto-releases a snap fence after a
-//   TTL so a crashed snapshot client cannot park a key forever. The
-//   release ack's `held` bit reports whether the fence was still up; a
-//   client seeing held=false discards the round and retries.
+//   Fences are ranked (see AbdServer): a migration or a lower-numbered
+//   snapshot preempts a fence, a freeze behind a higher-ranked one waits.
+//   A fence is also a lease, so a crashed snapshotter cannot park a key
+//   forever. The release ack's `held` bit reports whether the fence
+//   stood; a client seeing held=false discards the round and retries.
 //
 // All four types are MsgPool-allocated (make_msg) and arena-encoded
 // like every other protocol message — the snapshot path adds zero
@@ -48,17 +47,30 @@
 
 namespace wrs {
 
-/// Client-unique snapshot instance id: (client pid << 32) | counter.
+/// Client-unique snapshot instance id: (client pid << 32) | counter, the
+/// counter growing with every attempt of that client. Never 0.
 using SnapId = std::uint64_t;
+inline SnapId make_snap_id(std::uint32_t client, std::uint32_t counter) {
+  return static_cast<SnapId>(client) << 32 | counter;
+}
+inline std::uint32_t snap_client(SnapId id) { return id >> 32; }
+inline std::uint32_t snap_counter(SnapId id) { return id & 0xffffffffu; }
+/// Fence priority, lower first: snapshots rank by (counter, client).
+inline std::uint64_t snap_rank(SnapId id) { return id << 32 | id >> 32; }
+
+/// Lease on a snapshot fence: spans hundreds of quorum round trips, so a
+/// live snapshotter never loses its fence to it, yet a dead snapshotter's
+/// fences lapse. A release unanswered this long can no longer be vouched.
+inline constexpr TimeNs kSnapLease = ms(1000);
 
 /// One key's slice of a SnapAck: its replica plus the server-side state
-/// the client needs to route around (migration fences and moved keys).
+/// the client needs to route around (fenced and moved keys).
 /// SnapRelease reuses the struct for its installs (flag/owner/epoch are
 /// ignored there).
 struct SnapEntry {
   enum Flag : std::uint8_t {
     kOk = 0,      ///< served from a live replica
-    kFrozen = 1,  ///< parked behind a migration or foreign snap fence
+    kFrozen = 1,  ///< fenced (collect), or this attempt's fence is gone
     kMoved = 2,   ///< this group no longer owns the key (see owner/epoch)
   };
   RegisterKey key;
@@ -130,10 +142,10 @@ class SnapAck : public MessageBase<SnapAck> {
 };
 
 /// <SNAP_FRZ, opId, seq, g, snapId, keys> — fallback round 1: fence the
-/// listed keys at group `g` under `snap_id` (client requests and
-/// migration freezes park behind the fence) and reply with the replicas;
-/// acked by SnapAck. Idempotent per (snap_id, key) — retransmits refresh
-/// the fence TTL instead of double-fencing.
+/// listed keys at group `g` under `snap_id` (client requests park behind
+/// the fence) and reply with the replicas; acked by SnapAck, late when
+/// the freeze waits behind a higher-ranked fence. Idempotent per
+/// (snap_id, key) — retransmits refresh the lease.
 class SnapFreeze : public MessageBase<SnapFreeze> {
  public:
   SnapFreeze(OpId op_id, SnapId snap_id, std::vector<RegisterKey> keys,
@@ -166,10 +178,9 @@ class SnapFreeze : public MessageBase<SnapFreeze> {
 /// <SNAP_REL, opId, seq, g, snapId, installs> — fallback round 2: one
 /// entry per fenced key. Entries flagged kOk adopt their (tag, value)
 /// tag-monotonically; entries with any other flag only lift the fence
-/// (the abort path sends all keys lift-only). Either way the fence is
-/// removed and parked requests drain. Acked by SnapAck whose `held` bit
-/// is true iff every named fence was still up under this snap_id (a
-/// TTL-expired fence makes the client discard the round).
+/// (the abort path sends all keys lift-only); installs apply only under
+/// a fence this snap_id still holds. Acked by SnapAck whose `held` bit
+/// is true iff every named fence was still up under this snap_id.
 class SnapRelease : public MessageBase<SnapRelease> {
  public:
   SnapRelease(OpId op_id, SnapId snap_id, std::vector<SnapEntry> installs,

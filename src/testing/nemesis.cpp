@@ -341,7 +341,8 @@ void MigrationStorm::unleash() {
     TimeNs at = params_.start +
                 static_cast<TimeNs>(rng_.below(static_cast<std::uint64_t>(
                     params_.horizon - params_.start)));
-    RegisterKey key = "k" + std::to_string(rng_.below(params_.num_keys));
+    RegisterKey key = "k";
+    key += std::to_string(rng_.below(params_.num_keys));
     ShardId to = static_cast<ShardId>(rng_.below(shards));
     MigrationStorm* self = this;
     // Posted into the engine's context: migrate() must run there; the
@@ -406,10 +407,11 @@ void SnapshotStorm::unleash() {
     // collide too often (bounded attempts keeps unleash O(attempts)).
     std::set<RegisterKey> picked;
     for (int tries = 0; tries < 64 && picked.size() < want; ++tries) {
-      picked.insert("k" + std::to_string(rng_.below(params_.num_keys)));
+      picked.insert(std::string("k").append(
+          std::to_string(rng_.below(params_.num_keys))));
     }
     for (std::size_t r = 0; picked.size() < want; ++r) {
-      picked.insert("k" + std::to_string(r));
+      picked.insert(std::string("k").append(std::to_string(r)));
     }
     std::vector<RegisterKey> keys(picked.begin(), picked.end());
     ShardRouter* router = &cluster_.client(k).router();

@@ -74,7 +74,8 @@ TEST_P(BatchCoalescing, CutsMessagesAndPreservesResults) {
     Cluster c = b.build();
     std::vector<std::pair<RegisterKey, Value>> puts;
     for (int i = 0; i < 24; ++i) {
-      puts.emplace_back("key" + std::to_string(i), "v" + std::to_string(i));
+      puts.emplace_back(std::string("key").append(std::to_string(i)),
+                        std::string("v").append(std::to_string(i)));
     }
     auto tags = c.client().write_batch(puts);
     for (auto& t : tags) t.get();

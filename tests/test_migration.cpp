@@ -122,31 +122,34 @@ void expect_migrate_moves_data(Runtime rt) {
   // MigCommit apply) and poll for the settled state. On the simulator
   // the future pumps to quiescence, so a direct read is already settled.
   for (ProcessId s : c.shard_servers(src)) {
-    std::optional<AbdServer::RouteMark> mark;
+    using Probe = std::pair<std::optional<AbdServer::RouteMark>, bool>;
+    auto read_state = [&] {
+      const AbdServer& server = c.storage_node(s).server();
+      return Probe{server.route_mark(key), server.fenced(key)};
+    };
+    Probe state;
     if (rt == Runtime::kSim) {
-      mark = c.storage_node(s).server().route_mark(key);
+      state = read_state();
     } else {
       auto probe = [&] {
         // shared_ptr: the worker's set() may still be inside notify_all
         // when wait_for returns, so the task must co-own the Waiter.
-        auto w =
-            std::make_shared<Waiter<std::optional<AbdServer::RouteMark>>>();
-        c.env().schedule(s, 0, [&, w] {
-          w->set(c.storage_node(s).server().route_mark(key));
-        });
-        return w->wait_for(seconds(5)).value_or(std::nullopt);
+        auto w = std::make_shared<Waiter<Probe>>();
+        c.env().schedule(s, 0, [&, w] { w->set(read_state()); });
+        return w->wait_for(seconds(5)).value_or(Probe{});
       };
-      mark = probe();
-      for (int spin = 0; spin < 2000 && !(mark && mark->committed);
-           ++spin) {
+      state = probe();
+      for (int spin = 0;
+           spin < 2000 && !(state.first && state.first->committed); ++spin) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        mark = probe();
+        state = probe();
       }
     }
+    const auto& [mark, fenced] = state;
     ASSERT_TRUE(mark.has_value()) << process_name(s);
     EXPECT_EQ(mark->owner, dst);
     EXPECT_TRUE(mark->committed);
-    EXPECT_FALSE(mark->frozen);
+    EXPECT_FALSE(fenced);
   }
 
   // A stale client (static map) reads through exactly one redirect,

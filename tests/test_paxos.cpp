@@ -70,7 +70,8 @@ TEST(Paxos, AgreementUnderConcurrentProposers) {
   for (std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u, 17u, 18u}) {
     PaxosCluster c(5, 2, seed);
     for (std::uint32_t i = 0; i < 5; ++i) {
-      c.servers[i]->node().propose(0, "v" + std::to_string(i));
+      c.servers[i]->node().propose(
+          0, std::string("v").append(std::to_string(i)));
     }
     ASSERT_TRUE(c.env->run_until_pred([&] { return c.all_decided(0); },
                                       seconds(300)))
@@ -127,7 +128,7 @@ TEST(Paxos, SafetyUnderHeavyTailDelays) {
     }
     env.start();
     for (std::uint32_t i = 0; i < 5; ++i) {
-      servers[i]->node().propose(0, "w" + std::to_string(i));
+      servers[i]->node().propose(0, std::string("w").append(std::to_string(i)));
     }
     env.run_until(seconds(60));
     std::optional<PaxosValue> decided;

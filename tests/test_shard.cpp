@@ -30,7 +30,8 @@ TEST(ShardMap, RoutingIsDeterministicAndCoversEveryShard) {
   ShardMap b = ShardMap::uniform(4, 3, 1);
   std::set<ShardId> hit;
   for (int i = 0; i < 1000; ++i) {
-    RegisterKey key = "k" + std::to_string(i);
+    RegisterKey key = "k";
+    key += std::to_string(i);
     ShardId g = a.shard_of(key);
     // Pure function of the key bytes: every instance agrees.
     EXPECT_EQ(g, b.shard_of(key));

@@ -13,12 +13,17 @@
 //     BOTH runtimes, every cut validated by check_atomicity.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "api/cluster.h"
+#include "runtime/sim_env.h"
+#include "storage/abd_server.h"
 #include "storage/history.h"
 #include "testing/nemesis.h"
 
@@ -27,7 +32,9 @@ namespace {
 
 std::vector<RegisterKey> keyset(std::size_t count) {
   std::vector<RegisterKey> keys;
-  for (std::size_t i = 0; i < count; ++i) keys.push_back("k" + std::to_string(i));
+  for (std::size_t i = 0; i < count; ++i) {
+    keys.push_back(std::string("k").append(std::to_string(i)));
+  }
   return keys;
 }
 
@@ -42,7 +49,7 @@ TEST(Snapshot, QuietCutReturnsWrittenValuesAcrossShards) {
   auto keys = keyset(8);
   std::vector<std::pair<RegisterKey, Value>> puts;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    puts.emplace_back(keys[i], "v" + std::to_string(i));
+    puts.emplace_back(keys[i], std::string("v").append(std::to_string(i)));
   }
   when_all(c.client().write_batch(puts)).get();
 
@@ -52,7 +59,8 @@ TEST(Snapshot, QuietCutReturnsWrittenValuesAcrossShards) {
   EXPECT_FALSE(r.used_fallback);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(r.cut[i].first, keys[i]) << "cut preserves request key order";
-    EXPECT_EQ(r.cut[i].second.value, "v" + std::to_string(i));
+    EXPECT_EQ(r.cut[i].second.value,
+              std::string("v").append(std::to_string(i)));
   }
   EXPECT_EQ(c.client().router().snapshots_taken(), 1u);
   EXPECT_EQ(c.client().router().snapshot_fallbacks(), 0u);
@@ -166,11 +174,12 @@ TEST(Snapshot, FallbackEngagesUnderWritePressure) {
 TEST(Snapshot, ContendingSnapshottersDoNotLivelock) {
   // Regression: four clients each fold 8-key cuts into a capacity-bound
   // open-loop workload over the SAME 64 keys, so their fallback fences
-  // constantly collide. An aborted fallback used to re-freeze
-  // immediately — contending snapshotters then killed each other's
-  // fences in lockstep and no cut ever resolved (surfaced by the
-  // EXP-SNAP bench). The seeded jittered backoff desynchronizes them;
-  // every issued cut must resolve once the workload drains.
+  // constantly collide. Fences that aborted each other used to kill
+  // contending snapshotters in lockstep until no cut resolved (surfaced
+  // by the EXP-SNAP bench). Ranked fences order them instead: a freeze
+  // behind a higher-ranked snapshot waits, and the highest-ranked one
+  // never does, so every issued cut must resolve once the workload
+  // drains.
   WorkloadParams wp;
   wp.num_ops = 600;
   wp.read_ratio = 0.5;
@@ -203,6 +212,398 @@ TEST(Snapshot, ContendingSnapshottersDoNotLivelock) {
     EXPECT_EQ(c.workload(k).snapshots_done(),
               c.workload(k).snapshots_issued());
   }
+}
+
+void expect_snap_migrate_race_live(std::uint64_t seed) {
+  // 4 clients at 150 ops/s over 64 keys, each folding an 8-key cut into
+  // every 25 ops, while one key moves to the next shard every 100 ms.
+  const std::size_t num_keys = 64;
+  const TimeNs load = seconds(12);
+  WorkloadParams wp;
+  wp.num_ops = 150 * 12;
+  wp.read_ratio = 0.5;
+  wp.num_keys = num_keys;
+  wp.target_ops_per_sec = 150;
+  wp.max_in_flight = 256;
+  wp.snapshot_every_ops = 25;
+  wp.snapshot_keys = 8;
+  wp.seed = seed;
+
+  auto history = std::make_shared<HistoryRecorder>();
+  Cluster c = Cluster::builder()
+                  .servers(3)
+                  .shards(4)
+                  .clients(4)
+                  .workload(wp)
+                  .history(history)
+                  .service_time(ms(1))
+                  .uniform_latency(ms(1), ms(10))
+                  .retry(ms(250))
+                  .runtime(Runtime::kSim)
+                  .seed(seed)
+                  .build();
+  MigrationEngine& eng = c.migration_engine();
+  const auto keys = keyset(num_keys);
+  std::size_t scheduled = 0, finished = 0, committed = 0;
+  for (TimeNs at = ms(100); at < load; at += ms(100), ++scheduled) {
+    const RegisterKey& key = keys[(scheduled * 7) % num_keys];
+    c.env().schedule(eng.pid(), at, [&, key] {
+      eng.migrate(key, (eng.owner_of(key) + 1) % 4, [&](bool ok) {
+        ++finished;
+        committed += ok ? 1 : 0;
+      });
+    });
+  }
+  for (std::size_t k = 0; k < c.num_clients(); ++k) {
+    ASSERT_TRUE(c.workload_done(k).try_get(seconds(30)).has_value())
+        << "client " << k << " stalled: " << c.workload(k).completed()
+        << " ops, " << c.workload(k).snapshots_done() << "/"
+        << c.workload(k).snapshots_issued() << " cuts";
+    EXPECT_EQ(c.workload(k).completed(), wp.num_ops);
+    EXPECT_EQ(c.workload(k).snapshots_done(),
+              c.workload(k).snapshots_issued());
+  }
+  for (int round = 0; round < 400 && finished < scheduled; ++round) {
+    c.run_for(ms(25));
+  }
+  EXPECT_EQ(committed, scheduled) << "migrations committed";
+  c.quiesce();
+  auto err = check_atomicity(history->completed());
+  EXPECT_FALSE(err.has_value()) << *err;
+}
+
+TEST(Snapshot, MigrationRaceAtCollapseRateStaysLive) {
+  // The snap-migrate collapse: at 150 ops/s per client, aborting
+  // fallbacks used to stall cuts and the ops parked behind their fences
+  // for good. These seeds all stalled that way; ranked fences that park
+  // instead of aborting keep every op, cut and migration live.
+  for (std::uint64_t seed : {10u, 19u, 54u, 65u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_snap_migrate_race_live(seed);
+  }
+}
+
+// --- fence policy: one 3-server group driven message by message ----------
+
+/// Three AbdServers of one group on the simulator, and a client process
+/// that sends raw fence rounds and records every ack by op id.
+class FenceGroup : public Process {
+ public:
+  struct Ack {
+    ProcessId from;
+    bool held;
+    std::vector<SnapEntry> entries;
+  };
+
+  FenceGroup() {
+    for (ProcessId s = 0; s < 3; ++s) {
+      hosts_[s].server = std::make_unique<AbdServer>(env_, s, nullptr);
+      env_.register_process(s, &hosts_[s]);
+    }
+    env_.register_process(client_id(0), this);
+    client_host_.client = &client_;
+    env_.register_process(client_id(1), &client_host_);
+    env_.start();
+  }
+
+  void on_message(ProcessId from, const Message& m) override {
+    if (const auto* a = msg_cast<SnapAck>(m)) {
+      acks_[a->op_id()].push_back(Ack{from, a->held(), a->entries()});
+    } else if (const auto* r = msg_cast<ReadAck>(m)) {
+      acks_[r->op_id()].push_back(Ack{from, true, {}});
+    } else if (const auto* w = msg_cast<WriteAck>(m)) {
+      acks_[w->op_id()].push_back(Ack{from, true, {}});
+    }
+  }
+
+  void run_for(TimeNs d) { env_.run_until(env_.now() + d); }
+  /// Lets the group settle (well inside the snapshot fence lease).
+  void settle() { run_for(ms(20)); }
+  void crash(ProcessId s) { env_.crash(s); }
+  LinkFaults& faults() { return env_.faults(); }
+  void send(ProcessId s, MsgPtr m) {
+    env_.send(client_id(0), s, std::move(m));
+    settle();
+  }
+  void broadcast(MsgPtr m) {
+    for (ProcessId s = 0; s < 3; ++s) env_.send(client_id(0), s, m);
+    settle();
+  }
+  void freeze(OpId op, SnapId snap, std::vector<RegisterKey> keys) {
+    broadcast(std::make_shared<SnapFreeze>(op, snap, std::move(keys)));
+  }
+  void release(OpId op, SnapId snap, std::vector<SnapEntry> installs) {
+    broadcast(std::make_shared<SnapRelease>(op, snap, std::move(installs)));
+  }
+
+  const std::vector<Ack>& acks(OpId op) { return acks_[op]; }
+  /// A real snapshot client of the group (at client_id(1)).
+  AbdClient& client() { return client_; }
+  AbdServer& server(ProcessId s) { return *hosts_[s].server; }
+  std::size_t fenced(const RegisterKey& key) {
+    std::size_t n = 0;
+    for (ProcessId s = 0; s < 3; ++s) n += server(s).fenced(key) ? 1 : 0;
+    return n;
+  }
+
+ private:
+  struct Host : Process {
+    std::unique_ptr<AbdServer> server;
+    void on_message(ProcessId from, const Message& m) override {
+      server->handle(from, m);
+    }
+  };
+  struct ClientHost : Process {
+    AbdClient* client = nullptr;
+    void on_message(ProcessId from, const Message& m) override {
+      client->handle(from, m);
+    }
+  };
+  SimEnv env_{std::make_shared<ConstantLatency>(ms(1)), 1};
+  std::array<Host, 3> hosts_;
+  AbdClient client_{env_, client_id(1), SystemConfig::uniform(3, 1),
+                    AbdClient::Mode::kStatic};
+  ClientHost client_host_;
+  std::map<OpId, std::vector<Ack>> acks_;
+};
+
+SnapEntry lift_only(RegisterKey key) {
+  SnapEntry e;
+  e.key = std::move(key);
+  e.flag = SnapEntry::kFrozen;
+  return e;
+}
+
+SnapEntry install(RegisterKey key, TaggedValue reg) {
+  SnapEntry e;
+  e.key = std::move(key);
+  e.reg = std::move(reg);
+  return e;
+}
+
+void expect_all(const std::vector<FenceGroup::Ack>& acks, bool held,
+                std::uint8_t flag) {
+  ASSERT_EQ(acks.size(), 3u);
+  for (const FenceGroup::Ack& a : acks) {
+    EXPECT_EQ(a.held, held) << "server " << a.from;
+    for (const SnapEntry& e : a.entries) {
+      EXPECT_EQ(e.flag, flag) << "server " << a.from << " key " << e.key;
+    }
+  }
+}
+
+TEST(SnapshotFence, LowerFreezeParksWholeUntilHigherReleases) {
+  FenceGroup g;
+  const SnapId high = make_snap_id(7, 1);  // counter 1 outranks counter 2
+  const SnapId low = make_snap_id(1, 2);
+  g.freeze(1, high, {"a"});
+  expect_all(g.acks(1), true, SnapEntry::kOk);
+
+  g.freeze(2, low, {"b", "a"});
+  EXPECT_TRUE(g.acks(2).empty()) << "a lower freeze must wait, not fail";
+  EXPECT_EQ(g.fenced("b"), 0u) << "a parked freeze fences no key";
+
+  g.release(3, high, {lift_only("a")});
+  expect_all(g.acks(3), true, SnapEntry::kOk);
+  expect_all(g.acks(2), true, SnapEntry::kOk);
+  EXPECT_EQ(g.fenced("a"), 3u);
+  EXPECT_EQ(g.fenced("b"), 3u);
+}
+
+TEST(SnapshotFence, HigherFreezePreemptsLowerWhoseReleaseInstallsNothing) {
+  FenceGroup g;
+  const TaggedValue v1{Tag{1, 1}, "v1"};
+  for (ProcessId s = 0; s < 3; ++s) g.server(s).set_reg(v1, "a");
+  const SnapId high = make_snap_id(7, 1);
+  const SnapId low = make_snap_id(1, 2);
+  g.freeze(1, low, {"a"});
+  expect_all(g.acks(1), true, SnapEntry::kOk);
+  g.freeze(2, high, {"a"});
+  expect_all(g.acks(2), true, SnapEntry::kOk);
+
+  g.release(3, low, {install("a", TaggedValue{Tag{9, 1}, "late"})});
+  expect_all(g.acks(3), false, SnapEntry::kOk);
+  for (ProcessId s = 0; s < 3; ++s) {
+    EXPECT_EQ(g.server(s).reg("a").value, "v1") << "server " << s;
+  }
+  EXPECT_EQ(g.fenced("a"), 3u) << "the winner's fence stays up";
+  g.release(4, high, {lift_only("a")});
+  expect_all(g.acks(4), true, SnapEntry::kOk);
+  EXPECT_EQ(g.fenced("a"), 0u);
+}
+
+TEST(SnapshotFence, MigFreezeOutranksEverySnapshot) {
+  FenceGroup g;
+  const SnapId snap = make_snap_id(1, 1);
+  g.freeze(1, snap, {"a"});
+  g.broadcast(std::make_shared<MigFreeze>(2, "a", /*epoch=*/1, /*dest=*/1));
+  EXPECT_EQ(g.acks(2).size(), 3u) << "a migration fence never waits";
+
+  g.release(3, snap, {lift_only("a")});
+  expect_all(g.acks(3), false, SnapEntry::kOk);
+  EXPECT_EQ(g.fenced("a"), 3u) << "the migration still holds the key";
+
+  // A snapshot parks behind the migration; once the key moves away its
+  // replayed freeze reports the new owner.
+  g.freeze(4, make_snap_id(1, 2), {"a"});
+  EXPECT_TRUE(g.acks(4).empty());
+  g.broadcast(std::make_shared<MigCommit>(5, "a", /*owner=*/1, /*epoch=*/1));
+  EXPECT_EQ(g.fenced("a"), 0u);
+  expect_all(g.acks(4), true, SnapEntry::kMoved);
+}
+
+TEST(SnapshotFence, ReleaseDropsItsOwnParkedFreezes) {
+  FenceGroup g;
+  const SnapId high = make_snap_id(7, 1);
+  const SnapId low = make_snap_id(1, 2);
+  g.freeze(1, high, {"a"});
+  g.freeze(2, low, {"a"});
+  EXPECT_TRUE(g.acks(2).empty());
+
+  // The low attempt gives up while parked: its release finds no fence.
+  g.release(3, low, {lift_only("a")});
+  expect_all(g.acks(3), false, SnapEntry::kOk);
+  g.release(4, high, {lift_only("a")});
+  EXPECT_EQ(g.fenced("a"), 0u) << "the abandoned freeze woke as a zombie";
+  EXPECT_TRUE(g.acks(2).empty());
+
+  // A late copy of a finished attempt's freeze fences nothing either.
+  g.freeze(5, high, {"a"});
+  expect_all(g.acks(5), true, SnapEntry::kFrozen);
+  EXPECT_EQ(g.fenced("a"), 0u);
+}
+
+TEST(SnapshotFence, ReleaseCountsOnlyServersWhoseFreezeFormedTheCut) {
+  FenceGroup g;
+  const SnapId mine = make_snap_id(1, 2);
+  // s2 is fenced by a higher-ranked snapshot, so the freeze is answered
+  // by s0 and s1 alone: their replies form the cut.
+  g.send(2, std::make_shared<SnapFreeze>(1, make_snap_id(7, 1),
+                                         std::vector<RegisterKey>{"a"}));
+  bool frozen = false;
+  g.client().snap_freeze(mine, {"a"}, [&](const auto&) { frozen = true; });
+  g.settle();
+  ASSERT_TRUE(frozen);
+  // Another higher-ranked snapshot preempts the voter s1, and s2 grants
+  // the parked freeze late, once its blocker releases.
+  g.send(1, std::make_shared<SnapFreeze>(2, make_snap_id(8, 1),
+                                         std::vector<RegisterKey>{"a"}));
+  g.send(2, std::make_shared<SnapRelease>(
+                3, make_snap_id(7, 1),
+                std::vector<SnapEntry>{lift_only("a")}));
+  EXPECT_TRUE(g.server(2).fenced("a"));
+
+  // s0 and the late s2 hold and answer first; the voter s1 answers last
+  // that its fence was lost, and only voters may vouch for the cut.
+  g.server(1).set_service_time(ms(5));
+  std::optional<bool> held;
+  g.client().snap_release(mine, {lift_only("a")},
+                          [&](bool all_held) { held = all_held; });
+  g.settle();
+  ASSERT_TRUE(held.has_value());
+  EXPECT_FALSE(*held);
+}
+
+/// Freezes "a" under `snap` through the group's real client, with s2
+/// slowed so that the replies of s0 and s1 form the cut.
+void freeze_with_voters_s0_s1(FenceGroup& g, SnapId snap) {
+  g.server(2).set_service_time(ms(5));
+  bool frozen = false;
+  g.client().snap_freeze(snap, {"a"}, [&](const auto&) { frozen = true; });
+  g.settle();
+  ASSERT_TRUE(frozen);
+}
+
+TEST(SnapshotFence, ReleaseGivesUpALeaseAfterAVoterCrashes) {
+  for (TimeNs retry : {TimeNs{0}, ms(50)}) {
+    SCOPED_TRACE("retry=" + std::to_string(retry));
+    FenceGroup g;
+    g.client().set_retry_interval(retry);
+    const SnapId snap = make_snap_id(1, 1);
+    freeze_with_voters_s0_s1(g, snap);
+    g.crash(1);  // a voter: s0 alone can never vouch for the cut
+
+    std::optional<bool> held;
+    g.client().snap_release(snap, {lift_only("a")},
+                            [&](bool all_held) { held = all_held; });
+    g.run_for(kSnapLease + ms(20));
+    ASSERT_TRUE(held.has_value()) << "the release hung on a crashed voter";
+    EXPECT_FALSE(*held);
+    EXPECT_FALSE(g.server(0).fenced("a"));
+    EXPECT_FALSE(g.server(2).fenced("a"));
+  }
+}
+
+TEST(SnapshotFence, VoterThatMissedTheReleaseVouchesOnItsRetransmit) {
+  FenceGroup g;
+  g.client().set_retry_interval(ms(50));
+  const SnapId snap = make_snap_id(1, 1);
+  freeze_with_voters_s0_s1(g, snap);
+  g.faults().partition(client_id(1), 1);
+
+  std::optional<bool> held;
+  g.client().snap_release(snap, {lift_only("a")},
+                          [&](bool all_held) { held = all_held; });
+  g.run_for(ms(200));
+  EXPECT_FALSE(held.has_value()) << "s0 and a non-voter cannot vouch";
+  EXPECT_TRUE(g.server(1).fenced("a"));
+
+  // Healed well inside the lease: the next retransmit reaches the voter,
+  // whose fence still stands.
+  g.faults().heal(client_id(1), 1);
+  g.run_for(ms(100));
+  ASSERT_TRUE(held.has_value());
+  EXPECT_TRUE(*held);
+  EXPECT_EQ(g.fenced("a"), 0u);
+}
+
+TEST(SnapshotFence, RetransmittedFreezeParksOnce) {
+  FenceGroup g;
+  const SnapId high = make_snap_id(7, 1);
+  const SnapId low = make_snap_id(1, 2);
+  g.freeze(1, high, {"a"});
+  for (int copy = 0; copy < 3; ++copy) g.freeze(2, low, {"a"});
+  EXPECT_EQ(g.server(0).frozen_parked(), 1u);
+
+  g.release(3, high, {lift_only("a")});
+  expect_all(g.acks(2), true, SnapEntry::kOk);  // one ack per server
+  EXPECT_EQ(g.fenced("a"), 3u);
+}
+
+TEST(SnapshotFence, RetiringAnAttemptRetiresItsClientsOlderOnes) {
+  FenceGroup g;
+  g.freeze(1, make_snap_id(1, 2), {"a"});
+  g.release(2, make_snap_id(1, 2), {lift_only("a")});
+  // A late freeze of an older attempt of the same client is dead too.
+  g.freeze(3, make_snap_id(1, 1), {"a"});
+  expect_all(g.acks(3), true, SnapEntry::kFrozen);
+  EXPECT_EQ(g.fenced("a"), 0u);
+
+  // An older attempt that preempts a newer one of its client is retired
+  // with it, yet keeps the fences it holds, across retransmits too.
+  const SnapId older = make_snap_id(1, 3);
+  g.freeze(4, make_snap_id(1, 4), {"b"});
+  g.freeze(5, older, {"b"});
+  g.freeze(5, older, {"b"});
+  ASSERT_EQ(g.acks(5).size(), 6u);
+  for (const FenceGroup::Ack& a : g.acks(5)) {
+    EXPECT_EQ(a.entries.at(0).flag, SnapEntry::kOk) << "server " << a.from;
+  }
+  g.release(6, older, {lift_only("b")});
+  expect_all(g.acks(6), true, SnapEntry::kOk);
+  EXPECT_EQ(g.fenced("b"), 0u);
+}
+
+TEST(SnapshotFence, ParkQueueOverflowIsShedAndCounted) {
+  FenceGroup g;
+  g.freeze(1, make_snap_id(1, 1), {"a"});
+  AbdServer& s0 = g.server(0);
+  for (OpId op = 10; op < 10 + 513; ++op) {
+    const Tag tag{static_cast<std::int64_t>(op), 1};
+    s0.handle(client_id(0), WriteReq(op, TaggedValue{tag, "w"}, "a", 1));
+  }
+  EXPECT_EQ(s0.frozen_parked(), 512u);
+  EXPECT_EQ(s0.parked_dropped(), 1u);
 }
 
 // --- chaos: snapshots vs migrations vs link faults --------------------------
