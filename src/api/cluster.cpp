@@ -113,7 +113,6 @@ Cluster::Cluster(const ClusterBuilder& spec)
       mode_(spec.mode_),
       history_(spec.history_),
       retry_(spec.retry_),
-      read_fast_path_(spec.read_fast_path_),
       batch_ops_(spec.batch_ops_),
       batch_delay_(spec.batch_delay_) {
   if (spec.workload_.has_value() &&
@@ -373,7 +372,6 @@ std::size_t Cluster::make_client_slot(const WorkloadParams* wp) {
     slot.process = std::move(c);
   }
   if (retry_ > 0) slot.router->set_retry_interval(retry_);
-  if (read_fast_path_) slot.router->set_read_fast_path(true);
   if (batch_ops_ > 1) slot.router->set_batching(batch_ops_, batch_delay_);
   e.register_process(pid, slot.process.get());
   clients_.push_back(std::move(slot));

@@ -310,15 +310,6 @@ class ClusterBuilder {
     retry_ = interval;
     return *this;
   }
-  /// One-round read fast path on every deployed client: when the phase-1
-  /// read quorum unanimously reports the maximum tag, the write-back
-  /// round is provably redundant and is skipped (counted under
-  /// "reads.fast_path"). Off by default so the classical two-round
-  /// message pattern stays byte-for-byte for pinned traffic tests.
-  ClusterBuilder& read_fast_path(bool on = true) {
-    read_fast_path_ = on;
-    return *this;
-  }
   /// Periodic server anti-entropy (<SYNC> change-set broadcast). Off by
   /// default; makes reassignment state converge under message loss.
   ClusterBuilder& anti_entropy(TimeNs period) {
@@ -403,7 +394,6 @@ class ClusterBuilder {
   std::size_t batch_ops_ = 1;
   TimeNs batch_delay_ = 0;
   TimeNs retry_ = 0;
-  bool read_fast_path_ = false;
   TimeNs anti_entropy_ = 0;
   std::optional<RebalanceParams> rebalance_;
 };
@@ -654,7 +644,6 @@ class Cluster {
   /// Client tuning, applied to every client slot — including clients
   /// added mid-run.
   TimeNs retry_ = 0;
-  bool read_fast_path_ = false;
   std::size_t batch_ops_ = 1;
   TimeNs batch_delay_ = 0;
 

@@ -13,7 +13,7 @@ constexpr const char* kSlotNames[TrafficLedger::kSlotCount] = {
     "msgs",            "bytes",          "msgs.lost",
     "msgs.dup",        "msgs.in",        "bytes.in",
     "msgs.unroutable", "msgs.malformed", "msgs.no_handler",
-    "reads.fast_path",
+    "reads.fast_path", "reads.write_back",
 };
 
 // Process-wide TypeId -> "msg.<type_name>" registry. Entries are

@@ -42,10 +42,12 @@ class TrafficLedger {
     kMsgsUnroutable,
     kMsgsMalformed,
     kMsgsNoHandler,
-    /// Reads completed in one round (AbdClient fast path: the phase-1
-    /// quorum unanimously reported the max tag, so the write-back was
+    /// Reads completed in one round (AbdClient: the phase-1 quorum
+    /// unanimously reported the max tag, so the write-back was
     /// provably redundant and skipped).
     kReadsFastPath,
+    /// Reads completed through the write-back round.
+    kReadsWriteBack,
     kSlotCount,
   };
 

@@ -209,10 +209,10 @@ void ShardRouter::snap_collect_done(SnapPtr st) {
 }
 
 void ShardRouter::snap_install_and_finish(SnapPtr st) {
-  // A unanimous key's (tag, value) is already committed at a weighted
-  // quorum (the one that answered); a non-unanimous key needs the ABD
-  // write-back before its tag may appear in the cut, or a crashed
-  // writer's value could be visible here yet lost to later reads.
+  // Unanimous keys need no write-back, as for one-round reads (argument
+  // in abd_client.h, "One-round reads"); a non-unanimous key's tag may
+  // not appear in the cut before its write-back, or a crashed writer's
+  // value could be visible here yet lost to later reads.
   std::vector<std::size_t> need;
   for (std::size_t i = 0; i < st->acc.size(); ++i) {
     if (!st->acc[i].unanimous) need.push_back(i);
@@ -378,10 +378,6 @@ std::uint64_t ShardRouter::batched_frames() const {
 
 void ShardRouter::set_retry_interval(TimeNs interval) {
   for (const auto& c : clients_) c->set_retry_interval(interval);
-}
-
-void ShardRouter::set_read_fast_path(bool on) {
-  for (const auto& c : clients_) c->set_read_fast_path(on);
 }
 
 void ShardRouter::set_batching(std::size_t max_ops, TimeNs max_delay) {

@@ -129,9 +129,6 @@ class ShardRouter {
   void set_snapshot_max_collect_rounds(std::uint32_t n);
 
   void set_retry_interval(TimeNs interval);
-  /// One-round read fast path on every inner client (see
-  /// AbdClient::set_read_fast_path).
-  void set_read_fast_path(bool on);
   /// Batched wire mode on every inner client. Batching is inherently
   /// same-shard: each inner client only ever talks to its own group, so
   /// coalescing its buffered phase broadcasts can never mix shards.

@@ -506,26 +506,17 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
       return true;
     }
     if (op.kind == OpKind::kRead) {
-      if (read_fast_path_) {
-        // If EVERY quorum responder already reported the max tag, the
-        // value is provably stored at a weighted quorum and the
-        // write-back is redundant: any later read's quorum intersects
-        // this one and sees a tag >= maxreg.tag. Complete in one round.
-        bool unanimous = true;
-        for (const auto& [_, reg] : op.phase1_replies) {
-          if (reg.tag != maxreg.tag) {
-            unanimous = false;
-            break;
-          }
-        }
-        if (unanimous) {
-          env_.count_event(TrafficLedger::kReadsFastPath);
-          op.read_result = maxreg;
-          complete(op.id);
-          return true;
-        }
-      }
       op.read_result = maxreg;
+      // A unanimous quorum already holds maxreg: no write-back (the
+      // safety argument is in abd_client.h, "One-round reads").
+      if (std::all_of(op.phase1_replies.begin(), op.phase1_replies.end(),
+                      [&maxreg](const auto& reply) {
+                        return reply.second.tag == maxreg.tag;
+                      })) {
+        env_.count_event(TrafficLedger::kReadsFastPath);
+        complete(op.id);
+        return true;
+      }
       op.to_write = maxreg;  // write-back phase
     } else {
       // Choose the write's tag exactly once, even across change-set
@@ -557,6 +548,9 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
       op.phase2_acks.push_back(from);
     }
     if (!responders_form_quorum(op.phase2_acks)) return true;
+    if (op.kind == OpKind::kRead) {
+      env_.count_event(TrafficLedger::kReadsWriteBack);
+    }
     complete(op.id);
     return true;
   }

@@ -9,6 +9,24 @@
 //            value with tag (max_ts+1, pid) for writes); collect <W_A>
 //            until a weighted quorum acked.
 //
+// One-round reads: a read whose phase-1 quorum is UNANIMOUS (every
+// responder reported the max tag) completes without phase 2 and counts
+// "reads.fast_path"; any other read writes back and counts
+// "reads.write_back". A write-back completes once servers holding a tag
+// >= max form a weighted quorum under the client's change set C and
+// none of their acks reported a newer change set. A unanimous phase 1
+// is that same evidence, gathered one round earlier: each reply's
+// change set is merged (a newer one restarts the read) before the
+// quorum check, so the responders form a weighted quorum under C with
+// no newer set reported, and each held a tag >= max when it replied
+// (server tags never fall). Whatever makes a completed write-back
+// visible to every later operation under dynamic weights (Algorithm 5's
+// quorum argument) therefore covers this quorum too: no later read
+// returns an older tag. A non-unanimous phase 1 proves nothing of the
+// kind (a writer may have crashed with its phase 2 at a minority), so
+// it writes back. Snapshot cuts skip the write-back of their unanimous
+// keys on the same argument.
+//
 // Pipelining (beyond the paper's sequential client): many operations may
 // be in flight at once, each an independent state machine keyed by its
 // OpId in the request/reply messages. Nothing in the protocol requires
@@ -234,18 +252,6 @@ class AbdClient {
   /// Phase broadcasts re-sent by the retry timer (observability/tests).
   std::uint64_t retransmits() const { return retransmits_; }
 
-  /// One-round read fast path (off by default). When every phase-1
-  /// quorum reply reports the max tag, that (tag, value) is already
-  /// stored at a weighted quorum — the one the replies came from — so
-  /// the write-back round re-installs what quorum intersection already
-  /// guarantees every future read will see. With the fast path on, such
-  /// reads complete after one round (halving msgs/op on read-heavy,
-  /// contention-free workloads) and are counted as "reads.fast_path" in
-  /// the env ledger. Off by default to keep the classical two-round
-  /// message pattern byte-for-byte for pinned traffic tests.
-  void set_read_fast_path(bool on) { read_fast_path_ = on; }
-  bool read_fast_path() const { return read_fast_path_; }
-
   /// Batched wire mode. `max_ops` <= 1 disables it (the default) — that
   /// path is byte-identical to the pre-batching client. With batching on,
   /// every phase broadcast is buffered and the buffer is flushed as ONE
@@ -361,7 +367,6 @@ class AbdClient {
   std::uint32_t max_restarts_ = 10'000;
   TimeNs retry_interval_ = 0;
   std::uint64_t retransmits_ = 0;
-  bool read_fast_path_ = false;
 
   // --- batched wire mode ---------------------------------------------------
   std::size_t batch_max_ops_ = 1;  // <= 1: unbatched (byte-identical)

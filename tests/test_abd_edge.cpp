@@ -1,6 +1,6 @@
 // Edge-case tests for the ABD client/server machinery: stale replies,
-// restart budgets, weight views, write-back freshness, and the server
-// register rules.
+// restart budgets, weight views, one-round reads versus write-backs, and
+// the server register rules.
 #include <gtest/gtest.h>
 
 #include "storage/abd_server.h"
@@ -11,6 +11,42 @@ namespace {
 
 using test::run_until;
 using test::StorageCluster;
+
+/// Registers a bare AbdClient with an env so a test can drive it by hand.
+struct ClientHolder : Process {
+  AbdClient* c = nullptr;
+  void on_message(ProcessId from, const Message& m) override {
+    c->handle(from, m);
+  }
+};
+
+/// Clients on a StorageCluster, each with its own ABD client.
+std::vector<std::unique_ptr<StorageClient>> add_clients(StorageCluster& c,
+                                                        int count) {
+  std::vector<std::unique_ptr<StorageClient>> clients;
+  for (int k = 0; k < count; ++k) {
+    clients.push_back(std::make_unique<StorageClient>(
+        *c.env, client_id(k), c.config, AbdClient::Mode::kDynamic));
+    c.env->register_process(client_id(k), clients.back().get());
+  }
+  return clients;
+}
+
+/// Issues a write on `client` and runs the simulator until it returns.
+void write_now(StorageCluster& c, StorageClient& client, Value value) {
+  bool wrote = false;
+  client.abd().write(std::move(value), [&](const Tag&) { wrote = true; });
+  run_until(*c.env, [&] { return wrote; });
+}
+
+/// Issues a read on `client` and runs the simulator until it returns.
+TaggedValue read_now(StorageCluster& c, StorageClient& client) {
+  std::optional<TaggedValue> got;
+  client.abd().read([&](const TaggedValue& tv) { got = tv; });
+  EXPECT_TRUE(c.env->run_until_pred([&] { return got.has_value(); },
+                                    c.env->now() + seconds(10)));
+  return got.value_or(TaggedValue{});
+}
 
 TEST(AbdServer, KeepsHighestTagOnly) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
@@ -71,12 +107,7 @@ TEST(AbdClient, ForeignAndStaleAcksIgnored) {
   // from a superseded phase attempt are swallowed without effect.
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   SystemConfig cfg = SystemConfig::uniform(3, 1);
-  struct Holder : Process {
-    AbdClient* c = nullptr;
-    void on_message(ProcessId from, const Message& m) override {
-      c->handle(from, m);
-    }
-  } holder;
+  ClientHolder holder;
   AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
   holder.c = &client;
   env.register_process(client_id(0), &holder);
@@ -97,10 +128,7 @@ TEST(AbdClient, ForeignAndStaleAcksIgnored) {
 
 TEST(AbdClient, RestartBudgetThrowsWhenExhausted) {
   StorageCluster c(4, 1, 42);
-  std::vector<std::unique_ptr<StorageClient>> clients;
-  clients.push_back(std::make_unique<StorageClient>(
-      *c.env, client_id(0), c.config, AbdClient::Mode::kDynamic));
-  c.env->register_process(client_id(0), clients[0].get());
+  auto clients = add_clients(c, 1);
   clients[0]->abd().set_max_restarts(0);
 
   // Force a restart: a transfer completes before the client's op.
@@ -132,44 +160,118 @@ TEST(AbdClient, CurrentWeightsStaticVsDynamic) {
   EXPECT_EQ(dyn.changes().size(), 3u);
 }
 
-TEST(AbdClient, WritebackMakesSecondReadFastPath) {
-  // After a read completed its write-back, a second read observes the
-  // same tag at a quorum (no regression), per Definition 6.
+TEST(AbdClient, SecondReadNeverReturnsOlderTag) {
+  // After a read completed, a second read observes a tag at least as new
+  // (no regression), per Definition 6.
   StorageCluster c(5, 2, 43);
-  std::vector<std::unique_ptr<StorageClient>> clients;
-  for (int k = 0; k < 2; ++k) {
-    clients.push_back(std::make_unique<StorageClient>(
-        *c.env, client_id(k), c.config, AbdClient::Mode::kDynamic));
-    c.env->register_process(client_id(k), clients.back().get());
-  }
-  bool wrote = false;
-  clients[0]->abd().write("wb", [&](const Tag&) { wrote = true; });
-  run_until(*c.env, [&] { return wrote; });
+  auto clients = add_clients(c, 2);
+  write_now(c, *clients[0], "wb");
 
-  std::optional<TaggedValue> r1, r2;
-  clients[1]->abd().read([&](const TaggedValue& tv) { r1 = tv; });
-  run_until(*c.env, [&] { return r1.has_value(); });
-  clients[1]->abd().read([&](const TaggedValue& tv) { r2 = tv; });
-  run_until(*c.env, [&] { return r2.has_value(); });
-  EXPECT_EQ(r1->value, "wb");
-  EXPECT_FALSE(r2->tag < r1->tag);
+  const TaggedValue r1 = read_now(c, *clients[1]);
+  const TaggedValue r2 = read_now(c, *clients[1]);
+  EXPECT_EQ(r1.value, "wb");
+  EXPECT_FALSE(r2.tag < r1.tag);
+}
+
+TEST(AbdClient, UnanimousReadCompletesInOneRound) {
+  StorageCluster c(3, 1, 45);
+  auto clients = add_clients(c, 1);
+  write_now(c, *clients[0], "v");
+  c.env->run_to_quiescence();  // every server now holds the write
+
+  const std::int64_t w0 = c.env->traffic().get("msg.W");
+  const std::int64_t fast0 = c.env->traffic().get("reads.fast_path");
+  EXPECT_EQ(read_now(c, *clients[0]).value, "v");
+  EXPECT_EQ(c.env->traffic().get("msg.W"), w0);  // no write-back
+  EXPECT_EQ(c.env->traffic().get("reads.fast_path"), fast0 + 1);
+}
+
+TEST(AbdClient, ReadWritesBackAMinorityWriteBeforeReturningIt) {
+  // A writer crashes after its phase 2 reached only server 0. A read
+  // whose quorum includes server 0 sees the new tag at a minority, so it
+  // must write it back: otherwise a later read whose quorum avoids
+  // server 0 would return the OLDER tag (new-old inversion).
+  StorageCluster c(5, 2, 46, WeightMap(), ms(1), ms(1));
+  auto clients = add_clients(c, 3);
+  LinkFaults& faults = c.env->faults();
+  write_now(c, *clients[0], "old");
+  c.env->run_to_quiescence();
+
+  // Constant 1ms links: the R round lands at t+1ms and the acks at t+2ms,
+  // when phase 2 is sent. Cut the writer off from servers 1-4 in between.
+  clients[0]->abd().write("new", [](const Tag&) {});
+  c.env->run_until(c.env->now() + us(1500));
+  for (ProcessId s = 1; s < 5; ++s) faults.cut_one_way(client_id(0), s);
+  c.env->run_until(c.env->now() + ms(2));
+  c.env->crash(client_id(0));
+  c.env->run_to_quiescence();
+  ASSERT_EQ(c.node(0).server().reg().value, "new");
+  for (std::uint32_t s = 1; s < 5; ++s) {
+    ASSERT_EQ(c.node(s).server().reg().value, "old") << "server " << s;
+  }
+
+  // Reader 1's quorum is {0, 1, 2}: not unanimous, so it writes back.
+  faults.partition(client_id(1), 3);
+  faults.partition(client_id(1), 4);
+  const std::int64_t w0 = c.env->traffic().get("msg.W");
+  const std::int64_t fast0 = c.env->traffic().get("reads.fast_path");
+  const TaggedValue first = read_now(c, *clients[1]);
+  EXPECT_EQ(first.value, "new");
+  EXPECT_GT(c.env->traffic().get("msg.W"), w0);
+  EXPECT_EQ(c.env->traffic().get("reads.fast_path"), fast0);
+
+  // Reader 2's quorum {2, 3, 4} avoids server 0, yet must still see it.
+  faults.partition(client_id(2), 0);
+  faults.partition(client_id(2), 1);
+  const TaggedValue second = read_now(c, *clients[2]);
+  EXPECT_EQ(second.tag, first.tag);
+  EXPECT_EQ(second.value, "new");
+}
+
+TEST(AbdClient, NewerChangeSetOnUnanimousQuorumRestartsTheRead) {
+  // Drive a dynamic client by hand over 3 servers (quorum: any 2). The
+  // second ack would complete a unanimous quorum, but it carries a newer
+  // change set: the read must restart under it, not return.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(3, 1);
+  ClientHolder holder;
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  holder.c = &client;
+  env.register_process(client_id(0), &holder);
+  env.start();
+
+  auto initial = std::make_shared<ChangeSet>(client.changes());
+  auto newer = std::make_shared<ChangeSet>(client.changes());
+  // A null transfer pair from server 2 to server 1: weights unchanged,
+  // but the set is new to the client.
+  newer->add(Change(2, 2, 2, Weight(0)));
+  newer->add(Change(2, 2, 1, Weight(0)));
+  const TaggedValue reg{Tag{1, client_id(9)}, "x"};
+
+  bool fired = false;
+  OpId op = client.read([&](const TaggedValue&) { fired = true; });
+  EXPECT_TRUE(client.handle(0, ReadAck(op, reg, initial, /*seq=*/1)));
+  EXPECT_TRUE(client.handle(1, ReadAck(op, reg, newer, /*seq=*/1)));
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_EQ(client.changes().size(), newer->size());
+  EXPECT_EQ(env.traffic().get("reads.fast_path"), 0);
+
+  // The restarted attempt completes in one round under the newer set.
+  EXPECT_TRUE(client.handle(0, ReadAck(op, reg, newer, /*seq=*/2)));
+  EXPECT_TRUE(client.handle(1, ReadAck(op, reg, newer, /*seq=*/2)));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(env.traffic().get("reads.fast_path"), 1);
 }
 
 TEST(AbdClient, LargeValuesRoundTrip) {
   StorageCluster c(4, 1, 44);
-  std::vector<std::unique_ptr<StorageClient>> clients;
-  clients.push_back(std::make_unique<StorageClient>(
-      *c.env, client_id(0), c.config, AbdClient::Mode::kDynamic));
-  c.env->register_process(client_id(0), clients[0].get());
+  auto clients = add_clients(c, 1);
   Value big(1 << 20, 'z');  // 1 MiB
-  bool wrote = false;
-  clients[0]->abd().write(big, [&](const Tag&) { wrote = true; });
-  run_until(*c.env, [&] { return wrote; });
-  std::optional<TaggedValue> got;
-  clients[0]->abd().read([&](const TaggedValue& tv) { got = tv; });
-  run_until(*c.env, [&] { return got.has_value(); });
-  EXPECT_EQ(got->value.size(), big.size());
-  EXPECT_EQ(got->value, big);
+  write_now(c, *clients[0], big);
+  const TaggedValue got = read_now(c, *clients[0]);
+  EXPECT_EQ(got.value.size(), big.size());
+  EXPECT_EQ(got.value, big);
 }
 
 TEST(ReadChangesEngine, ConcurrentInvocationsIndependent) {

@@ -56,6 +56,8 @@ struct EpisodeOutcome {
   std::size_t completed_ops = 0;
   std::size_t transfers_completed = 0;
   std::size_t transfers_effective = 0;
+  std::int64_t one_round_reads = 0;   ///< "reads.fast_path"
+  std::int64_t write_back_reads = 0;  ///< "reads.write_back"
   std::vector<std::string> timeline;
 };
 
@@ -213,6 +215,8 @@ EpisodeOutcome run_episode(Runtime rt, std::uint64_t seed) {
   // Let the deployment quiesce so every history record is closed.
   c.set_anti_entropy(0);
   c.quiesce(seconds(120));
+  out.one_round_reads = c.traffic().get("reads.fast_path");
+  out.write_back_reads = c.traffic().get("reads.write_back");
 
   // --- safety checks --------------------------------------------------------
   std::vector<OpRecord> ops = history->completed();
@@ -282,19 +286,30 @@ EpisodeOutcome expect_episode_clean(Runtime rt, std::uint64_t seed) {
 
 /// Sweeps `count` seeds and guards against the harness rotting into a
 /// no-op: across the sweep, operations and transfer attempts must
-/// actually have completed.
+/// actually have completed, and reads must have taken both read paths
+/// (one round on a unanimous quorum, and the write-back).
 void sweep(Runtime rt, std::size_t count) {
   std::size_t total_ops = 0;
   std::size_t total_transfers = 0;
+  std::int64_t one_round = 0;
+  std::int64_t write_back = 0;
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t seed = sweep_seed(i);
     SCOPED_TRACE("seed=" + std::to_string(seed));
     EpisodeOutcome out = expect_episode_clean(rt, seed);
     total_ops += out.completed_ops;
     total_transfers += out.transfers_completed;
+    one_round += out.one_round_reads;
+    write_back += out.write_back_reads;
   }
   EXPECT_GT(total_ops, 0u);
   EXPECT_GT(total_transfers, 0u);
+  EXPECT_GT(one_round, 0);
+  EXPECT_GT(write_back, 0);
+  const std::int64_t reads = one_round + write_back;
+  std::cout << "[chaos] " << runtime_name(rt) << ": " << one_round << " of "
+            << reads << " reads completed in one round ("
+            << (reads > 0 ? 100 * one_round / reads : 0) << "%)\n";
 }
 
 TEST(ChaosFuzz, SimSeedsStayAtomicUnderReconfiguration) {
