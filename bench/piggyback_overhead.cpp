@@ -3,7 +3,9 @@
 //
 // Sweep the background transfer rate while a client runs a fixed
 // read/write workload; report bytes per storage operation (dominated by
-// the piggybacked sets), operation restart rate, and latency.
+// the piggybacked sets, charged as encoded frame bytes), operation
+// restart rate, and latency. The run FAILS (exit 1) unless bytes/op at
+// the highest churn exceed bytes/op with no churn.
 #include "bench_util.h"
 
 namespace wrs {
@@ -75,7 +77,7 @@ ChurnResult run_churn(TimeNs transfer_interval, std::uint64_t seed) {
   return r;
 }
 
-void run() {
+bool run() {
   bench::banner("EXP-S1",
                 "piggybacked change-set overhead and operation restarts "
                 "vs transfer churn (n=5, f=1, 200 client ops)");
@@ -85,10 +87,14 @@ void run() {
     TimeNs interval;
     std::string label;
   };
+  double no_churn_bytes = 0;
+  double top_churn_bytes = 0;
   for (const Conf& conf :
        {Conf{0, "none"}, Conf{ms(500), "500 ms"}, Conf{ms(200), "200 ms"},
         Conf{ms(100), "100 ms"}, Conf{ms(50), "50 ms"}}) {
     ChurnResult r = run_churn(conf.interval, 909);
+    if (conf.interval == 0) no_churn_bytes = r.bytes_per_op;
+    top_churn_bytes = r.bytes_per_op;  // rows run in ascending churn
     table.add_row({conf.label, std::to_string(r.transfers),
                    Table::fmt(r.bytes_per_op / 1024.0, 2),
                    Table::fmt(r.restarts_per_op, 3),
@@ -102,12 +108,11 @@ void run() {
       "rare (an op restarts at most once per new change-set it meets). "
       "Latency degrades gracefully — the design trades bounded metadata "
       "growth for consensus-freedom.");
+  return bench::gate("EXP-S1 bytes/op at 50 ms churn / no churn",
+                     top_churn_bytes / no_churn_bytes, ">", 1.0);
 }
 
 }  // namespace
 }  // namespace wrs
 
-int main() {
-  wrs::run();
-  return 0;
-}
+int main() { return wrs::run() ? 0 : 1; }

@@ -109,7 +109,6 @@ namespace {
 
 struct Ping : MessageBase<Ping> {
   std::string type_name() const override { return "PING"; }
-  std::size_t wire_size() const override { return kHeaderBytes; }
 };
 
 struct Sink : Process {

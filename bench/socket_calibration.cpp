@@ -15,11 +15,12 @@
 // 1/service_time on both substrates, and the offered rate sits below
 // that bound, so predicted and achieved throughput should agree closely;
 // latency percentiles differ by scheduling noise and the latency-model
-// fit; bytes/op compares the codec's real encoded frames against the
-// wire_size() estimates. The run FAILS (exit 1) if achieved throughput
-// or bytes/op is off the prediction by more than 2x — the acceptance
-// band CI gates on — and always records both sides plus the ratios in
-// BENCH_socket_calibration.json.
+// fit. Every runtime charges a message's encoded frame size, so the sim
+// and the socket count the same bytes per message and bytes/op differs
+// only where msgs/op does (retransmits, batch fill). The run FAILS
+// (exit 1) if achieved throughput or bytes/op is off the prediction by
+// more than 2x — the acceptance band CI gates on — and always records
+// both sides plus the ratios in BENCH_socket_calibration.json.
 #include "bench_util.h"
 
 #ifdef __linux__

@@ -37,7 +37,6 @@ class AssetMsg : public MessageBase<AssetMsg> {
   explicit AssetMsg(AssetTransferRecord rec) : rec_(std::move(rec)) {}
   const AssetTransferRecord& rec() const { return rec_; }
   std::string type_name() const override { return "ASSET_T"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 36; }
 
  private:
   AssetTransferRecord rec_;
@@ -49,7 +48,6 @@ class AssetAck : public MessageBase<AssetAck> {
   ProcessId src() const { return src_; }
   std::uint64_t serial() const { return serial_; }
   std::string type_name() const override { return "ASSET_ACK"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 12; }
 
  private:
   ProcessId src_;

@@ -51,7 +51,6 @@ class EpochReqMsg : public MessageBase<EpochReqMsg> {
   explicit EpochReqMsg(EpochRequest req) : req_(std::move(req)) {}
   const EpochRequest& req() const { return req_; }
   std::string type_name() const override { return "EPOCH_REQ"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 44; }
 
  private:
   EpochRequest req_;

@@ -36,9 +36,6 @@ class RbMsg : public MessageBase<RbMsg> {
   const MsgPtr& payload() const { return payload_; }
 
   std::string type_name() const override { return "RB"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 12 + payload_->wire_size();
-  }
 
  private:
   ProcessId origin_;

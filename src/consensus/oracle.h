@@ -33,7 +33,6 @@ class OracleReassignReq : public MessageBase<OracleReassignReq> {
   ProcessId target() const { return target_; }
   const Weight& delta() const { return delta_; }
   std::string type_name() const override { return "ORA_REASSIGN"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 28; }
 
  private:
   std::uint64_t counter_;
@@ -52,7 +51,6 @@ class OracleTransferReq : public MessageBase<OracleTransferReq> {
   ProcessId dst() const { return dst_; }
   const Weight& delta() const { return delta_; }
   std::string type_name() const override { return "ORA_TRANSFER"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 32; }
 
  private:
   std::uint64_t counter_;
@@ -67,7 +65,6 @@ class OracleComplete : public MessageBase<OracleComplete> {
   explicit OracleComplete(Change change) : change_(std::move(change)) {}
   const Change& change() const { return change_; }
   std::string type_name() const override { return "ORA_COMPLETE"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 32; }
 
  private:
   Change change_;
@@ -81,7 +78,6 @@ class OracleReadReq : public MessageBase<OracleReadReq> {
   std::uint64_t op_id() const { return op_id_; }
   ProcessId target() const { return target_; }
   std::string type_name() const override { return "ORA_READ"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 12; }
 
  private:
   std::uint64_t op_id_;
@@ -95,9 +91,6 @@ class OracleReadAck : public MessageBase<OracleReadAck> {
   std::uint64_t op_id() const { return op_id_; }
   const ChangeSet& changes() const { return changes_; }
   std::string type_name() const override { return "ORA_READ_ACK"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 8 + changes_.wire_size();
-  }
 
  private:
   std::uint64_t op_id_;

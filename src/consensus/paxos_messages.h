@@ -14,7 +14,6 @@ class PaxPrepare : public MessageBase<PaxPrepare> {
   InstanceId instance() const { return inst_; }
   Ballot ballot() const { return ballot_; }
   std::string type_name() const override { return "PAX_PREPARE"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 20; }
 
  private:
   InstanceId inst_;
@@ -38,9 +37,6 @@ class PaxPromise : public MessageBase<PaxPromise> {
   }
   const PaxosValue& accepted_value() const { return accepted_value_; }
   std::string type_name() const override { return "PAX_PROMISE"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 33 + accepted_value_.size();
-  }
 
  private:
   InstanceId inst_;
@@ -58,9 +54,6 @@ class PaxAccept : public MessageBase<PaxAccept> {
   Ballot ballot() const { return ballot_; }
   const PaxosValue& value() const { return value_; }
   std::string type_name() const override { return "PAX_ACCEPT"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 20 + value_.size();
-  }
 
  private:
   InstanceId inst_;
@@ -76,7 +69,6 @@ class PaxAccepted : public MessageBase<PaxAccepted> {
   Ballot ballot() const { return ballot_; }
   bool ok() const { return ok_; }
   std::string type_name() const override { return "PAX_ACCEPTED"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 21; }
 
  private:
   InstanceId inst_;
@@ -91,9 +83,6 @@ class PaxLearn : public MessageBase<PaxLearn> {
   InstanceId instance() const { return inst_; }
   const PaxosValue& value() const { return value_; }
   std::string type_name() const override { return "PAX_LEARN"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 8 + value_.size();
-  }
 
  private:
   InstanceId inst_;

@@ -63,12 +63,15 @@ class ChangeSet {
 
   std::vector<Change> all() const;
 
+  /// Calls fn(id, delta) for every change in ascending ChangeId order,
+  /// without copying the set (the wire encoder walks it this way).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [id, delta] : map_) fn(id, delta);
+  }
+
   /// True iff every change in `this` is also in `other`.
   bool subset_of(const ChangeSet& other) const;
-
-  /// Estimated serialized size (for piggybacking overhead accounting):
-  /// 4+8+4 id bytes + 16 delta bytes per change, 8 bytes length prefix.
-  std::size_t wire_size() const { return 8 + map_.size() * 32; }
 
   std::string str() const;
 

@@ -25,7 +25,6 @@ class RcReq : public MessageBase<RcReq> {
   ProcessId target() const { return target_; }
   ShardId shard() const { return shard_; }
   std::string type_name() const override { return "RC"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 16; }
 
  private:
   std::uint64_t op_id_;
@@ -41,9 +40,6 @@ class RcAck : public MessageBase<RcAck> {
   std::uint64_t op_id() const { return op_id_; }
   const ChangeSet& changes() const { return changes_; }
   std::string type_name() const override { return "RC_ACK"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 8 + changes_.wire_size();
-  }
 
  private:
   std::uint64_t op_id_;
@@ -60,9 +56,6 @@ class WcReq : public MessageBase<WcReq> {
   const ChangeSet& changes() const { return changes_; }
   ShardId shard() const { return shard_; }
   std::string type_name() const override { return "WC"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 12 + changes_.wire_size();
-  }
 
  private:
   std::uint64_t op_id_;
@@ -76,7 +69,6 @@ class WcAck : public MessageBase<WcAck> {
   explicit WcAck(std::uint64_t op_id) : op_id_(op_id) {}
   std::uint64_t op_id() const { return op_id_; }
   std::string type_name() const override { return "WC_ACK"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 8; }
 
  private:
   std::uint64_t op_id_;
@@ -92,7 +84,6 @@ class TransferMsg : public MessageBase<TransferMsg> {
   const Change& pos() const { return pos_; }
   ShardId shard() const { return shard_; }
   std::string type_name() const override { return "T"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 4 + 2 * 32; }
 
  private:
   Change neg_;
@@ -120,9 +111,6 @@ class SyncMsg : public MessageBase<SyncMsg> {
   }
   ShardId shard() const { return shard_; }
   std::string type_name() const override { return "SYNC"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 13 + changes_.wire_size();
-  }
 
  private:
   ChangeSet changes_;
@@ -139,7 +127,6 @@ class TAck : public MessageBase<TAck> {
   std::uint64_t counter() const { return counter_; }
   ShardId shard() const { return shard_; }
   std::string type_name() const override { return "T_ACK"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 12; }
 
  private:
   std::uint64_t counter_;

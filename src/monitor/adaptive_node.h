@@ -31,7 +31,6 @@ class PingMsg : public MessageBase<PingMsg> {
   explicit PingMsg(TimeNs sent_at) : sent_at_(sent_at) {}
   TimeNs sent_at() const { return sent_at_; }
   std::string type_name() const override { return "PING"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 8; }
 
  private:
   TimeNs sent_at_;
@@ -42,7 +41,6 @@ class PongMsg : public MessageBase<PongMsg> {
   explicit PongMsg(TimeNs sent_at) : sent_at_(sent_at) {}
   TimeNs sent_at() const { return sent_at_; }
   std::string type_name() const override { return "PONG"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 8; }
 
  private:
   TimeNs sent_at_;
@@ -55,9 +53,6 @@ class RttReportMsg : public MessageBase<RttReportMsg> {
       : rtts_(std::move(rtts)) {}
   const std::map<ProcessId, double>& rtts() const { return rtts_; }
   std::string type_name() const override { return "RTT_REPORT"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 4 + rtts_.size() * 12;
-  }
 
  private:
   std::map<ProcessId, double> rtts_;

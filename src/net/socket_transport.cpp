@@ -530,6 +530,15 @@ void SocketTransport::read_ready(Conn& conn) {
   while (true) {
     ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
+      // Grow geometrically, starting at two full reads: compaction
+      // empties rbuf but keeps its capacity, and a plain insert would
+      // reallocate to exactly the new size every time the largest
+      // backlog so far is exceeded.
+      const std::size_t need = conn.rbuf.size() + static_cast<std::size_t>(n);
+      if (need > conn.rbuf.capacity()) {
+        conn.rbuf.reserve(
+            std::max({need, 2 * conn.rbuf.capacity(), 2 * sizeof(chunk)}));
+      }
       conn.rbuf.insert(conn.rbuf.end(), chunk, chunk + n);
       if (static_cast<std::size_t>(n) < sizeof(chunk)) break;
       continue;

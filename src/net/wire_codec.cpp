@@ -5,6 +5,8 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "broadcast/reliable_broadcast.h"
 #include "core/reassign_messages.h"
@@ -95,9 +97,32 @@ class Reader {
   std::size_t end_;
 };
 
+// --- counting writer -------------------------------------------------------
+
+/// SpanWriter's interface over no memory: it only adds up the bytes the
+/// same put_* calls would write. frame_size() runs it, so the size every
+/// runtime charges is the size of the frame the encoder produces.
+class CountingWriter {
+ public:
+  std::size_t size() const { return n_; }
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void i64(std::int64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void str(const std::string& s) { n_ += 4 + s.size(); }
+  void patch_u32(std::size_t, std::uint32_t) {}
+  /// Counts `n` bytes of fixed-width items without visiting them.
+  void skip(std::size_t n) { n_ += n; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 // --- shared composite encodings --------------------------------------------
 
-void put_weight(SpanWriter& w, const Weight& v) {
+template <typename W>
+void put_weight(W& w, const Weight& v) {
   w.i64(v.num());
   w.i64(v.den());
 }
@@ -115,11 +140,12 @@ Weight get_weight(Reader& r) {
   return v;
 }
 
-void put_change(SpanWriter& w, const Change& c) {
-  w.u32(c.id.issuer);
-  w.u64(c.id.counter);
-  w.u32(c.id.target);
-  put_weight(w, c.delta);
+template <typename W>
+void put_change(W& w, const ChangeId& id, const Weight& delta) {
+  w.u32(id.issuer);
+  w.u64(id.counter);
+  w.u32(id.target);
+  put_weight(w, delta);
 }
 
 constexpr std::size_t kChangeBytes = 4 + 8 + 4 + 16;
@@ -132,12 +158,20 @@ Change get_change(Reader& r) {
   return Change(issuer, counter, target, std::move(delta));
 }
 
-void put_change_set(SpanWriter& w, const ChangeSet& cs) {
-  // all() iterates the underlying ordered map — deterministic order, so
-  // round trips are byte-identical.
-  std::vector<Change> changes = cs.all();
-  w.u32(static_cast<std::uint32_t>(changes.size()));
-  for (const Change& c : changes) put_change(w, c);
+template <typename W>
+void put_change_set(W& w, const ChangeSet& cs) {
+  w.u32(static_cast<std::uint32_t>(cs.size()));
+  if constexpr (std::is_same_v<W, CountingWriter>) {
+    // Every change is fixed-width: counting needs no walk of the set,
+    // which piggybacks on every storage reply and grows with transfers.
+    w.skip(cs.size() * kChangeBytes);
+  } else {
+    // for_each walks the underlying ordered map in place — deterministic
+    // order (so round trips are byte-identical) and no copy of the set.
+    cs.for_each([&w](const ChangeId& id, const Weight& delta) {
+      put_change(w, id, delta);
+    });
+  }
 }
 
 ChangeSet get_change_set(Reader& r) {
@@ -151,7 +185,8 @@ ChangeSet get_change_set(Reader& r) {
   return cs;
 }
 
-void put_changes_ptr(SpanWriter& w, const ChangeSetPtr& cs) {
+template <typename W>
+void put_changes_ptr(W& w, const ChangeSetPtr& cs) {
   w.u8(cs ? 1 : 0);
   if (cs) put_change_set(w, *cs);
 }
@@ -163,7 +198,8 @@ ChangeSetPtr get_changes_ptr(Reader& r) {
   return make_pooled<const ChangeSet>(get_change_set(r));
 }
 
-void put_tagged_value(SpanWriter& w, const TaggedValue& tv) {
+template <typename W>
+void put_tagged_value(W& w, const TaggedValue& tv) {
   w.i64(tv.tag.ts);
   w.u32(tv.tag.pid);
   w.str(tv.value);
@@ -177,7 +213,8 @@ TaggedValue get_tagged_value(Reader& r) {
   return tv;
 }
 
-void put_snap_entries(SpanWriter& w, const std::vector<SnapEntry>& entries) {
+template <typename W>
+void put_snap_entries(W& w, const std::vector<SnapEntry>& entries) {
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const SnapEntry& e : entries) {
     w.str(e.key);
@@ -208,7 +245,8 @@ std::vector<SnapEntry> get_snap_entries(Reader& r) {
   return entries;
 }
 
-void put_key_list(SpanWriter& w, const std::vector<RegisterKey>& keys) {
+template <typename W>
+void put_key_list(W& w, const std::vector<RegisterKey>& keys) {
   w.u32(static_cast<std::uint32_t>(keys.size()));
   for (const RegisterKey& k : keys) w.str(k);
 }
@@ -224,10 +262,17 @@ std::vector<RegisterKey> get_key_list(Reader& r) {
 
 // --- per-type payloads ------------------------------------------------------
 
-void put_message(SpanWriter& w, const Message& msg, int depth);
+[[noreturn]] void throw_unmapped(const Message& msg) {
+  throw std::invalid_argument("WireCodec: no wire mapping for message type " +
+                              msg.type_name());
+}
+
+template <typename W>
+void put_message(W& w, const Message& msg, int depth);
 MsgPtr get_message(Reader& r, int depth);
 
-void put_frames(SpanWriter& w, const std::vector<MsgPtr>& frames, int depth) {
+template <typename W>
+void put_frames(W& w, const std::vector<MsgPtr>& frames, int depth) {
   w.u32(static_cast<std::uint32_t>(frames.size()));
   for (const MsgPtr& f : frames) put_message(w, *f, depth);
 }
@@ -243,7 +288,8 @@ std::vector<MsgPtr> get_frames(Reader& r, int depth) {
 
 /// Writes one payload body (no tag, no length). `depth` is the nesting
 /// level already consumed; nested messages bump it.
-void put_body(SpanWriter& w, const Message& msg, int depth) {
+template <typename W>
+void put_body(W& w, const Message& msg, int depth) {
   if (const auto* m = msg_cast<ReadReq>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
@@ -271,8 +317,7 @@ void put_body(SpanWriter& w, const Message& msg, int depth) {
   } else if (const auto* m = msg_cast<KeysAck>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
-    w.u32(static_cast<std::uint32_t>(m->keys().size()));
-    for (const RegisterKey& k : m->keys()) w.str(k);
+    put_key_list(w, m->keys());
     put_changes_ptr(w, m->changes());
   } else if (const auto* m = msg_cast<BatchRequest>(msg)) {
     w.u32(m->shard());
@@ -293,8 +338,8 @@ void put_body(SpanWriter& w, const Message& msg, int depth) {
   } else if (const auto* m = msg_cast<WcAck>(msg)) {
     w.u64(m->op_id());
   } else if (const auto* m = msg_cast<TransferMsg>(msg)) {
-    put_change(w, m->neg());
-    put_change(w, m->pos());
+    put_change(w, m->neg().id, m->neg().delta);
+    put_change(w, m->pos().id, m->pos().delta);
     w.u32(m->shard());
   } else if (const auto* m = msg_cast<TAck>(msg)) {
     w.u64(m->counter());
@@ -364,8 +409,7 @@ void put_body(SpanWriter& w, const Message& msg, int depth) {
     w.u64(m->snap_id());
     put_snap_entries(w, m->installs());
   } else {
-    throw std::invalid_argument("WireCodec: no wire mapping for message type " +
-                                msg.type_name());
+    throw_unmapped(msg);
   }
 }
 
@@ -411,11 +455,7 @@ MsgPtr get_body(Reader& r, WireType type, int depth) {
     case WireType::kKeysAck: {
       OpId op = r.u64();
       std::uint32_t seq = r.u32();
-      std::uint32_t n = r.u32();
-      r.check_count(n, 4);
-      std::vector<RegisterKey> keys;
-      keys.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) keys.push_back(r.str());
+      std::vector<RegisterKey> keys = get_key_list(r);
       ChangeSetPtr cs = get_changes_ptr(r);
       return make_msg<KeysAck>(op, std::move(keys), std::move(cs), seq);
     }
@@ -551,51 +591,72 @@ MsgPtr get_body(Reader& r, WireType type, int depth) {
   throw CodecError("wire: unknown type tag");
 }
 
-std::optional<WireType> type_tag(const Message& msg) {
-  if (msg_cast<ReadReq>(msg)) return WireType::kReadReq;
-  if (msg_cast<ReadAck>(msg)) return WireType::kReadAck;
-  if (msg_cast<WriteReq>(msg)) return WireType::kWriteReq;
-  if (msg_cast<WriteAck>(msg)) return WireType::kWriteAck;
-  if (msg_cast<KeysReq>(msg)) return WireType::kKeysReq;
-  if (msg_cast<KeysAck>(msg)) return WireType::kKeysAck;
-  if (msg_cast<BatchRequest>(msg)) return WireType::kBatchRequest;
-  if (msg_cast<BatchReply>(msg)) return WireType::kBatchReply;
-  if (msg_cast<RcReq>(msg)) return WireType::kRcReq;
-  if (msg_cast<RcAck>(msg)) return WireType::kRcAck;
-  if (msg_cast<WcReq>(msg)) return WireType::kWcReq;
-  if (msg_cast<WcAck>(msg)) return WireType::kWcAck;
-  if (msg_cast<TransferMsg>(msg)) return WireType::kTransfer;
-  if (msg_cast<TAck>(msg)) return WireType::kTAck;
-  if (msg_cast<SyncMsg>(msg)) return WireType::kSync;
-  if (msg_cast<RbMsg>(msg)) return WireType::kRb;
-  if (msg_cast<PingMsg>(msg)) return WireType::kPing;
-  if (msg_cast<PongMsg>(msg)) return WireType::kPong;
-  if (msg_cast<RttReportMsg>(msg)) return WireType::kRttReport;
-  if (msg_cast<MigFreeze>(msg)) return WireType::kMigFreeze;
-  if (msg_cast<MigCommit>(msg)) return WireType::kMigCommit;
-  if (msg_cast<WrongShardAck>(msg)) return WireType::kWrongShard;
-  if (msg_cast<SnapReq>(msg)) return WireType::kSnapReq;
-  if (msg_cast<SnapAck>(msg)) return WireType::kSnapAck;
-  if (msg_cast<SnapFreeze>(msg)) return WireType::kSnapFreeze;
-  if (msg_cast<SnapRelease>(msg)) return WireType::kSnapRelease;
-  return std::nullopt;
+template <typename T>
+std::pair<Message::TypeId, WireType> wire_entry(WireType type) {
+  return {message_type_id<T>(), type};
 }
 
-/// Nested encoding: u8 tag + u32 body length + body.
-void put_message(SpanWriter& w, const Message& msg, int depth) {
+/// The wire tag of `msg`'s type: one lookup in a Message::TypeId-indexed
+/// table built on first use. Building it allocates the TypeIds of every
+/// wire-mapped type, so an id past its end has no mapping.
+std::optional<WireType> type_tag(const Message& msg) {
+  static const std::vector<std::uint8_t> by_id = [] {
+    std::vector<std::uint8_t> table;  // 0: no mapping (tags start at 1)
+    for (auto [id, type] : {
+             wire_entry<ReadReq>(WireType::kReadReq),
+             wire_entry<ReadAck>(WireType::kReadAck),
+             wire_entry<WriteReq>(WireType::kWriteReq),
+             wire_entry<WriteAck>(WireType::kWriteAck),
+             wire_entry<KeysReq>(WireType::kKeysReq),
+             wire_entry<KeysAck>(WireType::kKeysAck),
+             wire_entry<BatchRequest>(WireType::kBatchRequest),
+             wire_entry<BatchReply>(WireType::kBatchReply),
+             wire_entry<RcReq>(WireType::kRcReq),
+             wire_entry<RcAck>(WireType::kRcAck),
+             wire_entry<WcReq>(WireType::kWcReq),
+             wire_entry<WcAck>(WireType::kWcAck),
+             wire_entry<TransferMsg>(WireType::kTransfer),
+             wire_entry<TAck>(WireType::kTAck),
+             wire_entry<SyncMsg>(WireType::kSync),
+             wire_entry<RbMsg>(WireType::kRb),
+             wire_entry<PingMsg>(WireType::kPing),
+             wire_entry<PongMsg>(WireType::kPong),
+             wire_entry<RttReportMsg>(WireType::kRttReport),
+             wire_entry<MigFreeze>(WireType::kMigFreeze),
+             wire_entry<MigCommit>(WireType::kMigCommit),
+             wire_entry<WrongShardAck>(WireType::kWrongShard),
+             wire_entry<SnapReq>(WireType::kSnapReq),
+             wire_entry<SnapAck>(WireType::kSnapAck),
+             wire_entry<SnapFreeze>(WireType::kSnapFreeze),
+             wire_entry<SnapRelease>(WireType::kSnapRelease)}) {
+      if (id >= table.size()) table.resize(id + 1, 0);
+      table[id] = static_cast<std::uint8_t>(type);
+    }
+    return table;
+  }();
+  const Message::TypeId id = msg.type_id();
+  if (id >= by_id.size() || by_id[id] == 0) return std::nullopt;
+  return static_cast<WireType>(by_id[id]);
+}
+
+/// Nested encoding: u8 tag + u32 body length + body. Counting an
+/// unmapped nested payload (a baseline's message inside an RbMsg)
+/// charges the 5-byte nested prelude and an empty body, the nested twin
+/// of frame_size()'s rule for unmapped frames; encoding one throws.
+template <typename W>
+void put_message(W& w, const Message& msg, int depth) {
   if (depth + 1 > kMaxNestingDepth) {
     throw std::invalid_argument("WireCodec: message nesting too deep");
   }
   std::optional<WireType> type = type_tag(msg);
-  if (!type) {
-    throw std::invalid_argument("WireCodec: no wire mapping for message type " +
-                                msg.type_name());
+  if constexpr (!std::is_same_v<W, CountingWriter>) {
+    if (!type) throw_unmapped(msg);
   }
-  w.u8(static_cast<std::uint8_t>(*type));
+  w.u8(type ? static_cast<std::uint8_t>(*type) : 0);
   std::size_t len_at = w.size();
   w.u32(0);  // backfilled
   std::size_t body_at = w.size();
-  put_body(w, msg, depth + 1);
+  if (type) put_body(w, msg, depth + 1);
   w.patch_u32(len_at, static_cast<std::uint32_t>(w.size() - body_at));
 }
 
@@ -620,13 +681,18 @@ std::vector<std::uint8_t> WireCodec::encode_frame(ProcessId from, ProcessId to,
   return {seg.data(), seg.data() + seg.size()};
 }
 
+std::size_t WireCodec::frame_size(const Message& msg) {
+  std::optional<WireType> type = type_tag(msg);
+  if (!type) return kFramePreludeBytes;
+  CountingWriter w;
+  put_body(w, msg, /*depth=*/0);
+  return kFramePreludeBytes + w.size();
+}
+
 Segment WireCodec::encode_frame_arena(EncodeArena& arena, ProcessId from,
                                       ProcessId to, const Message& msg) {
   std::optional<WireType> type = type_tag(msg);
-  if (!type) {
-    throw std::invalid_argument("WireCodec: no wire mapping for message type " +
-                                msg.type_name());
-  }
+  if (!type) throw_unmapped(msg);
   // First attempt encodes into whatever the current chunk has left
   // (plenty for any protocol frame); an overflow escalates the
   // reservation geometrically until the frame fits. The retry re-runs

@@ -33,6 +33,13 @@ class WireCodec {
   static Segment encode_frame_arena(EncodeArena& arena, ProcessId from,
                                     ProcessId to, const Message& msg);
 
+  /// The size of the frame encode_frame_arena() would produce for `msg`
+  /// (length prefix included), computed by running the same encoder
+  /// through a writer that only counts: no memory is written and nothing
+  /// is allocated. A type without a wire mapping is charged
+  /// kFramePreludeBytes (an empty body), so every runtime can charge it.
+  static std::size_t frame_size(const Message& msg);
+
   /// The same frame as an owned byte vector (a copy of one
   /// encode_frame_arena segment), for callers off the send path.
   static std::vector<std::uint8_t> encode_frame(ProcessId from, ProcessId to,

@@ -11,14 +11,15 @@
 //   10      4     u32  receiver process id     (to)
 //   14      ...   type-specific payload
 //
-// The 4+1+1+4+4 = 14-byte prelude is the real-transport analogue of
-// Message::kHeaderBytes: length-prefixed so a stream socket can be cut
-// into frames with one u32 read, versioned so incompatible peers reject
-// each other's traffic instead of misparsing it, and self-addressed so
-// one connection can carry traffic for ANY (from, to) pair — a wrs-node
-// process hosts a whole replica group behind a single listening socket,
-// and clients are routed back over whichever connection they dialed in
-// on.
+// The 4+1+1+4+4 = 14-byte prelude precedes every frame. It is
+// length-prefixed so a stream socket can be cut into frames with one u32
+// read, versioned so incompatible peers reject each other's traffic
+// instead of misparsing it, and self-addressed so one connection can
+// carry traffic for ANY (from, to) pair — a wrs-node process hosts a
+// whole replica group behind a single listening socket, and clients are
+// routed back over whichever connection they dialed in on. Every runtime
+// charges a message's encoded frame size (WireCodec::frame_size), so the
+// in-process runtimes count the bytes this format would put on the wire.
 //
 // Type tags: the in-process runtime dispatches on CRTP type ids
 // (Message::type_id()), but those are allocated lazily in first-use

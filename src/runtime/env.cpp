@@ -42,11 +42,6 @@ const Counters& Env::shard_traffic(std::size_t g) const {
 }
 
 void Env::count_shard_traffic(ProcessId from, ProcessId to,
-                              const Message& msg) {
-  count_shard_traffic(from, to, msg.wire_size());
-}
-
-void Env::count_shard_traffic(ProcessId from, ProcessId to,
                               std::size_t bytes) {
   if (shard_traffic_.empty()) return;
   int g = shard_of_(from, to);

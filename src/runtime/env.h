@@ -118,13 +118,12 @@ class Env {
   const Counters& shard_traffic(std::size_t g) const;
 
  protected:
-  /// Implementations call this from send(). Lock-free: the ledger is
-  /// sharded atomics and `shard_of` is a pure function of the ids. This
-  /// overload charges the modeled wire_size(); runtimes that serialize
-  /// for real (SocketEnv) use the explicit-bytes overload with the
-  /// frame's actual encoded size so the per-shard ledger matches what
-  /// crossed the kernel.
-  void count_shard_traffic(ProcessId from, ProcessId to, const Message& msg);
+  /// Implementations call this from send() with the same byte count
+  /// they charge traffic(): the message's encoded frame size. SimEnv and
+  /// ThreadEnv get it from WireCodec::frame_size, SocketEnv from the
+  /// frame it just encoded; the two agree by construction. Lock-free:
+  /// the ledger is sharded atomics and `shard_of` is a pure function of
+  /// the ids.
   void count_shard_traffic(ProcessId from, ProcessId to, std::size_t bytes);
 
  private:

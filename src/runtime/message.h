@@ -1,10 +1,12 @@
-// Typed messages with wire-size accounting.
+// Typed messages.
 //
-// Protocols define message structs deriving from Message. The runtime
-// passes shared_ptr<const Message> between processes (zero-copy in both
-// runtimes); wire_size() reports what the message would occupy if
-// serialized, so experiments can account for bytes on the wire (the
-// piggybacked change sets of Algorithm 5/6 are the interesting case).
+// Protocols define message structs deriving from Message. The in-process
+// runtimes pass shared_ptr<const Message> between processes (zero-copy).
+// A message does not know its own size: every runtime charges the bytes
+// of its encoded frame, WireCodec::frame_size (net/wire_codec.h), so
+// experiments account for exactly what the socket runtime would put on
+// the wire (the piggybacked change sets of Algorithm 5/6 are the
+// interesting case).
 #pragma once
 
 #include <atomic>
@@ -32,18 +34,11 @@ class Message {
   /// Short type name for logging/metrics ("RC", "T_ACK", "W", ...).
   virtual std::string type_name() const = 0;
 
-  /// Estimated serialized size in bytes (header included).
-  virtual std::size_t wire_size() const = 0;
-
   /// Allocates a fresh tag (one per concrete type; see message_type_id).
   static TypeId allocate_type_id() {
     static std::atomic<TypeId> next{1};
     return next.fetch_add(1, std::memory_order_relaxed);
   }
-
- protected:
-  /// Fixed per-message header: type tag, from, to, length.
-  static constexpr std::size_t kHeaderBytes = 16;
 };
 
 /// The tag of concrete message type T (stable for the process lifetime;

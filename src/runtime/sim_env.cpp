@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "net/wire_codec.h"
 
 namespace wrs {
 
@@ -34,8 +35,9 @@ void SimEnv::start() {
 void SimEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   if (!msg) throw std::invalid_argument("SimEnv::send: null message");
   if (crashed_.count(from) != 0) return;  // a crashed process sends nothing
-  ledger_.count_message(*msg, static_cast<std::int64_t>(msg->wire_size()));
-  count_shard_traffic(from, to, *msg);
+  const std::size_t bytes = net::WireCodec::frame_size(*msg);
+  ledger_.count_message(*msg, static_cast<std::int64_t>(bytes));
+  count_shard_traffic(from, to, bytes);
   Envelope env{from, to, std::move(msg)};
   if (!faults_.active()) {
     route(std::move(env), 0);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "net/wire_codec.h"
 
 namespace wrs {
 
@@ -196,8 +197,9 @@ void ThreadEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   const Routing* routes = routing();
   Mailbox* src = routes->find(from);
   if (src != nullptr && src->crashed.load(std::memory_order_acquire)) return;
-  ledger_.count_message(*msg, static_cast<std::int64_t>(msg->wire_size()));
-  count_shard_traffic(from, to, *msg);
+  const std::size_t bytes = net::WireCodec::frame_size(*msg);
+  ledger_.count_message(*msg, static_cast<std::int64_t>(bytes));
+  count_shard_traffic(from, to, bytes);
   TimeNs delay = 0;
   TimeNs dup_delay = -1;  // >= 0 iff the message is duplicated
   if (faults_.active() || latency_) {

@@ -24,10 +24,6 @@ namespace wrs {
 /// server's current set; null in static deployments.
 using ChangeSetPtr = std::shared_ptr<const ChangeSet>;
 
-inline std::size_t changes_wire_size(const ChangeSetPtr& c) {
-  return c ? c->wire_size() : 0;
-}
-
 /// Identifies one client storage operation across all its phases and
 /// restarts. Process-wide unique (see AbdClient::fresh_op_id).
 using OpId = std::uint64_t;
@@ -50,9 +46,6 @@ class ReadReq : public MessageBase<ReadReq> {
   ShardId shard() const { return shard_; }
   const RegisterKey& key() const { return key_; }
   std::string type_name() const override { return "R"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 16 + key_.size();
-  }
 
  private:
   OpId op_id_;
@@ -71,7 +64,6 @@ class KeysReq : public MessageBase<KeysReq> {
   std::uint32_t seq() const { return seq_; }
   ShardId shard() const { return shard_; }
   std::string type_name() const override { return "KEYS"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 16; }
 
  private:
   OpId op_id_;
@@ -93,11 +85,6 @@ class KeysAck : public MessageBase<KeysAck> {
   const std::vector<RegisterKey>& keys() const { return keys_; }
   const ChangeSetPtr& changes() const { return changes_; }
   std::string type_name() const override { return "KEYS_A"; }
-  std::size_t wire_size() const override {
-    std::size_t k = 0;
-    for (const auto& key : keys_) k += key.size() + 4;
-    return kHeaderBytes + 12 + k + changes_wire_size(changes_);
-  }
 
  private:
   OpId op_id_;
@@ -121,10 +108,6 @@ class ReadAck : public MessageBase<ReadAck> {
   const TaggedValue& reg() const { return reg_; }
   const ChangeSetPtr& changes() const { return changes_; }
   std::string type_name() const override { return "R_A"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 12 + 12 + reg_.value.size() +
-           changes_wire_size(changes_);
-  }
 
  private:
   OpId op_id_;
@@ -150,9 +133,6 @@ class WriteReq : public MessageBase<WriteReq> {
   const TaggedValue& reg() const { return reg_; }
   const RegisterKey& key() const { return key_; }
   std::string type_name() const override { return "W"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 16 + 12 + reg_.value.size() + key_.size();
-  }
 
  private:
   OpId op_id_;
@@ -174,9 +154,9 @@ class WriteReq : public MessageBase<WriteReq> {
 /// reordering a BatchRequest drops / duplicates / reorders every frame
 /// in it together.
 ///
-/// Wire size amortizes the per-message header: each frame contributes
-/// its own payload plus a 4-byte frame-length field instead of a full
-/// header.
+/// On the wire the envelope amortizes the frame prelude: each frame
+/// costs its own payload plus a 5-byte nested prelude (tag + length)
+/// instead of a full 14-byte frame prelude (net/wire_format.h).
 class BatchRequest : public MessageBase<BatchRequest> {
  public:
   BatchRequest(ShardId shard, std::vector<MsgPtr> frames)
@@ -184,11 +164,6 @@ class BatchRequest : public MessageBase<BatchRequest> {
   ShardId shard() const { return shard_; }
   const std::vector<MsgPtr>& frames() const { return frames_; }
   std::string type_name() const override { return "B"; }
-  std::size_t wire_size() const override {
-    std::size_t sz = kHeaderBytes + 4;
-    for (const MsgPtr& f : frames_) sz += f->wire_size() - kHeaderBytes + 4;
-    return sz;
-  }
 
  private:
   ShardId shard_;
@@ -205,11 +180,6 @@ class BatchReply : public MessageBase<BatchReply> {
       : frames_(std::move(frames)) {}
   const std::vector<MsgPtr>& frames() const { return frames_; }
   std::string type_name() const override { return "B_A"; }
-  std::size_t wire_size() const override {
-    std::size_t sz = kHeaderBytes + 4;
-    for (const MsgPtr& f : frames_) sz += f->wire_size() - kHeaderBytes + 4;
-    return sz;
-  }
 
  private:
   std::vector<MsgPtr> frames_;
@@ -224,9 +194,6 @@ class WriteAck : public MessageBase<WriteAck> {
   std::uint32_t seq() const { return seq_; }
   const ChangeSetPtr& changes() const { return changes_; }
   std::string type_name() const override { return "W_A"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 12 + changes_wire_size(changes_);
-  }
 
  private:
   OpId op_id_;

@@ -58,9 +58,6 @@ class MigFreeze : public MessageBase<MigFreeze> {
   ShardId dest() const { return dest_; }
   const RegisterKey& key() const { return key_; }
   std::string type_name() const override { return "M_FRZ"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 28 + key_.size();
-  }
 
  private:
   OpId op_id_;
@@ -95,11 +92,6 @@ class MigCommit : public MessageBase<MigCommit> {
   const RegisterKey& key() const { return key_; }
   const std::optional<TaggedValue>& install() const { return install_; }
   std::string type_name() const override { return "M_CMT"; }
-  std::size_t wire_size() const override {
-    std::size_t sz = kHeaderBytes + 29 + key_.size();
-    if (install_) sz += 12 + install_->value.size();
-    return sz;
-  }
 
  private:
   OpId op_id_;
@@ -127,9 +119,6 @@ class WrongShardAck : public MessageBase<WrongShardAck> {
   ShardId owner() const { return owner_; }
   const RegisterKey& key() const { return key_; }
   std::string type_name() const override { return "W_S"; }
-  std::size_t wire_size() const override {
-    return kHeaderBytes + 24 + key_.size();
-  }
 
  private:
   OpId op_id_;

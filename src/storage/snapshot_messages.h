@@ -78,10 +78,6 @@ struct SnapEntry {
   std::uint8_t flag = kOk;
   ShardId owner = 0;        ///< valid when flag == kMoved
   std::uint64_t epoch = 0;  ///< valid when flag == kMoved
-
-  std::size_t wire_bytes() const {
-    return 4 + key.size() + 12 + reg.value.size() + 1 + 4 + 8;
-  }
 };
 
 /// <SNAP, opId, seq, g, keys> — one collect round: read the current
@@ -96,11 +92,6 @@ class SnapReq : public MessageBase<SnapReq> {
   ShardId shard() const { return shard_; }
   const std::vector<RegisterKey>& keys() const { return keys_; }
   std::string type_name() const override { return "SNAP"; }
-  std::size_t wire_size() const override {
-    std::size_t k = 0;
-    for (const auto& key : keys_) k += key.size() + 4;
-    return kHeaderBytes + 16 + k;
-  }
 
  private:
   OpId op_id_;
@@ -127,11 +118,6 @@ class SnapAck : public MessageBase<SnapAck> {
   const std::vector<SnapEntry>& entries() const { return entries_; }
   const ChangeSetPtr& changes() const { return changes_; }
   std::string type_name() const override { return "SNAP_A"; }
-  std::size_t wire_size() const override {
-    std::size_t e = 0;
-    for (const auto& entry : entries_) e += entry.wire_bytes();
-    return kHeaderBytes + 13 + 4 + e + changes_wire_size(changes_);
-  }
 
  private:
   OpId op_id_;
@@ -161,11 +147,6 @@ class SnapFreeze : public MessageBase<SnapFreeze> {
   ShardId shard() const { return shard_; }
   const std::vector<RegisterKey>& keys() const { return keys_; }
   std::string type_name() const override { return "SNAP_FRZ"; }
-  std::size_t wire_size() const override {
-    std::size_t k = 0;
-    for (const auto& key : keys_) k += key.size() + 4;
-    return kHeaderBytes + 24 + k;
-  }
 
  private:
   OpId op_id_;
@@ -196,11 +177,6 @@ class SnapRelease : public MessageBase<SnapRelease> {
   ShardId shard() const { return shard_; }
   const std::vector<SnapEntry>& installs() const { return installs_; }
   std::string type_name() const override { return "SNAP_REL"; }
-  std::size_t wire_size() const override {
-    std::size_t e = 0;
-    for (const auto& entry : installs_) e += entry.wire_bytes();
-    return kHeaderBytes + 24 + 4 + e;
-  }
 
  private:
   OpId op_id_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "net/wire_codec.h"
+#include "storage/abd_messages.h"
 
 namespace wrs {
 namespace {
@@ -112,12 +114,21 @@ TEST(ChangeSet, ToWeightMap) {
 }
 
 TEST(ChangeSet, WireSizeGrowsLinearly) {
+  // The piggyback cost of Algorithms 5/6 as the codec charges it: each
+  // change adds exactly its 32-byte encoding (u32 issuer + u64 counter +
+  // u32 target + i64/i64 weight) to the ReadAck that carries the set.
   ChangeSet cs;
-  std::size_t base = cs.wire_size();
-  cs.add(mk(0, 2, 1, Weight(1)));
-  std::size_t one = cs.wire_size();
-  cs.add(mk(0, 3, 1, Weight(1)));
-  EXPECT_EQ(cs.wire_size() - one, one - base);
+  auto ack_bytes = [&cs] {
+    return net::WireCodec::frame_size(
+        ReadAck(1, TaggedValue{}, std::make_shared<const ChangeSet>(cs)));
+  };
+  std::size_t prev = ack_bytes();
+  for (std::uint64_t counter = 2; counter < 6; ++counter) {
+    cs.add(mk(0, counter, 1, Weight(1, 3)));
+    std::size_t now = ack_bytes();
+    EXPECT_EQ(now - prev, 32u);
+    prev = now;
+  }
 }
 
 // --- Property tests: join is a semilattice ----------------------------------

@@ -330,6 +330,7 @@ TEST(CodecFuzz, RoundTripByteIdenticalEveryType) {
       ProcessId to = rand_pid(rng);
       net::Segment bytes = WireCodec::encode_frame_arena(arena, from, to, *msg);
       ASSERT_GT(bytes.size(), 4u) << name;
+      EXPECT_EQ(WireCodec::frame_size(*msg), bytes.size()) << name;
       auto decoded = WireCodec::decode_frame(bytes.data() + 4, bytes.size() - 4);
       ASSERT_TRUE(decoded.has_value()) << name << " iteration " << i;
       EXPECT_EQ(decoded->from, from) << name;
@@ -419,6 +420,7 @@ TEST(CodecFuzz, GoldenFramesArePinned) {
     std::vector<std::uint8_t> bytes =
         WireCodec::encode_frame(g.from, g.to, *g.msg);
     EXPECT_EQ(hex(bytes), g.hex) << g.name;
+    EXPECT_EQ(WireCodec::frame_size(*g.msg), bytes.size()) << g.name;
     auto decoded = WireCodec::decode_frame(bytes.data() + 4, bytes.size() - 4);
     ASSERT_TRUE(decoded.has_value()) << g.name;
     EXPECT_EQ(hex(WireCodec::encode_frame(decoded->from, decoded->to,

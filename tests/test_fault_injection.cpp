@@ -24,7 +24,6 @@ class NoteMsg : public MessageBase<NoteMsg> {
   explicit NoteMsg(int v) : v_(v) {}
   int value() const { return v_; }
   std::string type_name() const override { return "NOTE"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 4; }
 
  private:
   int v_;

@@ -96,7 +96,6 @@ TEST(Counters, HeterogeneousLookupByStringView) {
 
 struct LedgerPing : MessageBase<LedgerPing> {
   std::string type_name() const override { return "LPING"; }
-  std::size_t wire_size() const override { return kHeaderBytes; }
 };
 
 TEST(TrafficLedger, SnapshotUsesLegacyKeyNames) {

@@ -116,7 +116,6 @@ class SeqMsg : public MessageBase<SeqMsg> {
   unsigned sender() const { return sender_; }
   std::uint64_t seq() const { return seq_; }
   std::string type_name() const override { return "SEQ"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 12; }
 
  private:
   unsigned sender_;

@@ -20,7 +20,6 @@ class PoolNote : public MessageBase<PoolNote> {
   explicit PoolNote(int v) : v_(v) {}
   int value() const { return v_; }
   std::string type_name() const override { return "POOL_NOTE"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 4; }
 
  private:
   int v_;

@@ -7,7 +7,9 @@
 //    teardown + reconnect, Unix-domain transport;
 //  * single-process loopback Cluster (Transport::kSocket): 2 shards,
 //    batching on/off, atomicity-checked workloads, and the per-shard
-//    traffic ledger measured in real encoded bytes.
+//    traffic ledger measured in real encoded bytes;
+//  * one byte count: a fixed message sequence charges the same bytes,
+//    in total and per shard, on SimEnv, ThreadEnv and SocketEnv.
 #ifdef __linux__
 
 #include <gtest/gtest.h>
@@ -19,12 +21,18 @@
 #include <thread>
 
 #include "api/cluster.h"
+#include "broadcast/reliable_broadcast.h"
+#include "core/reassign_messages.h"
 #include "deploy/node_runner.h"
 #include "net/socket_addr.h"
+#include "net/wire_codec.h"
+#include "runtime/sim_env.h"
 #include "runtime/socket_env.h"
+#include "runtime/thread_env.h"
 #include "shard/shard_map.h"
 #include "storage/dynamic_node.h"
 #include "storage/history.h"
+#include "storage/snapshot_messages.h"
 #include "workload/workload.h"
 
 namespace wrs {
@@ -348,6 +356,147 @@ TEST(SocketCluster, CustomProcessesRejected) {
           })
           .build(),
       std::invalid_argument);
+}
+
+// --- one byte count across runtimes ----------------------------------------
+
+/// Counts every delivered message (any type).
+class SinkProcess : public Process {
+ public:
+  void on_message(ProcessId, const Message&) override { ++count; }
+  std::atomic<int> count{0};
+};
+
+struct Routed {
+  ProcessId from;
+  ProcessId to;
+  MsgPtr msg;
+};
+
+/// The fixed sequence covers every variable-size shape the codec sizes:
+/// a change set on a reply, a batch envelope, a reliable-broadcast
+/// wrapper, and snapshot entries. Servers 0-2 are shard 0, 3-5 shard 1.
+std::vector<Routed> byte_sequence() {
+  ChangeSet cs;
+  cs.add(Change(0, kFirstCounter, 0, Weight(-1, 5)));
+  cs.add(Change(0, kFirstCounter, 1, Weight(1, 5)));
+  cs.add(Change(2, kFirstCounter + 3, 2, Weight(7, 3)));
+  SnapEntry a;
+  a.key = "alpha";
+  a.reg = TaggedValue{Tag{4, 3}, "value-a"};
+  SnapEntry b;
+  b.key = "b";
+  b.reg = TaggedValue{Tag{9, 4}, ""};
+  b.flag = SnapEntry::kMoved;
+  b.owner = 0;
+  b.epoch = 5;
+  const ProcessId client = client_id(0);
+  return {
+      {client, 0, std::make_shared<ReadReq>(1, "key-1", 1, 0)},
+      {0, client,
+       std::make_shared<ReadAck>(1, TaggedValue{Tag{3, 0}, "some value"},
+                                 std::make_shared<const ChangeSet>(cs), 1)},
+      {client, 3,
+       std::make_shared<BatchRequest>(
+           1, std::vector<MsgPtr>{
+                  std::make_shared<ReadReq>(2, "x", 1, 1),
+                  std::make_shared<WriteReq>(3, TaggedValue{Tag{2, 1}, "w"},
+                                             "y", 2, 1),
+                  std::make_shared<ReadReq>(4, "zz", 1, 1)})},
+      {0, 1,
+       std::make_shared<RbMsg>(
+           0, 7,
+           std::make_shared<TransferMsg>(
+               Change(0, kFirstCounter + 1, 0, Weight(-1, 10)),
+               Change(0, kFirstCounter + 1, 1, Weight(1, 10)), 0))},
+      {3, client,
+       std::make_shared<SnapAck>(5, std::vector<SnapEntry>{a, b}, nullptr, 2,
+                                 true)},
+  };
+}
+
+/// Enables 2-shard traffic counters and registers one sink per pid the
+/// sequence addresses.
+void prepare(Env& env, std::vector<SinkProcess>& sinks) {
+  env.enable_shard_traffic(2, [](ProcessId from, ProcessId to) {
+    ProcessId server = is_client(to) ? from : to;
+    return static_cast<int>(server / 3);
+  });
+  const std::vector<ProcessId> pids = {0, 1, 3, client_id(0)};
+  for (std::size_t i = 0; i < pids.size(); ++i) {
+    env.register_process(pids[i], &sinks[i]);
+  }
+}
+
+void send_all(Env& env, const std::vector<Routed>& seq) {
+  for (const Routed& r : seq) env.send(r.from, r.to, r.msg);
+}
+
+int delivered(const std::vector<SinkProcess>& sinks) {
+  int n = 0;
+  for (const SinkProcess& s : sinks) n += s.count.load();
+  return n;
+}
+
+/// Waits (wall clock, bounded) until a threaded runtime delivered `n`.
+void wait_delivered(const std::vector<SinkProcess>& sinks, int n) {
+  for (int spin = 0; spin < 5000 && delivered(sinks) < n; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// "bytes" in total, then per shard.
+std::vector<std::int64_t> bytes_charged(const Env& env) {
+  return {env.traffic().get("bytes"), env.shard_traffic(0).get("bytes"),
+          env.shard_traffic(1).get("bytes")};
+}
+
+TEST(OneByteCount, SimThreadsAndSocketsChargeIdenticalBytes) {
+  const std::vector<Routed> seq = byte_sequence();
+  const int n = static_cast<int>(seq.size());
+  std::int64_t encoded = 0;
+  for (const Routed& r : seq) {
+    encoded += static_cast<std::int64_t>(
+        net::WireCodec::encode_frame(r.from, r.to, *r.msg).size());
+  }
+
+  SimEnv sim(std::make_shared<ConstantLatency>(ms(1)), 1);
+  std::vector<SinkProcess> sim_sinks(4);
+  prepare(sim, sim_sinks);
+  sim.start();
+  send_all(sim, seq);
+  sim.run_to_quiescence();
+  EXPECT_EQ(delivered(sim_sinks), n);
+  const std::vector<std::int64_t> on_sim = bytes_charged(sim);
+
+  ThreadEnv threads;
+  std::vector<SinkProcess> thread_sinks(4);
+  prepare(threads, thread_sinks);
+  threads.start();
+  send_all(threads, seq);
+  wait_delivered(thread_sinks, n);
+  threads.stop();
+  EXPECT_EQ(delivered(thread_sinks), n);
+  const std::vector<std::int64_t> on_threads = bytes_charged(threads);
+
+  SocketEnv::Options so;
+  so.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
+  so.loopback_self = true;  // every frame crosses the kernel
+  SocketEnv sockets(so);
+  std::vector<SinkProcess> socket_sinks(4);
+  prepare(sockets, socket_sinks);
+  sockets.start();
+  send_all(sockets, seq);
+  wait_delivered(socket_sinks, n);
+  sockets.stop();
+  EXPECT_EQ(delivered(socket_sinks), n);
+  const std::vector<std::int64_t> on_sockets = bytes_charged(sockets);
+
+  EXPECT_EQ(on_sim[0], encoded);
+  EXPECT_EQ(on_sim[1] + on_sim[2], encoded);
+  EXPECT_GT(on_sim[2], 0);
+  EXPECT_EQ(on_threads, on_sim);
+  EXPECT_EQ(on_sockets, on_sim);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/wire_format.h"
 #include "runtime/sync.h"
 
 namespace wrs {
@@ -17,7 +18,6 @@ class NoteMsg : public MessageBase<NoteMsg> {
   explicit NoteMsg(int v) : v_(v) {}
   int value() const { return v_; }
   std::string type_name() const override { return "NOTE"; }
-  std::size_t wire_size() const override { return kHeaderBytes + 4; }
 
  private:
   int v_;
@@ -59,6 +59,9 @@ TEST(ThreadEnv, DeliversMessages) {
   }
   env.stop();
   EXPECT_EQ(b.count.load(), 100);
+  // NoteMsg has no wire mapping: each send charges an empty-bodied frame.
+  EXPECT_EQ(env.traffic().get("bytes"),
+            100 * static_cast<std::int64_t>(net::kFramePreludeBytes));
   EXPECT_EQ(b.sum.load(), 5050);
   EXPECT_FALSE(b.overlap.load());
 }
