@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
-// rational arithmetic, change-set operations, quorum checks, and
-// simulator event throughput. These bound the per-message bookkeeping
-// cost of the protocol implementations.
+// rational arithmetic, change-set operations, quorum checks, the storage
+// client's reply path, and simulator event throughput. These bound the
+// per-message bookkeeping cost of the protocol implementations.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -9,6 +9,7 @@
 #include "core/reassign_node.h"
 #include "quorum/wmqs.h"
 #include "runtime/sim_env.h"
+#include "storage/abd_client.h"
 
 namespace wrs {
 namespace {
@@ -59,6 +60,39 @@ void BM_ChangeSetJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChangeSetJoin)->Arg(8)->Arg(64);
+
+void BM_ClientReadAckReply(benchmark::State& state) {
+  // One dynamic client over 5 servers handling a ReadAck whose change
+  // set holds range(0) changes (the 5 initial ones plus transfer pairs),
+  // already merged: the steady state of every reply between
+  // reassignments. The read stays one responder short of a quorum, so
+  // each iteration is the whole reply path and nothing else.
+  SystemConfig cfg = SystemConfig::uniform(5, 2);
+  SimEnv env(std::make_shared<ConstantLatency>(us(10)), 3);
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  const auto size = static_cast<std::size_t>(state.range(0));
+  ChangeSet cs = client.changes();
+  for (std::uint64_t c = 2; cs.size() < size; ++c) {
+    cs.add(Change(1, c, 1, Weight(-1, 1000)));
+    cs.add(Change(1, c, 2, Weight(1, 1000)));
+  }
+  auto changes = std::make_shared<const ChangeSet>(std::move(cs));
+  const TaggedValue reg{Tag{1, client_id(1)}, "v"};
+  OpId op = client.read([](const TaggedValue&) {});
+  // The first reply brings the transfers (if any: a restart, to attempt
+  // 2); the timed ones repeat it from the same server.
+  client.handle(0, ReadAck(op, reg, changes, /*seq=*/1));
+  const std::uint64_t restarts = client.restarts();
+  const ReadAck ack(op, reg, changes,
+                    static_cast<std::uint32_t>(1 + restarts));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.handle(0, ack));
+  }
+  if (!client.busy() || client.restarts() != restarts) {
+    state.SkipWithError("the read completed or restarted again");
+  }
+}
+BENCHMARK(BM_ClientReadAckReply)->Arg(5)->Arg(41)->Arg(201);
 
 void BM_WmqsIsQuorum(benchmark::State& state) {
   auto n = static_cast<std::uint32_t>(state.range(0));

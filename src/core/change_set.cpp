@@ -101,9 +101,15 @@ Weight ChangeSet::weight_of(ProcessId target) const {
 
 WeightMap ChangeSet::to_weight_map(
     const std::vector<ProcessId>& servers) const {
-  WeightMap wm;
-  for (ProcessId s : servers) wm.set(s, weight_of(s));
-  return wm;
+  // One pass over the set, summing each delta into its target's slot:
+  // |C| rational adds instead of weight_of's |C| per server.
+  std::map<ProcessId, Weight> sums;
+  for (ProcessId s : servers) sums.emplace(s, Weight(0));
+  for (const auto& [id, delta] : map_) {
+    auto it = sums.find(id.target);
+    if (it != sums.end()) it->second += delta;
+  }
+  return WeightMap(std::move(sums));
 }
 
 Weight ChangeSet::total() const {

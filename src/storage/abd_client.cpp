@@ -24,15 +24,12 @@ AbdClient::AbdClient(Env& env, ProcessId self, const SystemConfig& config,
       servers_(config.servers()),
       mode_(mode),
       initial_total_(config.initial_total()),
-      changes_(ChangeSet::initial(config.initial_weights)) {}
+      changes_(ChangeSet::initial(config.initial_weights)),
+      weights_(mode == Mode::kStatic ? config.initial_weights
+                                     : changes_.to_weight_map(servers_)) {}
 
 OpId AbdClient::fresh_op_id() {
   return g_next_op_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-WeightMap AbdClient::current_weights() const {
-  if (mode_ == Mode::kStatic) return config_.initial_weights;
-  return changes_.to_weight_map(servers_);
 }
 
 OpId AbdClient::read(RegisterKey key, ReadCallback cb) {
@@ -420,10 +417,17 @@ std::vector<AbdClient::CollectEntry> AbdClient::aggregate_snap(
   return out;
 }
 
-bool AbdClient::merge_and_maybe_restart(const ChangeSetPtr& incoming) {
+bool AbdClient::merge_and_maybe_restart(ProcessId from,
+                                        const ChangeSetPtr& incoming) {
   if (mode_ == Mode::kStatic || !incoming) return false;
+  // The set `from` sent last time, already merged and immutable: a join
+  // would add nothing.
+  ChangeSetPtr& last = merged_from_[from];
+  if (last == incoming) return false;
   std::size_t added = changes_.join(*incoming);
+  last = incoming;
   if (added == 0) return false;
+  weights_ = changes_.to_weight_map(servers_);
   // Learned of newer completed changes: the change set is client-level
   // state, so EVERY started operation's quorum accounting predates the
   // merge — restart them all from phase 1 under the new weights
@@ -445,17 +449,15 @@ bool AbdClient::responders_form_quorum(
     const std::vector<ProcessId>& responders) const {
   // Algorithm 5 is_quorum: responders' total weight under the client's
   // current change set must exceed W_{S,0}/2.
-  WeightMap weights = current_weights();
   Weight sum(0);
-  for (ProcessId s : responders) sum += weights.of(s);
+  for (ProcessId s : responders) sum += weights_.of(s);
   return sum * Weight(2) > initial_total_;
 }
 
 bool AbdClient::responders_form_quorum(
     const std::vector<std::pair<ProcessId, TaggedValue>>& replies) const {
-  WeightMap weights = current_weights();
   Weight sum(0);
-  for (const auto& [s, reg] : replies) sum += weights.of(s);
+  for (const auto& [s, reg] : replies) sum += weights_.of(s);
   return sum * Weight(2) > initial_total_;
 }
 
@@ -481,7 +483,7 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
         ack->seq() != op.seq) {
       return true;  // stale reply (from a restarted phase): consumed
     }
-    if (merge_and_maybe_restart(ack->changes())) return true;
+    if (merge_and_maybe_restart(from, ack->changes())) return true;
     auto slot = std::find_if(
         op.phase1_replies.begin(), op.phase1_replies.end(),
         [from](const auto& reply) { return reply.first == from; });
@@ -542,7 +544,7 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
     if (op.phase != 2 || ack->seq() != op.seq) {
       return true;  // stale reply: consumed
     }
-    if (merge_and_maybe_restart(ack->changes())) return true;
+    if (merge_and_maybe_restart(from, ack->changes())) return true;
     if (std::find(op.phase2_acks.begin(), op.phase2_acks.end(), from) ==
         op.phase2_acks.end()) {
       op.phase2_acks.push_back(from);
@@ -565,7 +567,7 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
     if (!snap_kind || ack->seq() != op.seq) {
       return true;  // stale reply (from a restarted attempt): consumed
     }
-    if (merge_and_maybe_restart(ack->changes())) return true;
+    if (merge_and_maybe_restart(from, ack->changes())) return true;
     bool first = std::find(op.keys_acks.begin(), op.keys_acks.end(),
                            from) == op.keys_acks.end();
     if (first) op.keys_acks.push_back(from);
@@ -603,7 +605,7 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
     if (op.kind != OpKind::kListKeys || ack->seq() != op.seq) {
       return true;  // stale
     }
-    if (merge_and_maybe_restart(ack->changes())) return true;
+    if (merge_and_maybe_restart(from, ack->changes())) return true;
     if (std::find(op.keys_acks.begin(), op.keys_acks.end(), from) ==
         op.keys_acks.end()) {
       op.keys_acks.push_back(from);

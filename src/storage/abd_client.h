@@ -45,7 +45,13 @@
 // quorum accounting predates the merge, not just the op whose reply
 // carried the news). Deviations from the paper's literal pseudocode
 // (rationale in DESIGN.md §2): newer sets are MERGED rather than adopted
-// verbatim, and a write keeps its once-chosen tag across restarts.
+// verbatim, and a write keeps its once-chosen tag across restarts. The
+// client caches the weight map derived from its set, recomputing it only
+// when a merge grows the set, and skips the merge outright when a reply
+// carries the very set object it last merged from that server: a reply's
+// ChangeSetPtr points to an immutable set (see abd_messages.h) and the
+// client's memo holds a reference, so the same pointer means the same
+// contents, all of them already merged.
 //
 // Multi-register extension (beyond the paper): registers are named; the
 // paper's register is key "". list_keys() discovers every key any
@@ -230,8 +236,9 @@ class AbdClient {
   /// The client's current change set (dynamic mode).
   const ChangeSet& changes() const { return changes_; }
 
-  /// Weight map the client currently derives quorums from.
-  WeightMap current_weights() const;
+  /// Weight map the client currently derives quorums from (cached; in
+  /// dynamic mode always equal to changes().to_weight_map(servers)).
+  const WeightMap& current_weights() const { return weights_; }
 
   /// Total operation restarts caused by newer change sets (EXP-S1).
   std::uint64_t restarts() const { return restarts_; }
@@ -338,7 +345,7 @@ class AbdClient {
   void flush_batch();
   void schedule_retry(OpId id, std::uint32_t seq);
   void complete(OpId id);
-  bool merge_and_maybe_restart(const ChangeSetPtr& incoming);
+  bool merge_and_maybe_restart(ProcessId from, const ChangeSetPtr& incoming);
   bool responders_form_quorum(const std::vector<ProcessId>& responders) const;
   bool responders_form_quorum(
       const std::vector<std::pair<ProcessId, TaggedValue>>& replies) const;
@@ -355,6 +362,13 @@ class AbdClient {
   Weight initial_total_;
 
   ChangeSet changes_;
+  /// The weights quorums are checked against: the initial weights in
+  /// static mode, changes_.to_weight_map(servers_) in dynamic mode —
+  /// refreshed exactly where changes_ grows.
+  WeightMap weights_;
+  /// Per server, the last change set merged from its replies. A reply
+  /// carrying that same pointer holds nothing new: its join is skipped.
+  FlatMap<ProcessId, ChangeSetPtr> merged_from_;
   /// Concurrent operation state machines, keyed by OpId. FlatMap keeps
   /// in-flight state contiguous; OpIds are allocated monotonically, so
   /// inserts land at the back.

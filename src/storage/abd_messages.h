@@ -21,7 +21,13 @@
 namespace wrs {
 
 /// Shared immutable change-set payload. Replies from servers carry the
-/// server's current set; null in static deployments.
+/// server's current set; null in static deployments. Immutability rule:
+/// the set behind a ChangeSetPtr is never modified once the pointer is
+/// handed to a reply. Every producer keeps it: DynamicStorageNode
+/// publishes a fresh object per change-set version, the wire codec
+/// decodes a fresh object per frame, and tests build theirs before
+/// sending. AbdClient relies on it to skip re-merging a pointer it has
+/// already merged.
 using ChangeSetPtr = std::shared_ptr<const ChangeSet>;
 
 /// Identifies one client storage operation across all its phases and

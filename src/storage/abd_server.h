@@ -53,6 +53,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -203,7 +204,10 @@ class AbdServer {
   /// execution context on the thread runtime).
   std::map<RegisterKey, std::uint64_t> drain_key_hits() {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    return std::exchange(key_hits_, {});
+    std::map<RegisterKey, std::uint64_t> window(key_hits_.begin(),
+                                                key_hits_.end());
+    key_hits_.clear();
+    return window;
   }
 
  private:
@@ -228,8 +232,7 @@ class AbdServer {
   MsgPtr apply(ProcessId from, const Message& msg) {
     if (const auto* r = msg_cast<ReadReq>(msg)) {
       if (misrouted(r->shard())) return nullptr;
-      if (MsgPtr verdict = route_check(from, r->key(), r->op_id(), r->seq(),
-                                       make_msg<ReadReq>(*r))) {
+      if (MsgPtr verdict = route_check(from, *r)) {
         return verdict == kParkedSentinel() ? nullptr : verdict;
       }
       note_hit(r->key());
@@ -238,8 +241,7 @@ class AbdServer {
     }
     if (const auto* w = msg_cast<WriteReq>(msg)) {
       if (misrouted(w->shard())) return nullptr;
-      if (MsgPtr verdict = route_check(from, w->key(), w->op_id(), w->seq(),
-                                       make_msg<WriteReq>(*w))) {
+      if (MsgPtr verdict = route_check(from, *w)) {
         return verdict == kParkedSentinel() ? nullptr : verdict;
       }
       note_hit(w->key());
@@ -259,6 +261,7 @@ class AbdServer {
         if (it != route_marks_.end() && it->second.owner != shard_) continue;
         keys.push_back(key);
       }
+      std::sort(keys.begin(), keys.end());  // listings stay ascending
       return make_msg<KeysAck>(k->op_id(), std::move(keys), snapshot(),
                                        k->seq());
     }
@@ -267,17 +270,19 @@ class AbdServer {
 
   /// Shared read/write admission: null means "serve it", the park
   /// sentinel means "parked behind the key's fence, answer later",
-  /// anything else is the WrongShardAck to send instead.
-  MsgPtr route_check(ProcessId from, const RegisterKey& key, OpId op_id,
-                     std::uint32_t seq, MsgPtr req) {
+  /// anything else is the WrongShardAck to send instead. Only a parked
+  /// request is copied.
+  template <typename Req>
+  MsgPtr route_check(ProcessId from, const Req& req) {
+    const RegisterKey& key = req.key();
     if (fences_.count(key)) {
-      park(from, key, std::move(req));
+      park(from, key, make_msg<Req>(req));
       return kParkedSentinel();
     }
     auto it = route_marks_.find(key);
     if (it != route_marks_.end() && it->second.owner != shard_) {
-      return make_msg<WrongShardAck>(op_id, key, it->second.owner,
-                                             it->second.epoch, seq);
+      return make_msg<WrongShardAck>(req.op_id(), key, it->second.owner,
+                                     it->second.epoch, req.seq());
     }
     return nullptr;
   }
@@ -557,7 +562,11 @@ class AbdServer {
   ProcessId self_;
   ShardId shard_;
   ChangesProvider changes_provider_;
-  std::map<RegisterKey, TaggedValue> regs_;
+  /// Looked up on every request (reg(), then note_hit() on key_hits_),
+  /// so both are hashed: O(1) in the key count, and references into them
+  /// survive rehashing. Iteration order is unspecified — the one listing
+  /// (KeysReq) sorts its reply.
+  std::unordered_map<RegisterKey, TaggedValue> regs_;
   /// Checked on EVERY read/write (route_check) but populated only by the
   /// rare migration and snapshot verbs: flat and contiguous, so the
   /// common probe is a binary search over a handful of entries.
@@ -577,7 +586,7 @@ class AbdServer {
   /// Guards the hit-count window: written on the serve path (server
   /// context), drained by the Rebalancer from the engine's context.
   mutable std::mutex stats_mu_;
-  std::map<RegisterKey, std::uint64_t> key_hits_;
+  std::unordered_map<RegisterKey, std::uint64_t> key_hits_;
 };
 
 }  // namespace wrs

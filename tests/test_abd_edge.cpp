@@ -264,6 +264,73 @@ TEST(AbdClient, NewerChangeSetOnUnanimousQuorumRestartsTheRead) {
   EXPECT_EQ(env.traffic().get("reads.fast_path"), 1);
 }
 
+TEST(AbdClient, MergeMemoSkipsOnlySetsAlreadyMergedFromTheSender) {
+  // Drive a dynamic client over 5 servers (quorum: any 3) with one read
+  // that never completes: every ReadAck below is the reply path. After
+  // each step the cached weights must equal a fresh derivation, and the
+  // per-sender memo must hold a reference to exactly the set each server
+  // last sent (use_count: the test's own handle plus one per memo slot).
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(5, 2);
+  ClientHolder holder;
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  holder.c = &client;
+  env.register_process(client_id(0), &holder);
+  env.start();
+  const std::vector<ProcessId> servers = cfg.servers();
+  auto weights_fresh = [&] {
+    return client.current_weights() == client.changes().to_weight_map(servers);
+  };
+  const TaggedValue reg{Tag{1, client_id(9)}, "x"};
+
+  auto base = std::make_shared<const ChangeSet>(client.changes());
+  auto newer = std::make_shared<const ChangeSet>([&] {
+    ChangeSet cs = *base;
+    cs.add(Change(2, 2, 2, -Weight(1, 4)));
+    cs.add(Change(2, 2, 0, Weight(1, 4)));
+    return cs;
+  }());
+  // What a socket decode of `newer` produces: same contents, new object.
+  auto decoded = std::make_shared<const ChangeSet>(*newer);
+
+  OpId op = client.read([](const TaggedValue&) { FAIL() << "completed"; });
+  ASSERT_TRUE(weights_fresh());
+  const WeightMap before = client.current_weights();
+
+  // (a) The same pointer from two servers: nothing new, no restart.
+  EXPECT_TRUE(client.handle(0, ReadAck(op, reg, base, /*seq=*/1)));
+  EXPECT_TRUE(client.handle(1, ReadAck(op, reg, base, /*seq=*/1)));
+  EXPECT_EQ(client.restarts(), 0u);
+  EXPECT_TRUE(weights_fresh());
+  EXPECT_EQ(base.use_count(), 3);  // memo slots of servers 0 and 1
+
+  // (b) A new pointer from server 2 with one more transfer pair: one
+  // restart, and the weights move.
+  EXPECT_TRUE(client.handle(2, ReadAck(op, reg, newer, /*seq=*/1)));
+  EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_EQ(client.changes().size(), newer->size());
+  EXPECT_TRUE(weights_fresh());
+  EXPECT_FALSE(client.current_weights() == before);
+  EXPECT_EQ(client.current_weights().of(0), Weight(5, 4));
+  EXPECT_EQ(newer.use_count(), 2);
+
+  // (c) Equal contents in a different object: the memo misses, the join
+  // adds nothing, no restart; server 0's slot now holds the new object.
+  EXPECT_TRUE(client.handle(0, ReadAck(op, reg, decoded, /*seq=*/2)));
+  EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_TRUE(weights_fresh());
+  EXPECT_EQ(decoded.use_count(), 2);
+  EXPECT_EQ(base.use_count(), 2);  // only server 1's slot left
+
+  // (d) An older pointer from server 3: a subset, no restart.
+  EXPECT_TRUE(client.handle(3, ReadAck(op, reg, base, /*seq=*/2)));
+  EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_TRUE(weights_fresh());
+  EXPECT_EQ(client.current_weights().of(0), Weight(5, 4));
+  EXPECT_EQ(base.use_count(), 3);
+  EXPECT_TRUE(client.busy());
+}
+
 TEST(AbdClient, LargeValuesRoundTrip) {
   StorageCluster c(4, 1, 44);
   auto clients = add_clients(c, 1);

@@ -113,6 +113,28 @@ TEST(ChangeSet, ToWeightMap) {
   EXPECT_EQ(wm.of(2), Weight(9, 10));
 }
 
+TEST(ChangeSet, ToWeightMapMatchesWeightOf) {
+  // The single-pass map must agree with the per-server sum for every
+  // server, including ones several transfers touched and one none did.
+  const std::vector<ProcessId> servers{0, 1, 2, 3, 4};
+  ChangeSet cs = ChangeSet::initial(WeightMap::uniform(5));
+  cs.add(mk(0, 2, 0, -Weight(1, 4)));
+  cs.add(mk(0, 2, 3, Weight(1, 4)));
+  cs.add(mk(1, 2, 1, -Weight(1, 3)));
+  cs.add(mk(1, 2, 0, Weight(1, 3)));
+  cs.add(mk(3, 2, 3, -Weight(1, 7)));
+  cs.add(mk(3, 2, 1, Weight(1, 7)));
+  cs.add(mk(0, 3, 0, Weight(0)));  // null transfer pair
+  cs.add(mk(0, 3, 2, Weight(0)));
+  WeightMap wm = cs.to_weight_map(servers);
+  ASSERT_EQ(wm.size(), servers.size());
+  for (ProcessId s : servers) {
+    EXPECT_EQ(wm.of(s), cs.weight_of(s)) << "server " << s;
+  }
+  EXPECT_EQ(wm.total(), cs.total());
+  EXPECT_EQ(wm.of(4), Weight(1));
+}
+
 TEST(ChangeSet, WireSizeGrowsLinearly) {
   // The piggyback cost of Algorithms 5/6 as the codec charges it: each
   // change adds exactly its 32-byte encoding (u32 issuer + u64 counter +

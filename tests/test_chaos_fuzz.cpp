@@ -8,7 +8,8 @@
 //                           monotonically (subset of its successor), and
 //                           after healing all live servers agree on the
 //                           final change set / weights, with total weight
-//                           conserved;
+//                           conserved, and every live client's cached
+//                           weights equal those its change set derives;
 //   * progress            — operations completed and the reassignment
 //                           state converged once faults healed.
 //
@@ -265,6 +266,33 @@ EpisodeOutcome run_episode(Runtime rt, std::uint64_t seed) {
     fp << process_name(live[i]) << ": " << final_sets[i].str() << "\n";
   }
   out.fingerprint = fp.str();
+
+  // Cached weight views: every live dynamic client (the workload clients,
+  // restarted readers included, and each storage node's refresh client)
+  // must hold exactly the weights its change set derives. Read in the
+  // owner's context, race-free on threads.
+  const std::vector<ProcessId> servers = c.config().servers();
+  auto check_weights = [&](ProcessId pid, const AbdClient* client) {
+    if (c.is_crashed(pid)) return;
+    Await<bool> aw = c.make_await<bool>();
+    c.post(pid, [client, servers, aw] {
+      aw.fulfill(client->current_weights() ==
+                 client->changes().to_weight_map(servers));
+    });
+    std::optional<bool> fresh = aw.try_get(seconds(10));
+    if (!fresh.has_value()) {
+      out.violations.push_back("weight probe of " + process_name(pid) +
+                               " never ran");
+    } else if (!*fresh) {
+      out.violations.push_back("cached weights of " + process_name(pid) +
+                               " differ from its change set's");
+    }
+  };
+  for (std::size_t k = 0; k < c.num_clients(); ++k) {
+    check_weights(client_id(static_cast<std::uint32_t>(k)),
+                  &c.client(k).abd());
+  }
+  for (ProcessId s : live) check_weights(s, &c.storage_node(s).client());
   return out;
 }
 
