@@ -16,64 +16,24 @@ ShardRouter::ShardRouter(Env& env, ProcessId self, ShardMap map,
   }
 }
 
-OpId ShardRouter::read(RegisterKey key, AbdClient::ReadCallback cb) {
-  if (clients_.size() == 1) {
-    return clients_[0]->read(std::move(key), std::move(cb));
+AbdClient& ShardRouter::client_for(const RegisterKey& key) {
+  // A key with operations in flight stays with the client holding them,
+  // even after the map learned a new owner: its queue moves only as a
+  // whole, on a redirect.
+  for (const auto& c : clients_) {
+    if (c->holds(key)) return *c;
   }
-  QueuedOp op;
-  op.key = std::move(key);
-  op.rcb = std::move(cb);
-  return submit(std::move(op));
+  return *clients_[map_.shard_of(key)];
+}
+
+OpId ShardRouter::read(RegisterKey key, AbdClient::ReadCallback cb) {
+  return client_for(key).read(std::move(key), std::move(cb));
 }
 
 OpId ShardRouter::write(RegisterKey key, Value value,
                         AbdClient::WriteCallback cb) {
-  if (clients_.size() == 1) {
-    return clients_[0]->write(std::move(key), std::move(value), std::move(cb));
-  }
-  QueuedOp op;
-  op.is_write = true;
-  op.key = std::move(key);
-  op.value = std::move(value);
-  op.wcb = std::move(cb);
-  return submit(std::move(op));
-}
-
-OpId ShardRouter::submit(QueuedOp op) {
-  if (keyed_busy_.count(op.key)) {
-    keyed_queue_[op.key].push_back(std::move(op));
-    return 0;  // queued; callers consume results via the callback
-  }
-  return dispatch(std::move(op));
-}
-
-OpId ShardRouter::dispatch(QueuedOp op) {
-  keyed_busy_.insert(op.key);
-  // Routed by the map AS OF dispatch — a queued op issued before a
-  // redirect was learned still goes straight to the current owner.
-  RegisterKey key = op.key;
-  AbdClient& c = *clients_[map_.shard_of(key)];
-  if (op.is_write) {
-    return c.write(key, std::move(op.value),
-                   [this, key, cb = std::move(op.wcb)](const Tag& tag) {
-                     cb(tag);
-                     next_for(key);
-                   });
-  }
-  return c.read(key, [this, key, cb = std::move(op.rcb)](const TaggedValue& tv) {
-    cb(tv);
-    next_for(key);
-  });
-}
-
-void ShardRouter::next_for(const RegisterKey& key) {
-  keyed_busy_.erase(key);
-  auto it = keyed_queue_.find(key);
-  if (it == keyed_queue_.end()) return;
-  QueuedOp op = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) keyed_queue_.erase(it);
-  dispatch(std::move(op));
+  return client_for(key).write(std::move(key), std::move(value),
+                               std::move(cb));
 }
 
 OpId ShardRouter::list_keys(AbdClient::KeysCallback cb) {
@@ -321,10 +281,11 @@ bool ShardRouter::handle(ProcessId from, const Message& msg) {
     // redirect from a relic server (its mark predates a newer migration
     // this client already learned) must not bounce a correctly-routed op.
     if (cur == *g) return true;
-    std::optional<AbdClient::EjectedOp> op = clients_[*g]->eject(ws->op_id());
-    if (!op) return true;  // completed, or already reissued by an earlier ack
+    std::vector<AbdClient::EjectedOp> ops = clients_[*g]->eject(ws->op_id());
+    if (ops.empty()) return true;  // completed, or reissued by an earlier ack
     ++redirects_;
-    clients_[cur]->resume(std::move(*op));
+    // The key's whole queue, in issue order: it stays one FIFO.
+    for (AbdClient::EjectedOp& op : ops) clients_[cur]->resume(std::move(op));
     return true;
   }
   return clients_[*g]->handle(from, msg);

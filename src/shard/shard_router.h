@@ -1,15 +1,16 @@
 // Client-side shard routing layer: one operation-multiplexed AbdClient
-// per shard, every read/write routed by ShardMap::shard_of(key).
+// per shard; a read/write goes to the inner client already holding its
+// key, else to ShardMap::shard_of(key).
 //
 // The router preserves the pipelined client's semantics exactly:
-//  * per-key FIFO — held by the ROUTER on multi-shard maps: a migration
-//    can move a key between groups mid-operation, so two inner clients'
-//    FIFOs alone would let a later same-key op overlap an earlier one
-//    mid-redirect (and race the (max_ts+1, pid) tag choice). The router
-//    dispatches one keyed operation at a time per key, in issue order,
-//    each routed by the map AS OF its dispatch; a single-shard map keeps
-//    the legacy direct path (the one inner client's FIFO suffices,
-//    byte-identically);
+//  * per-key FIFO — the inner AbdClients' FIFO is the only one. A
+//    migration can move a key between groups mid-operation, and two
+//    FIFOs holding the same key would let a later same-key op overlap an
+//    earlier one (and race the (max_ts+1, pid) tag choice). Two rules
+//    keep every key in one FIFO: (1) a keyed op joins the inner client
+//    that already holds(key), and only a key nobody holds is routed by
+//    the map; (2) a redirect ejects the op with every op queued behind
+//    it on that key and resumes them, in issue order, at the new owner;
 //  * pipelining — operations on distinct keys multiplex freely, now both
 //    within a shard (the AbdClient's op map) and across shards (disjoint
 //    replica groups never share quorum traffic at all);
@@ -43,10 +44,7 @@
 // on the reply hot path).
 #pragma once
 
-#include <deque>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "shard/shard_map.h"
@@ -89,8 +87,9 @@ class ShardRouter {
   ///
   /// WrongShardAck redirects are the router's own: the carried override
   /// is merged into this client's ShardMap copy (newest epoch wins) and,
-  /// when the map now disagrees with the sender's shard, the operation is
-  /// ejected from the sender's inner client and reissued at the current
+  /// when the map now disagrees with the sender's shard, the operation and
+  /// every operation queued behind it on its key are ejected from the
+  /// sender's inner client and reissued, in issue order, at the current
   /// owner — a write keeps its once-chosen tag. A redirect that does NOT
   /// move the map (a relic server lagging behind a newer migration) is
   /// consumed without ejecting, so stale redirects can never livelock an
@@ -135,15 +134,6 @@ class ShardRouter {
   void set_batching(std::size_t max_ops, TimeNs max_delay);
 
  private:
-  /// One keyed operation awaiting its per-key turn (multi-shard only).
-  struct QueuedOp {
-    bool is_write = false;
-    RegisterKey key;
-    Value value;
-    AbdClient::ReadCallback rcb;
-    AbdClient::WriteCallback wcb;
-  };
-
   /// One in-flight snapshot's state machine, shared by the per-shard
   /// fan-out callbacks of its current round.
   struct SnapState {
@@ -175,9 +165,9 @@ class ShardRouter {
   void snap_freeze_done(SnapPtr st);
   void snap_finish(SnapPtr st);
 
-  OpId submit(QueuedOp op);
-  OpId dispatch(QueuedOp op);
-  void next_for(const RegisterKey& key);
+  /// The inner client a keyed operation joins: the one that holds the
+  /// key, else the key's current owner in the map.
+  AbdClient& client_for(const RegisterKey& key);
 
   /// Learned routing state: starts as the static hash map, accumulates
   /// overrides from WrongShardAck redirects.
@@ -190,10 +180,6 @@ class ShardRouter {
   std::uint64_t snapshot_fallbacks_ = 0;
   std::uint32_t snap_max_collect_rounds_ = 6;
   std::uint32_t snap_seq_ = 0;  ///< per-client snapshot instance counter
-  /// Cross-shard per-key FIFO (multi-shard maps): keys with a dispatched
-  /// operation, and the issue-order queue behind each.
-  std::set<RegisterKey> keyed_busy_;
-  std::map<RegisterKey, std::deque<QueuedOp>> keyed_queue_;
 };
 
 }  // namespace wrs

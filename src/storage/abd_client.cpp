@@ -124,37 +124,42 @@ OpId AbdClient::install(RegisterKey key, TaggedValue reg, WriteCallback cb) {
   return enqueue(std::move(op));
 }
 
-std::optional<AbdClient::EjectedOp> AbdClient::eject(OpId id) {
+std::vector<AbdClient::EjectedOp> AbdClient::eject(OpId id) {
   auto it = ops_.find(id);
-  if (it == ops_.end()) return std::nullopt;
-  Op& op = it->second;
-  if (op.kind != OpKind::kRead && op.kind != OpKind::kWrite &&
-      op.kind != OpKind::kInstall) {
-    return std::nullopt;
+  if (it == ops_.end()) return {};
+  OpKind kind = it->second.kind;
+  if (kind != OpKind::kRead && kind != OpKind::kWrite &&
+      kind != OpKind::kInstall) {
+    return {};
   }
-  EjectedOp out;
-  out.kind = op.kind;
-  out.key = op.key;
-  out.value = std::move(op.value);
-  out.to_write = std::move(op.to_write);
-  out.write_tag_chosen = op.write_tag_chosen;
-  out.rcb = std::move(op.rcb);
-  out.wcb = std::move(op.wcb);
-  bool was_started = op.started;
-  ops_.erase(it);
-  if (was_started) --started_count_;
-  if (keyless(out.kind)) return out;  // kInstall: no FIFO entry to fix up
-  auto fit = key_fifo_.find(out.key);
-  auto& fifo = fit->second;
-  bool was_front = fifo.front() == id;
-  fifo.erase(std::find(fifo.begin(), fifo.end(), id));
-  if (fifo.empty()) {
-    key_fifo_.erase(fit);
-  } else if (was_front) {
-    // The ejected op held the key: start its successor (which will chase
-    // the same redirect and reissue behind this op at the new shard).
-    start_phase1(ops_.at(fifo.front()));
+  auto take = [this](OpId op_id) {
+    auto oit = ops_.find(op_id);
+    Op& op = oit->second;
+    EjectedOp out;
+    out.kind = op.kind;
+    out.key = std::move(op.key);
+    out.value = std::move(op.value);
+    out.to_write = std::move(op.to_write);
+    out.write_tag_chosen = op.write_tag_chosen;
+    out.rcb = std::move(op.rcb);
+    out.wcb = std::move(op.wcb);
+    if (op.started) --started_count_;
+    ops_.erase(oit);
+    return out;
+  };
+  std::vector<EjectedOp> out;
+  if (keyless(kind)) {  // kInstall: no FIFO entry
+    out.push_back(take(id));
+    return out;
   }
+  // The op and everything queued behind it on its key leave together, so
+  // the key's operations stay in one FIFO — at the redirect target.
+  auto fit = key_fifo_.find(it->second.key);
+  std::deque<OpId>& fifo = fit->second;
+  auto from = std::find(fifo.begin(), fifo.end(), id);
+  for (auto q = from; q != fifo.end(); ++q) out.push_back(take(*q));
+  fifo.erase(from, fifo.end());
+  if (fifo.empty()) key_fifo_.erase(fit);
   return out;
 }
 

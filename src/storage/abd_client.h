@@ -36,7 +36,11 @@
 // issue order (a per-key FIFO): concurrent same-key writes from one
 // process would otherwise race the (max_ts+1, pid) tag choice and could
 // mint duplicate tags, and FIFO also gives drivers per-key program
-// order. list_keys() has no key and never queues.
+// order. list_keys() has no key and never queues. This FIFO is the only
+// one in the system: a sharded client (ShardRouter) keeps each key's
+// operations inside one AbdClient (holds()) and moves a redirected key's
+// whole queue at once (eject()/resume()), so it needs no queue of its
+// own.
 //
 // Dynamic mode: every reply carries the server's change set C'. If C'
 // contains changes the client has not seen, the client merges them and
@@ -207,16 +211,24 @@ class AbdClient {
     WriteCallback wcb;
   };
 
-  /// Removes operation `id` (promoting its per-key FIFO successor) and
-  /// returns its reissuable state; nullopt when the op is unknown,
-  /// already completed, or not reissuable (kListKeys and the migration
-  /// verbs are never redirected).
-  std::optional<EjectedOp> eject(OpId id);
+  /// Removes operation `id` together with every operation queued behind
+  /// it on its key, and returns their reissuable state in issue order:
+  /// the redirect moves the key's whole queue, and nothing of it starts
+  /// here. Empty when the op is unknown, already completed, or not
+  /// reissuable (kListKeys and the migration verbs are never
+  /// redirected). An install has no FIFO entry and leaves alone.
+  std::vector<EjectedOp> eject(OpId id);
 
   /// Re-enqueues an ejected operation on THIS client (the redirect
-  /// target). Runs the full two-phase protocol under a fresh OpId; the
-  /// per-key FIFO keeps reissue order.
+  /// target). Runs the full two-phase protocol under a fresh OpId;
+  /// resuming an eject() result in order keeps the key's issue order.
   OpId resume(EjectedOp op);
+
+  /// True while an operation on `key` is in flight or queued here — a
+  /// new operation on `key` must join this client's FIFO.
+  bool holds(const RegisterKey& key) const {
+    return key_fifo_.count(key) != 0;
+  }
 
   /// Routes R_A / W_A / KEYS_A replies; true iff consumed. Replies whose
   /// OpId belongs to no in-flight operation are NOT consumed (they may

@@ -231,6 +231,101 @@ TEST_P(ShardRouterSemantics, OperationsPipelineAcrossShards) {
 INSTANTIATE_TEST_SUITE_P(BothRuntimes, ShardRouterSemantics,
                          ::testing::Values(Runtime::kSim, Runtime::kThread));
 
+// --- one per-key FIFO across redirects --------------------------------------
+
+/// A ShardRouter hand-wired over ShardMap::uniform(2, 3, 1) on a SimEnv.
+/// The six servers are sinks that record the ReadReqs they receive and
+/// never answer, so the test itself feeds every reply the router sees.
+struct RouterRig {
+  struct SinkServer : Process {
+    std::vector<OpId> reads;
+    void on_message(ProcessId, const Message& m) override {
+      if (const auto* req = msg_cast<ReadReq>(m)) reads.push_back(req->op_id());
+    }
+  };
+  struct ClientProc : Process {
+    ShardRouter* router = nullptr;
+    void on_message(ProcessId from, const Message& m) override {
+      router->handle(from, m);
+    }
+  };
+
+  SimEnv env{std::make_shared<ConstantLatency>(ms(1)), 1};
+  ShardRouter router{env, client_id(0), ShardMap::uniform(2, 3, 1),
+                     AbdClient::Mode::kStatic};
+  std::vector<SinkServer> servers = std::vector<SinkServer>(6);
+  ClientProc client;
+
+  RouterRig() {
+    client.router = &router;
+    env.register_process(client_id(0), &client);
+    for (ProcessId s = 0; s < servers.size(); ++s) {
+      env.register_process(s, &servers[s]);
+    }
+    env.start();
+  }
+
+  /// ReadReqs the servers of shard `g` received so far.
+  std::size_t reads_at(ShardId g) const {
+    std::size_t n = 0;
+    for (ProcessId s : router.map().servers(g)) n += servers[s].reads.size();
+    return n;
+  }
+
+  /// A redirect for `op` on `key`, as a server of shard `from` sends it.
+  void redirect(ShardId from, OpId op, const RegisterKey& key, ShardId owner) {
+    ProcessId sender = router.map().servers(from).front();
+    router.handle(sender, WrongShardAck(op, key, owner, /*epoch=*/1));
+    env.run_to_quiescence();
+  }
+};
+
+TEST(ShardRedirect, RedirectMovesTheKeysWholeQueue) {
+  RouterRig rig;
+  const RegisterKey key = "k";
+  const ShardId src = rig.router.shard_of(key);
+  const ShardId dst = 1 - src;
+  for (int i = 0; i < 3; ++i) {
+    rig.router.write(key, "w" + std::to_string(i), [](const Tag&) {});
+  }
+  rig.env.run_to_quiescence();
+  // Per-key FIFO: only the front write's phase 1 went out.
+  ASSERT_EQ(rig.reads_at(src), 3u);
+  ASSERT_EQ(rig.reads_at(dst), 0u);
+
+  OpId front = rig.servers[rig.router.map().servers(src).front()].reads[0];
+  rig.redirect(src, front, key, dst);
+  EXPECT_EQ(rig.router.redirects(), 1u);
+  // The queued writes left with the front one: none of them starts at
+  // the old shard, and at the new owner they queue behind it again.
+  EXPECT_EQ(rig.reads_at(src), 3u);
+  EXPECT_EQ(rig.reads_at(dst), 3u);
+}
+
+TEST(ShardRedirect, SameKeyOpJoinsItsHoldersQueue) {
+  RouterRig rig;
+  const RegisterKey key = "k";
+  const ShardId src = rig.router.shard_of(key);
+  const ShardId dst = 1 - src;
+  rig.router.write(key, "w1", [](const Tag&) {});
+  rig.env.run_to_quiescence();
+  ASSERT_EQ(rig.reads_at(src), 3u);
+
+  // A redirect for an op id nobody owns: the map learns the new owner,
+  // but nothing is ejected.
+  rig.redirect(src, /*op=*/0xdeadbeef, key, dst);
+  EXPECT_EQ(rig.router.shard_of(key), dst);
+  EXPECT_EQ(rig.router.redirects(), 0u);
+
+  // The first write still holds the key at the old shard, so the second
+  // one queues behind it there instead of overlapping it at the new
+  // owner.
+  rig.router.write(key, "w2", [](const Tag&) {});
+  rig.env.run_to_quiescence();
+  EXPECT_EQ(rig.reads_at(dst), 0u);
+  EXPECT_EQ(rig.reads_at(src), 3u);
+}
+
 // --- misrouted traffic ------------------------------------------------------
 
 TEST(ShardMisroute, ServerRejectsWrongShardRequests) {
