@@ -1,10 +1,11 @@
 // Shared helpers for the experiment harnesses in bench/.
 //
-// Each binary reproduces one experiment from DESIGN.md §4 / EXPERIMENTS.md
-// and prints paper-style tables to stdout. All runs are seeded and
-// deterministic.
+// Each binary prints its experiments as tables on stdout, checks its own
+// results through gate(), and with `--json <path>` appends them as JSON
+// lines. Simulator runs are seeded and deterministic.
 #pragma once
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -205,6 +206,110 @@ class JsonReport {
   std::vector<Row> rows_;
 };
 
+/// One table of results. Each cell is set once and renders twice: as a
+/// console column under its header, and as a JSON field named after the
+/// header ("read p50 (ms)" -> "read_p50_ms", "msgs/transfer" ->
+/// "msgs_per_transfer"). Every row also records `msgs`, the messages its
+/// run sent, as its last column.
+class Report {
+ public:
+  explicit Report(std::string experiment, std::string caption = "")
+      : experiment_(std::move(experiment)), caption_(std::move(caption)) {}
+
+  Report& row(std::int64_t msgs) {
+    rows_.push_back({{}, msgs});
+    return *this;
+  }
+  /// Numeric cell, shown with `precision` decimals.
+  Report& num(const std::string& header, double value, int precision = 2) {
+    rows_.back().cells.push_back(
+        {header, Table::fmt(value, precision), value});
+    return *this;
+  }
+  /// Text cell: labels, rationals, "25/25".
+  Report& text(const std::string& header, std::string value) {
+    rows_.back().cells.push_back({header, std::move(value), std::nullopt});
+    return *this;
+  }
+
+  std::int64_t msgs() const {
+    std::int64_t total = 0;
+    for (const Row& r : rows_) total += r.msgs;
+    return total;
+  }
+
+  void print() const {
+    if (rows_.empty()) return;
+    if (!caption_.empty()) std::cout << caption_ << "\n";
+    std::vector<std::string> headers;
+    for (const Cell& c : rows_.front().cells) headers.push_back(c.header);
+    headers.push_back("msgs");
+    Table table(std::move(headers));
+    for (const Row& r : rows_) {
+      std::vector<std::string> shown;
+      for (const Cell& c : r.cells) shown.push_back(c.shown);
+      shown.push_back(std::to_string(r.msgs));
+      table.add_row(std::move(shown));
+    }
+    table.print();
+  }
+
+  JsonReport json(std::optional<std::uint64_t> seed) const {
+    JsonReport out(experiment_);
+    if (seed) out.seed(*seed);
+    for (const Row& r : rows_) {
+      out.row();
+      for (const Cell& c : r.cells) {
+        if (c.value) {
+          out.field(key(c.header), *c.value);
+        } else {
+          out.field(key(c.header), c.shown);
+        }
+      }
+      out.field("msgs", static_cast<double>(r.msgs));
+    }
+    return out;
+  }
+
+ private:
+  struct Cell {
+    std::string header;
+    std::string shown;
+    std::optional<double> value;  // absent for text cells
+  };
+  struct Row {
+    std::vector<Cell> cells;
+    std::int64_t msgs;
+  };
+
+  static std::string key(const std::string& header) {
+    std::string out;
+    auto separate = [&out] {
+      if (!out.empty() && out.back() != '_') out.push_back('_');
+    };
+    for (char ch : header) {
+      if (std::isalnum(static_cast<unsigned char>(ch))) {
+        out.push_back(static_cast<char>(
+            std::tolower(static_cast<unsigned char>(ch))));
+      } else if (ch == '/') {
+        separate();
+        out += "per_";
+      } else if (ch == '%') {
+        separate();
+        out += "pct_";
+      } else {
+        separate();
+      }
+    }
+    while (!out.empty() && out.back() == '_') out.pop_back();
+    return out;
+  }
+
+  std::string experiment_;
+  std::string caption_;
+  std::vector<Row> rows_;
+};
+
 /// `--json <path>` from a bench binary's argv; empty when absent. A
 /// dangling `--json` with no path is a usage error, not a silent no-op.
 inline std::string json_path(int argc, char** argv) {
@@ -253,30 +358,5 @@ inline bool gate(const std::string& what, std::optional<double> value,
   std::cout << " (want " << op << " " << bound << ")\n";
   return pass;
 }
-
-/// Builds a SimEnv over a WAN profile; returns the env and keeps the
-/// degradable wrapper accessible for mid-run degradation experiments.
-struct WanSim {
-  std::shared_ptr<DegradableLatency> latency;
-  std::unique_ptr<SimEnv> env;
-
-  WanSim(const WanProfile& profile, std::size_t client_site,
-         std::uint64_t seed) {
-    auto matrix = std::make_unique<SiteMatrixLatency>(
-        profile.rtt_ms, site_mapper(profile.sites.size(), client_site));
-    latency = std::make_shared<DegradableLatency>(std::move(matrix));
-    env = std::make_unique<SimEnv>(latency, seed);
-  }
-};
-
-/// A full dynamic storage deployment + one closed-loop client; returns
-/// the client's latency histograms after the run.
-struct StorageRun {
-  Histogram read_latency;
-  Histogram write_latency;
-  std::uint64_t restarts = 0;
-  Counters traffic;
-  std::size_t ops_completed = 0;
-};
 
 }  // namespace wrs::bench

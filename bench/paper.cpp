@@ -1,0 +1,1249 @@
+// The paper's experiments as one gated suite. Each entry of kScenarios
+// reproduces one claim of the paper on the simulator: it fills tables
+// whose rows record the messages their runs sent, caps the scenario's
+// total under a message budget, and checks the claim through
+// bench::gate() lines. The process exits non-zero if any gate fails.
+//
+//   paper [--json <path>]   # --json appends one JSON line per table
+//
+// Every run is seeded and deterministic. Gates are exact where the
+// protocol fixes the number (message counts, outcomes, rationals) and
+// carry margins where it is a latency.
+#include "bench_util.h"
+
+#include <deque>
+#include <type_traits>
+
+#include "baselines/asset_transfer.h"
+#include "baselines/epoch_reassign.h"
+#include "baselines/paxos_reassign.h"
+#include "consensus/reduction.h"
+#include "core/reassign_node.h"
+
+namespace wrs {
+namespace {
+
+/// One scenario's output: its tables, notes and gates, printed in that
+/// order once the scenario has run.
+class Run {
+ public:
+  Run(std::string id, std::optional<std::uint64_t> seed)
+      : id_(std::move(id)), seed_(seed) {}
+
+  /// The scenario's master seed; its runs derive theirs from it.
+  std::uint64_t seed() const { return seed_.value(); }
+
+  bench::Report& table(const std::string& suffix = "",
+                       const std::string& caption = "") {
+    return tables_.emplace_back(id_ + suffix, caption);
+  }
+  void note(std::string text) { notes_.push_back(std::move(text)); }
+  void gate(std::string what, double value, std::string op, double bound) {
+    gates_.push_back({std::move(what), value, std::move(op), bound});
+  }
+
+  std::int64_t msgs() const {
+    std::int64_t total = 0;
+    for (const bench::Report& t : tables_) total += t.msgs();
+    return total;
+  }
+
+  /// Prints everything and appends the tables to `json_path` (when set);
+  /// true iff every gate held and every write succeeded.
+  bool finish(const std::string& json_path) const {
+    bool ok = true;
+    for (const bench::Report& t : tables_) {
+      t.print();
+      if (!json_path.empty()) ok = t.json(seed_).write(json_path) && ok;
+    }
+    if (!notes_.empty()) std::cout << "\n";
+    for (const std::string& n : notes_) bench::note(n);
+    for (const Gate& g : gates_) {
+      ok = bench::gate(id_ + " " + g.what, g.value, g.op, g.bound) && ok;
+    }
+    return ok;
+  }
+
+ private:
+  struct Gate {
+    std::string what;
+    double value;
+    std::string op;
+    double bound;
+  };
+  std::string id_;
+  std::optional<std::uint64_t> seed_;
+  std::deque<bench::Report> tables_;  // stable references while filling
+  std::vector<std::string> notes_;
+  std::vector<Gate> gates_;
+};
+
+/// One `Node` per server of `cfg` on `env`, registered as pids 0..n-1.
+template <typename Node, typename... Extra>
+std::vector<std::unique_ptr<Node>> deploy(SimEnv& env, const SystemConfig& cfg,
+                                          const Extra&... extra) {
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+    nodes.push_back(std::make_unique<Node>(env, i, cfg, extra...));
+    env.register_process(i, nodes.back().get());
+  }
+  return nodes;
+}
+
+std::int64_t msgs_of(const SimEnv& env) { return env.traffic().get("msgs"); }
+
+/// A system size: n servers, up to f of them faulty.
+struct NF {
+  std::uint32_t n, f;
+};
+
+std::string frac(int x, int of) {
+  return std::to_string(x) + "/" + std::to_string(of);
+}
+
+// --- EXP-A1: adaptation to degraded replicas (Sections I, V-C) -------------
+//
+// Initial weights (1.4, 1.4, 0.8, 0.7, 0.7) favor s0/s1 and respect the
+// RP-Integrity floor 5/8. s0 and s1 turn 25x slower during [20s, 60s). The
+// light servers alone weigh 2.2 < W_{S,0}/2 = 2.5, so a static deployment
+// must keep touching a slow server; the adaptive one drains s0/s1 toward
+// the floor until the fast servers form quorums on their own.
+
+struct Series {
+  TimeSeries latency;
+  std::vector<std::pair<TimeNs, std::int64_t>> msgs;  // after each read
+  WeightMap final_weights;
+
+  /// Messages sent by the reads that finished before `t`.
+  std::int64_t msgs_before(TimeNs t) const {
+    std::int64_t m = 0;
+    for (const auto& [at, count] : msgs) {
+      if (at >= t) break;
+      m = count;
+    }
+    return m;
+  }
+};
+
+Series adaptation_run(bool adaptive, std::uint64_t seed) {
+  WeightMap weights;
+  weights.set(0, Weight(7, 5));
+  weights.set(1, Weight(7, 5));
+  weights.set(2, Weight(4, 5));
+  weights.set(3, Weight(7, 10));
+  weights.set(4, Weight(7, 10));
+
+  AdaptiveParams params;
+  params.probe_interval = ms(200);
+  params.eval_interval = ms(400);
+  params.step = Weight(1, 10);
+  params.slow_factor = 1.5;
+  params.adaptation_enabled = adaptive;
+
+  Cluster cluster = Cluster::builder()
+                        .servers(5)
+                        .faults(1)
+                        .weights(weights)
+                        .wan(continental_profile(), /*client_site=*/0)
+                        .seed(seed)
+                        .adaptive(params)
+                        .build();
+  ClientHandle client = cluster.client();
+  cluster.at(seconds(20), [&] {
+    cluster.slow(0, 25.0);
+    cluster.slow(1, 25.0);
+  });
+  cluster.at(seconds(60), [&] {
+    cluster.clear_slow(0);
+    cluster.clear_slow(1);
+  });
+
+  // Closed loop of reads, ~one every 50ms.
+  Series s;
+  while (cluster.now() < seconds(80)) {
+    TimeNs start = cluster.now();
+    client.read().get(seconds(120));
+    s.latency.add(cluster.now(), to_ms(cluster.now() - start));
+    s.msgs.emplace_back(cluster.now(), cluster.traffic().get("msgs"));
+    cluster.run_for(ms(50));
+  }
+  s.final_weights = cluster.server(0).weights_snapshot().get();
+  return s;
+}
+
+void exp_a1(Run& run) {
+  const Series dyn = adaptation_run(true, run.seed());
+  const Series fixed = adaptation_run(false, run.seed());
+  bench::Report& t = run.table();
+  for (TimeNs from = 0; from < seconds(80); from += seconds(8)) {
+    const TimeNs to = from + seconds(8);
+    t.row(fixed.msgs_before(to) - fixed.msgs_before(from) +
+          dyn.msgs_before(to) - dyn.msgs_before(from))
+        .text("window (s)",
+              Table::fmt(static_cast<double>(from) / kNsPerSec, 0) + "-" +
+                  Table::fmt(static_cast<double>(to) / kNsPerSec, 0))
+        .num("static WMQS read mean (ms)", fixed.latency.mean_in(from, to))
+        .num("dynamic read mean (ms)", dyn.latency.mean_in(from, to));
+  }
+  run.note("final weights, static : " + fixed.final_weights.str());
+  run.note("final weights, dynamic: " + dyn.final_weights.str());
+
+  const double degraded_dyn = dyn.latency.mean_in(seconds(24), seconds(56));
+  const double degraded_static =
+      fixed.latency.mean_in(seconds(24), seconds(56));
+  run.gate("dynamic / static read mean over [24s,56s)",
+           degraded_dyn / degraded_static, "<=", 0.6);
+  run.gate("static read mean over [24s,56s) / its [0s,16s)",
+           degraded_static / fixed.latency.mean_in(0, seconds(16)), ">=",
+           1.5);
+  Weight lightest(99);
+  for (const auto& [server, w] : dyn.final_weights.sorted_desc()) {
+    lightest = std::min(lightest, w);
+  }
+  run.gate("dynamic final total weight",
+           dyn.final_weights.total().to_double(), "==", 5);
+  run.gate("lightest dynamic final weight (floor 5/8)", lightest.to_double(),
+           ">", Weight(5, 8).to_double());
+}
+
+// --- EXP-C1: consensus-free vs Paxos-sequenced transfers (Section VIII) ----
+//
+// AWARE/WHEAT-style reassignment sequences every transfer through Paxos.
+// Scenarios: a quiet network, heavy-tailed asynchrony, and proposer
+// contention (every server reassigns at once), 20 rounds each.
+
+template <typename Node>
+Histogram transfer_latency(bool heavy_tail, bool contention,
+                           std::uint64_t seed, std::int64_t* msgs) {
+  const std::uint32_t n = 5;
+  SystemConfig cfg = SystemConfig::uniform(n, 2);
+  std::shared_ptr<LatencyModel> latency;
+  if (heavy_tail) {
+    latency =
+        std::make_shared<HeavyTailLatency>(ms(2), ms(6), 1.15, seconds(3));
+  } else {
+    latency = std::make_shared<UniformLatency>(ms(2), ms(10));
+  }
+  SimEnv env(latency, seed);
+  constexpr bool kPaxos = std::is_same_v<Node, PaxosReassignNode>;
+  auto nodes = [&] {
+    if constexpr (kPaxos) {
+      return deploy<Node>(env, cfg, seed);
+    } else {
+      return deploy<Node>(env, cfg);
+    }
+  }();
+  env.start();
+  Histogram lat;
+  int done = 0, expected = 0;
+  for (int round = 0; round < 20; ++round) {
+    TimeNs when = round * ms(200);
+    std::uint32_t first = contention ? 0 : (round % n);
+    std::uint32_t count = contention ? n : 1;
+    for (std::uint32_t k = 0; k < count; ++k) {
+      std::uint32_t src = (first + k) % n;
+      ++expected;
+      env.schedule(src, when, [&, src] {
+        if constexpr (!kPaxos) {
+          if (nodes[src]->transfer_in_flight()) {
+            ++done;  // skip: still busy from the previous round
+            return;
+          }
+        }
+        TimeNs start = env.now();
+        nodes[src]->transfer((src + 1) % n, Weight(1, 200),
+                             [&, start](const auto&) {
+                               lat.add(to_ms(env.now() - start));
+                               ++done;
+                             });
+      });
+    }
+  }
+  env.run_until_pred([&] { return done == expected; }, seconds(1200));
+  *msgs = msgs_of(env);
+  return lat;
+}
+
+void exp_c1(Run& run) {
+  bench::Report& t = run.table();
+  struct Scenario {
+    bool heavy_tail;
+    bool contention;
+    const char* label;
+  };
+  for (const Scenario& sc :
+       {Scenario{false, false, "quiet network"},
+        Scenario{true, false, "heavy-tail asynchrony"},
+        Scenario{false, true, "all-server contention"},
+        Scenario{true, true, "heavy-tail + contention"}}) {
+    std::int64_t ours_msgs = 0, paxos_msgs = 0;
+    const Histogram ours = transfer_latency<ReassignNode>(
+        sc.heavy_tail, sc.contention, run.seed(), &ours_msgs);
+    const Histogram paxos = transfer_latency<PaxosReassignNode>(
+        sc.heavy_tail, sc.contention, run.seed(), &paxos_msgs);
+    auto row = [&](const char* proto, const Histogram& h, std::int64_t m) {
+      t.row(m)
+          .text("scenario", sc.label)
+          .text("protocol", proto)
+          .num("p50 (ms)", h.percentile(50))
+          .num("p90 (ms)", h.percentile(90))
+          .num("p99 (ms)", h.percentile(99))
+          .num("max (ms)", h.max())
+          .num("completed", static_cast<double>(h.count()), 0);
+    };
+    row("consensus-free (ours)", ours, ours_msgs);
+    row("paxos-sequenced", paxos, paxos_msgs);
+    const double ratio = paxos.percentile(99) / ours.percentile(99);
+    run.gate(std::string("Paxos / ours p99, ") + sc.label, ratio, ">", 1);
+    if (sc.heavy_tail && sc.contention) {
+      run.gate("Paxos / ours p99 under heavy tail + contention", ratio,
+               ">=", 10);
+    }
+  }
+}
+
+// --- EXP-E1: epochless vs epoch-based [11] (Section VIII) ------------------
+//
+// 12 rounds; in each, two servers request transfers to different
+// destinations. The epoch protocol applies requests only at the epoch
+// boundary, and it drops increases that compete within one epoch.
+
+void exp_e1(Run& run) {
+  bench::Report& t = run.table();
+  SystemConfig cfg = SystemConfig::uniform(5, 1);
+  std::vector<double> epoch_p50;
+  double max_epoch_total = 0;
+  std::uint64_t min_dropped = ~0ull;
+  for (TimeNs epoch : {ms(50), ms(100), ms(200), ms(400)}) {
+    SimEnv env(std::make_shared<UniformLatency>(ms(1), ms(8)), run.seed());
+    auto nodes = deploy<EpochReassignNode>(env, cfg, epoch);
+    Histogram delay;
+    nodes[0]->set_applied_callback(
+        [&](const EpochRequest& req, const Weight&, TimeNs at) {
+          delay.add(to_ms(at - req.issued_at));
+        });
+    env.start();
+    for (int round = 0; round < 12; ++round) {
+      TimeNs when = epoch / 4 + round * epoch;
+      env.schedule(0, when, [&, round] {
+        nodes[0]->request_transfer(1 + (round % 2), Weight(1, 100));
+      });
+      env.schedule(2, when, [&, round] {
+        nodes[2]->request_transfer(3 + (round % 2), Weight(1, 100));
+      });
+    }
+    env.run_until(14 * epoch + seconds(1));
+    const Weight total = nodes[0]->total_weight();
+    const std::uint64_t dropped = nodes[0]->dropped_increases();
+    t.row(msgs_of(env))
+        .text("protocol", "epoch-based [11]")
+        .num("epoch (ms)", to_ms(epoch), 0)
+        .num("apply delay p50 (ms)", delay.percentile(50))
+        .num("apply delay p99 (ms)", delay.percentile(99))
+        .text("final total weight", total.str())
+        .num("dropped increases", static_cast<double>(dropped), 0);
+    epoch_p50.push_back(delay.percentile(50));
+    max_epoch_total = std::max(max_epoch_total, total.to_double());
+    min_dropped = std::min(min_dropped, dropped);
+  }
+
+  // Ours: the same pattern, every 100 ms.
+  SimEnv env(std::make_shared<UniformLatency>(ms(1), ms(8)), run.seed());
+  auto nodes = deploy<ReassignNode>(env, cfg);
+  env.start();
+  Histogram delay;
+  int done = 0;
+  for (int round = 0; round < 12; ++round) {
+    TimeNs when = ms(25) + round * ms(100);
+    for (std::uint32_t src : {0u, 2u}) {
+      env.schedule(src, when, [&, src, round] {
+        TimeNs start = env.now();
+        nodes[src]->transfer(src + 1 + (round % 2), Weight(1, 100),
+                             [&, start](const TransferOutcome&) {
+                               delay.add(to_ms(env.now() - start));
+                               ++done;
+                             });
+      });
+    }
+  }
+  env.run_until_pred([&] { return done == 24; }, seconds(120));
+  env.run_to_quiescence();
+  Weight total(0);
+  for (std::uint32_t s = 0; s < cfg.n; ++s) total += nodes[0]->weight_of(s);
+  t.row(msgs_of(env))
+      .text("protocol", "restricted pairwise (ours)")
+      .text("epoch (ms)", "-")
+      .num("apply delay p50 (ms)", delay.percentile(50))
+      .num("apply delay p99 (ms)", delay.percentile(99))
+      .text("final total weight", total.str())
+      .num("dropped increases", 0, 0);
+
+  double min_rise = epoch_p50[1] / epoch_p50[0];
+  for (std::size_t i = 1; i < epoch_p50.size(); ++i) {
+    min_rise = std::min(min_rise, epoch_p50[i] / epoch_p50[i - 1]);
+  }
+  run.gate("smallest epoch p50 rise between epoch lengths", min_rise, ">", 1);
+  run.gate("largest epoch-protocol total weight", max_epoch_total, "<", 5);
+  run.gate("fewest epoch-protocol dropped increases",
+           static_cast<double>(min_dropped), ">", 0);
+  run.gate("our total weight", total.to_double(), "==", 5);
+}
+
+// --- EXP-F1: Figure 1 / Example 2 ------------------------------------------
+//
+// S = {s1..s7}, f = 2, uniform weights: floor 7/10, minimum quorum 4.
+// Three legal transfers move 1/4 from s4->s1, s5->s2, s6->s3, after which
+// the minority {s1, s2, s3} is a quorum. The two red-box transfers would
+// drop s6 and s7 below the floor and must complete null; so must one that
+// would land s4 exactly on it (RP-Integrity is strict).
+
+void exp_f1(Run& run) {
+  Cluster cluster = Cluster::builder()
+                        .servers(7)
+                        .faults(2)
+                        .uniform_latency(ms(1), ms(5))
+                        .seed(run.seed())
+                        .reassign_only()
+                        .clients(0)
+                        .build();
+  const Weight floor = cluster.config().floor();
+  run.note("RP-Integrity floor W_{S,0}/(2(n-f)) = " + floor.str());
+
+  struct Step {
+    const char* op;
+    ProcessId src;
+    ProcessId dst;
+    Weight delta;
+  };
+  // Ids are 0-based: the paper's s1 is our s0.
+  const Step steps[] = {
+      {"transfer(s4, s1, 1/4)", 3, 0, Weight(1, 4)},
+      {"transfer(s5, s2, 1/4)", 4, 1, Weight(1, 4)},
+      {"transfer(s6, s3, 1/4)", 5, 2, Weight(1, 4)},
+      {"transfer(s6, s1, 1/10)  [red box]", 5, 0, Weight(1, 10)},
+      {"transfer(s7, s1, 7/20)  [red box]", 6, 0, Weight(7, 20)},
+      {"transfer(s4, s1, 1/20)  [floor edge]", 3, 0, Weight(1, 20)},
+  };
+
+  bench::Report& t = run.table();
+  Weight lightest(99);
+  int minority_wrong = 0;
+  auto add_row = [&](int step, const std::string& op,
+                     const std::string& outcome, std::int64_t msgs) {
+    std::string ws;
+    for (std::uint32_t s = 0; s < 7; ++s) {
+      const Weight w = cluster.server(0).weight_of(s);
+      lightest = std::min(lightest, w);
+      ws += (s ? " " : "") + w.str();
+    }
+    Wmqs q(cluster.server(0).weights());
+    const bool minority = q.is_quorum({0, 1, 2});
+    if (minority != (step >= 3)) ++minority_wrong;
+    t.row(msgs)
+        .num("step", step, 0)
+        .text("operation", op)
+        .text("outcome", outcome)
+        .text("w(s1..s7)", ws)
+        .num("min quorum", static_cast<double>(q.min_quorum_size()), 0)
+        .text("|{s1,s2,s3}| quorum?", minority ? "yes" : "no");
+    return q.min_quorum_size();
+  };
+
+  const std::size_t initial_quorum = add_row(0, "(initial)", "-", 0);
+  std::size_t final_quorum = initial_quorum;
+  int legal_effective = 0, blocked_null = 0;
+  int step_no = 1;
+  for (const Step& step : steps) {
+    const std::int64_t msgs0 = cluster.traffic().get("msgs");
+    TransferOutcome outcome = cluster.server(step.src)
+                                  .transfer(step.dst, step.delta)
+                                  .get(seconds(60));
+    cluster.quiesce();
+    if (step_no <= 3) {
+      legal_effective += outcome.effective;
+    } else {
+      blocked_null += !outcome.effective;
+    }
+    final_quorum = add_row(step_no++, step.op,
+                           outcome.effective ? "effective" : "null",
+                           cluster.traffic().get("msgs") - msgs0);
+  }
+
+  run.gate("effective legal transfers (steps 1-3)", legal_effective, "==", 3);
+  run.gate("null floor-crossing transfers (steps 4-6)", blocked_null, "==",
+           3);
+  run.gate("initial min quorum", static_cast<double>(initial_quorum), "==",
+           4);
+  run.gate("final min quorum", static_cast<double>(final_quorum), "==", 3);
+  run.gate("steps where ({s1,s2,s3} is a quorum) != (step >= 3)",
+           minority_wrong, "==", 0);
+  run.gate("lightest weight ever seen - floor", (lightest - floor).to_double(),
+           ">", 0);
+}
+
+// --- EXP-L1 / EXP-L2: weighted quorums on WANs (Section I) -----------------
+//
+// L1: the same closed-loop read/write workload against classic ABD with
+// uniform weights (MQS), static weighted ABD with oracle-tuned weights
+// (WMQS*, what WHEAT would configure offline), and our dynamic storage
+// starting uniform with the adaptive loop on. L2: an open-loop client over
+// 16 keys, so many quorum rounds overlap.
+
+struct Latencies {
+  double read_p50 = 0, read_p99 = 0, write_p50 = 0, write_p99 = 0;
+  std::int64_t msgs = 0;
+};
+
+Latencies closed_loop(const WanProfile& profile, const std::string& mode,
+                      std::uint64_t seed) {
+  const std::uint32_t n = 5;
+  WeightMap weights = WeightMap::uniform(n);
+  if (mode == "wmqs") {
+    // Oracle tuning: rank servers by RTT from the client's site and give
+    // the two closest more voting power (Property 1 keeps holding:
+    // top-1 weight 3/2 < total/2 = 5/2).
+    std::vector<std::pair<double, ProcessId>> by_rtt;
+    for (ProcessId s = 0; s < n; ++s) {
+      by_rtt.emplace_back(profile.rtt_ms[0][s % profile.sites.size()], s);
+    }
+    std::sort(by_rtt.begin(), by_rtt.end());
+    weights.set(by_rtt[0].second, Weight(3, 2));
+    weights.set(by_rtt[1].second, Weight(3, 2));
+    weights.set(by_rtt[2].second, Weight(1));
+    weights.set(by_rtt[3].second, Weight(1, 2));
+    weights.set(by_rtt[4].second, Weight(1, 2));
+  }
+
+  WorkloadParams wp;
+  wp.num_ops = 150;
+  wp.read_ratio = 0.5;
+  wp.think_time = ms(20);
+  wp.value_size = 64;
+  wp.seed = seed;
+
+  const bool dynamic = mode == "dynamic";
+  ClusterBuilder builder =
+      Cluster::builder()
+          .servers(n)
+          .faults(1)
+          .weights(weights)
+          .wan(profile, /*client_site=*/0)
+          .seed(seed)
+          .clients(1)
+          .client_mode(dynamic ? AbdClient::Mode::kDynamic
+                               : AbdClient::Mode::kStatic)
+          .workload(wp);
+  if (dynamic) {
+    AdaptiveParams params;
+    params.probe_interval = ms(250);
+    params.eval_interval = ms(500);
+    params.step = Weight(1, 10);
+    params.slow_factor = 1.25;
+    builder.adaptive(params);
+  }
+  Cluster cluster = builder.build();
+  if (dynamic) cluster.run_for(seconds(20));  // let the loop converge
+  cluster.workload_done().get(seconds(600));
+
+  WorkloadClient& client = cluster.workload();
+  return {to_ms(client.read_latency().percentile(50)),
+          to_ms(client.read_latency().percentile(99)),
+          to_ms(client.write_latency().percentile(50)),
+          to_ms(client.write_latency().percentile(99)),
+          cluster.traffic().get("msgs")};
+}
+
+void exp_l1(Run& run) {
+  bench::Report& t = run.table();
+  const char* const modes[] = {"mqs", "wmqs", "dynamic"};
+  const char* const labels[] = {"MQS (uniform)", "WMQS* (tuned static)",
+                                "dynamic (adaptive)"};
+  for (const WanProfile& profile :
+       {wan5_profile(), continental_profile(), lan_profile()}) {
+    double read_p50[3];
+    for (int m = 0; m < 3; ++m) {
+      const Latencies r = closed_loop(profile, modes[m], run.seed());
+      read_p50[m] = r.read_p50;
+      t.row(r.msgs)
+          .text("profile", profile.name)
+          .text("deployment", labels[m])
+          .num("read p50 (ms)", r.read_p50)
+          .num("read p99 (ms)", r.read_p99)
+          .num("write p50 (ms)", r.write_p50)
+          .num("write p99 (ms)", r.write_p99);
+    }
+    if (profile.name == "lan") {
+      run.gate("lan read p50 max / min over the three deployments",
+               *std::max_element(read_p50, read_p50 + 3) /
+                   *std::min_element(read_p50, read_p50 + 3),
+               "<=", 1.01);
+    } else {
+      run.gate(profile.name + " WMQS* / MQS read p50",
+               read_p50[1] / read_p50[0], "<", 0.9);
+      run.gate(profile.name + " dynamic / WMQS* read p50",
+               read_p50[2] / read_p50[1], "<=", 1.05);
+    }
+  }
+}
+
+void exp_l2(Run& run) {
+  bench::Report& t = run.table();
+  for (double rate : {50.0, 200.0, 800.0, 3200.0}) {
+    WorkloadParams wp;
+    wp.num_ops = 400;
+    wp.read_ratio = 0.5;
+    wp.value_size = 64;
+    wp.seed = run.seed();
+    wp.num_keys = 16;  // pipelining overlaps ops on distinct keys
+    wp.target_ops_per_sec = rate;
+    wp.max_in_flight = 64;
+    Cluster cluster = Cluster::builder()
+                          .servers(5)
+                          .faults(1)
+                          .uniform_latency(ms(1), ms(8))
+                          .seed(wp.seed)
+                          .clients(1)
+                          .workload(wp)
+                          .build();
+    cluster.workload_done().get(seconds(600));
+    WorkloadClient& client = cluster.workload();
+    // corrected_*: measured from each op's intended arrival tick
+    // (coordinated-omission audit); equal to the plain ones on the sim.
+    const Histogram& op = client.op_latency();
+    const Histogram& co = client.corrected_op_latency();
+    const double achieved = client.achieved_ops_per_sec();
+    t.row(cluster.traffic().get("msgs"))
+        .num("offered ops/s", rate, 0)
+        .num("achieved ops/s", achieved, 1)
+        .num("p50 (ms)", to_ms(op.percentile(50)))
+        .num("p95 (ms)", to_ms(op.percentile(95)))
+        .num("p99 (ms)", to_ms(op.percentile(99)))
+        .num("corrected p50 (ms)", to_ms(co.percentile(50)))
+        .num("corrected p95 (ms)", to_ms(co.percentile(95)))
+        .num("corrected p99 (ms)", to_ms(co.percentile(99)))
+        .num("completed", static_cast<double>(client.completed()), 0)
+        .num("shed", static_cast<double>(client.shed()), 0)
+        .num("max in-flight", static_cast<double>(client.max_in_flight_seen()),
+             0);
+    const std::string at = " at " + Table::fmt(rate, 0) + " ops/s";
+    if (rate <= 800) {
+      run.gate("shed" + at, static_cast<double>(client.shed()), "==", 0);
+      run.gate("achieved / offered" + at, achieved / rate, ">=", 0.9);
+    } else {
+      run.gate("shed" + at, static_cast<double>(client.shed()), ">", 0);
+    }
+  }
+}
+
+// --- EXP-P1: reassignment operation costs vs system size -------------------
+//
+// transfer (Algorithm 4) completes after one reliable broadcast and the
+// T_Ack wait; read_changes (Algorithm 3) is an f+1 collect plus an n-f
+// write-back. f is the largest tolerable threshold for each n.
+
+void exp_p1(Run& run) {
+  bench::Report& t = run.table();
+  constexpr int kOps = 30;
+  int transfer_msgs_wrong = 0, read_msgs_wrong = 0;
+  Histogram transfer_p50s;
+  for (NF nf :
+       {NF{4, 1}, NF{7, 3}, NF{10, 4}, NF{13, 6}, NF{16, 7}, NF{19, 9}}) {
+    Cluster cluster = Cluster::builder()
+                          .servers(nf.n)
+                          .faults(nf.f)
+                          .uniform_latency(ms(2), ms(12))
+                          .seed(run.seed() + nf.n)
+                          .reassign_only()
+                          .clients(1)
+                          .build();
+    auto traffic = [&](const char* counter) {
+      return cluster.traffic().get(counter);
+    };
+    Histogram transfer_ms, read_ms;
+    const std::int64_t msgs0 = traffic("msgs");
+    const std::int64_t bytes0 = traffic("bytes");
+    for (int k = 0; k < kOps; ++k) {
+      const std::uint32_t src = k % nf.n;
+      TimeNs start = cluster.now();
+      cluster.server(src).transfer((src + 1) % nf.n, Weight(1, 100))
+          .get(seconds(60));
+      transfer_ms.add(to_ms(cluster.now() - start));
+      cluster.quiesce();  // count the full propagation cost
+    }
+    const std::int64_t transfer_msgs = traffic("msgs") - msgs0;
+    const std::int64_t transfer_bytes = traffic("bytes") - bytes0;
+    for (int k = 0; k < kOps; ++k) {
+      TimeNs start = cluster.now();
+      cluster.reassign_client().read_changes(k % nf.n).get(seconds(60));
+      read_ms.add(to_ms(cluster.now() - start));
+      cluster.quiesce();
+    }
+    const std::int64_t read_msgs = traffic("msgs") - msgs0 - transfer_msgs;
+    t.row(traffic("msgs"))
+        .num("n", nf.n, 0)
+        .num("f", nf.f, 0)
+        .num("transfer p50 (ms)", transfer_ms.percentile(50))
+        .num("transfer p99 (ms)", transfer_ms.percentile(99))
+        .num("msgs/transfer", static_cast<double>(transfer_msgs) / kOps, 1)
+        .num("KB/transfer", static_cast<double>(transfer_bytes) / kOps / 1024)
+        .num("read_changes p50 (ms)", read_ms.percentile(50))
+        .num("msgs/read_changes", static_cast<double>(read_msgs) / kOps, 1);
+    // The echo broadcast costs n^2 + n - 1 messages; a collect plus a
+    // write-back costs 4n.
+    const std::int64_t n = nf.n;
+    transfer_msgs_wrong += transfer_msgs != kOps * (n * n + n - 1);
+    read_msgs_wrong += read_msgs != kOps * 4 * n;
+    transfer_p50s.add(transfer_ms.percentile(50));
+  }
+  run.gate("sizes where msgs/transfer != n^2+n-1", transfer_msgs_wrong, "==",
+           0);
+  run.gate("sizes where msgs/read_changes != 4n", read_msgs_wrong, "==", 0);
+  run.gate("transfer p50 max / min across n",
+           transfer_p50s.max() / transfer_p50s.min(), "<=", 1.5);
+}
+
+// --- EXP-Q1: quorum geometry under weight skew (Definition 1, Property 1) --
+//
+// Server i gets weight proportional to 1/(i+1)^alpha (Zipf-like), rescaled
+// to total n; alpha = 0 is uniform. Q1b: the headroom a uniform server can
+// donate above the RP floor.
+
+WeightMap zipf_weights(std::uint32_t n, double alpha) {
+  std::vector<double> raw(n);
+  double sum = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    raw[i] = 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    sum += raw[i];
+  }
+  WeightMap wm;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    wm.set(i, Rational::from_double(raw[i] / sum * n, 10'000));
+  }
+  return wm;
+}
+
+void exp_q1(Run& run) {
+  bench::Report& t = run.table();
+  int uniform_wrong = 0, quorum_rises = 0, property_wrong = 0;
+  for (std::uint32_t n : {5u, 7u, 9u, 15u}) {
+    std::size_t prev_quorum = n;
+    for (double alpha : {0.0, 0.25, 0.5, 0.75, 1.0, 1.5}) {
+      Wmqs q(zipf_weights(n, alpha));
+      const Weight top = q.weights().sorted_desc()[0].second;
+      const std::size_t min_quorum = q.min_quorum_size();
+      const bool available = q.is_available(1);
+      t.row(0)
+          .num("n", n, 0)
+          .num("alpha", alpha)
+          .num("min quorum", static_cast<double>(min_quorum), 0)
+          .num("max minimal quorum",
+               static_cast<double>(q.max_minimal_quorum_size()), 0)
+          .num("max tolerable f", static_cast<double>(q.max_tolerable_f()), 0)
+          .text("Property 1 holds (f=1)", available ? "yes" : "no")
+          .num("top weight / total", top.to_double() / q.total().to_double(),
+               3);
+      if (alpha == 0.0) uniform_wrong += min_quorum != n / 2 + 1;
+      quorum_rises += min_quorum > prev_quorum;
+      prev_quorum = min_quorum;
+      property_wrong += available != (top * Weight(2) < q.total());
+    }
+  }
+
+  bench::Report& t2 =
+      run.table("b", "\nEXP-Q1b: donatable headroom above the RP floor:");
+  int floor_wrong = 0;
+  for (NF nf : {NF{4, 1}, NF{5, 1}, NF{5, 2}, NF{7, 2}, NF{7, 3}, NF{9, 4},
+                NF{13, 6}}) {
+    SystemConfig cfg = SystemConfig::uniform(nf.n, nf.f);
+    t2.row(0)
+        .num("n", nf.n, 0)
+        .num("f", nf.f, 0)
+        .text("floor", cfg.floor().str())
+        .text("uniform weight", "1")
+        .text("max single donation",
+              (Weight(1) - cfg.floor()).str() + " (exclusive)");
+    floor_wrong += cfg.floor() != Weight(nf.n, 2 * (nf.n - nf.f));
+  }
+
+  run.gate("sizes where uniform min quorum != floor(n/2)+1", uniform_wrong,
+           "==", 0);
+  run.gate("rises in min quorum as alpha grows", quorum_rises, "==", 0);
+  run.gate("rows where Property 1 (f=1) != top weight < total/2",
+           property_wrong, "==", 0);
+  run.gate("rows where floor != n/(2(n-f))", floor_wrong, "==", 0);
+}
+
+// --- EXP-R1: behaviour at the RP-Integrity floor (Section V-C) -------------
+//
+// n = 7, f = 2, uniform start: floor 7/10, headroom 3/10 (exclusive: a
+// transfer needs 1 > delta + 7/10). Then 15 back-to-back transfers per
+// server at a fixed fraction of the headroom, all servers concurrently.
+
+void exp_r1(Run& run) {
+  const SystemConfig cfg = SystemConfig::uniform(7, 2);
+  const Weight headroom = Weight(1) - cfg.floor();
+
+  bench::Report& t = run.table();
+  int outcome_wrong = 0;
+  for (const Weight& delta :
+       {Weight(1, 10), Weight(2, 10), Weight(29, 100), Weight(3, 10),
+        Weight(31, 100), Weight(4, 10)}) {
+    SimEnv env(std::make_shared<UniformLatency>(ms(1), ms(5)), run.seed());
+    auto nodes = deploy<ReassignNode>(env, cfg);
+    env.start();
+    bool done = false, effective = false;
+    nodes[0]->transfer(1, delta, [&](const TransferOutcome& o) {
+      effective = o.effective;
+      done = true;
+    });
+    env.run_until_pred([&] { return done; }, seconds(60));
+    env.run_to_quiescence();
+    t.row(msgs_of(env))
+        .text("requested delta", delta.str())
+        .text("headroom (1 - floor)", headroom.str())
+        .text("outcome", effective ? "effective" : "null (aborted)")
+        .text("weight after", nodes[2]->weight_of(0).str());
+    outcome_wrong += effective != (delta < headroom);
+  }
+
+  bench::Report& sweep = run.table(
+      ".sweep",
+      "\nAbort-rate sweep under random concurrent transfers "
+      "(15 per server, delta a fixed % of the headroom):");
+  int violations = 0, effective_above = 0;
+  for (int pct : {50, 80, 95, 105, 150}) {
+    SimEnv env(std::make_shared<UniformLatency>(ms(1), ms(5)), 7000 + pct);
+    auto nodes = deploy<ReassignNode>(env, cfg);
+    env.start();
+    const Weight delta = headroom * Weight(pct, 100);
+    int effective = 0, null_count = 0, done = 0;
+    constexpr int kPerServer = 15;
+    std::vector<int> remaining(cfg.n, kPerServer);
+    Rng rng(pct);
+    std::function<void(std::uint32_t)> fire = [&](std::uint32_t i) {
+      if (remaining[i]-- <= 0) return;
+      ProcessId dst = (i + 1 + rng.below(cfg.n - 1)) % cfg.n;
+      nodes[i]->transfer(dst, delta, [&, i](const TransferOutcome& o) {
+        (o.effective ? effective : null_count) += 1;
+        ++done;
+        fire(i);
+      });
+    };
+    for (std::uint32_t i = 0; i < cfg.n; ++i) fire(i);
+    env.run_until_pred(
+        [&] { return done == static_cast<int>(cfg.n) * kPerServer; },
+        seconds(600));
+    env.run_to_quiescence();
+    int row_violations = 0;
+    for (auto& node : nodes) {
+      for (std::uint32_t s = 0; s < cfg.n; ++s) {
+        if (!(node->weight_of(s) > cfg.floor())) ++row_violations;
+      }
+    }
+    sweep.row(msgs_of(env))
+        .text("delta as % of headroom", std::to_string(pct) + "%")
+        .num("effective", effective, 0)
+        .num("null", null_count, 0)
+        .num("RP-Integrity violations", row_violations, 0);
+    violations += row_violations;
+    if (pct > 100) effective_above += effective;
+  }
+
+  run.gate("deltas whose outcome != (delta < headroom 3/10)", outcome_wrong,
+           "==", 0);
+  run.gate("RP-Integrity violations in the sweep", violations, "==", 0);
+  run.gate("effective transfers at 105% and 150% of headroom",
+           effective_above, "==", 0);
+}
+
+// --- EXP-S1: piggybacked change-set cost vs reassignment churn -------------
+//
+// A client runs 200 read/write ops while a rotating donor fires a tiny
+// transfer every interval. Bytes per op are charged as encoded frame
+// bytes and dominated by the change sets riding on replies.
+
+struct Churn {
+  double bytes_per_op = 0;
+  double restarts_per_op = 0;
+  double read_p50_ms = 0;
+  double read_p99_ms = 0;
+  std::uint64_t transfers = 0;
+  std::int64_t msgs = 0;
+};
+
+Churn run_churn(TimeNs transfer_interval, std::uint64_t seed) {
+  const std::uint32_t n = 5;
+  SystemConfig cfg = SystemConfig::uniform(n, 1);
+  SimEnv env(std::make_shared<UniformLatency>(ms(2), ms(10)), seed);
+  auto nodes = deploy<DynamicStorageNode>(env, cfg);
+
+  WorkloadParams wp;
+  wp.num_ops = 200;
+  wp.read_ratio = 0.7;
+  wp.think_time = ms(10);
+  wp.value_size = 32;
+  wp.seed = seed;
+  auto client = std::make_unique<WorkloadClient>(
+      env, client_id(0), cfg, AbdClient::Mode::kDynamic, wp);
+  env.register_process(client_id(0), client.get());
+  env.start();
+
+  // Background churn: a rotating donor fires a tiny transfer every
+  // `transfer_interval` (0 = no churn). Events still queued when the run
+  // ends die with `env` without running.
+  std::uint64_t transfers = 0;
+  std::function<void(std::uint32_t)> tick = [&](std::uint32_t k) {
+    std::uint32_t src = k % n;
+    ReassignNode& node = nodes[src]->reassign();
+    if (!node.transfer_in_flight() &&
+        node.weight() > Weight(1, 1000) + Weight(5, 8)) {
+      node.transfer((src + 1) % n, Weight(1, 1000),
+                    [](const TransferOutcome&) {});
+      ++transfers;
+    }
+    env.schedule(src, transfer_interval, [&tick, k] { tick(k + 1); });
+  };
+  if (transfer_interval > 0) {
+    env.schedule(0, transfer_interval, [&tick] { tick(0); });
+  }
+
+  std::int64_t bytes0 = env.traffic().get("bytes");
+  env.run_until_pred([&] { return client->done(); }, seconds(1200));
+
+  Churn r;
+  const double ops = wp.num_ops;
+  r.bytes_per_op =
+      static_cast<double>(env.traffic().get("bytes") - bytes0) / ops;
+  r.restarts_per_op = static_cast<double>(client->abd().restarts()) / ops;
+  r.read_p50_ms = to_ms(client->read_latency().percentile(50));
+  r.read_p99_ms = to_ms(client->read_latency().percentile(99));
+  r.transfers = transfers;
+  r.msgs = msgs_of(env);
+  return r;
+}
+
+void exp_s1(Run& run) {
+  bench::Report& t = run.table();
+  struct Conf {
+    TimeNs interval;
+    const char* label;
+  };
+  Churn prev;
+  int bytes_flat = 0, restarts_flat = 0;
+  bool first = true;
+  // Rows run in ascending churn.
+  for (const Conf& conf :
+       {Conf{0, "none"}, Conf{ms(500), "500 ms"}, Conf{ms(200), "200 ms"},
+        Conf{ms(100), "100 ms"}, Conf{ms(50), "50 ms"}}) {
+    const Churn r = run_churn(conf.interval, run.seed());
+    t.row(r.msgs)
+        .text("transfer interval", conf.label)
+        .num("transfers fired", static_cast<double>(r.transfers), 0)
+        .num("KB per client op", r.bytes_per_op / 1024.0)
+        .num("restarts per op", r.restarts_per_op, 3)
+        .num("read p50 (ms)", r.read_p50_ms)
+        .num("read p99 (ms)", r.read_p99_ms);
+    if (!first) {
+      bytes_flat += !(r.bytes_per_op > prev.bytes_per_op);
+      restarts_flat += !(r.restarts_per_op > prev.restarts_per_op);
+    }
+    first = false;
+    prev = r;
+  }
+  run.gate("churn steps where bytes/op does not rise", bytes_flat, "==", 0);
+  run.gate("churn steps where restarts/op does not rise", restarts_flat, "==",
+           0);
+}
+
+// --- EXP-T1 / EXP-T2: Theorems 1 and 2 -------------------------------------
+//
+// Algorithm 1 (consensus from weight reassignment) and Algorithm 2
+// (consensus from pairwise reassignment) against the oracle service, 25
+// seeds per size. Besides the three consensus properties, exactly one
+// reassignment may be effective: for Algorithm 1 any reassign with a
+// non-zero change, for Algorithm 2 the S\F transfer of 2/5 to s1.
+
+template <typename ServerT>
+void exp_reduction(Run& run) {
+  constexpr bool kAlg2 = std::is_same_v<ServerT, Alg2Server>;
+  constexpr int kSeeds = 25;
+  bench::Report& t = run.table();
+  int agreement = 0, validity = 0, termination = 0, one_effective = 0;
+  for (NF nf : {NF{4, 1}, NF{5, 2}, NF{7, 2}, NF{7, 3}, NF{9, 4}, NF{10, 3},
+                NF{13, 6}}) {
+    const std::uint32_t n = nf.n, f = nf.f;
+    int agree_ok = 0, valid_ok = 0, term_ok = 0, mech_ok = 0;
+    std::int64_t msgs = 0;
+    Histogram decide_ms;
+    for (int s = 0; s < kSeeds; ++s) {
+      std::uint64_t seed = run.seed() + 97 * s + n * 13 + f;
+      SystemConfig cfg =
+          SystemConfig::make(n, f, reduction_initial_weights(n, f));
+      SimEnv env(std::make_shared<UniformLatency>(ms(1), ms(15)), seed);
+      OracleReassignService oracle(env, cfg);
+      env.register_process(kOracleId, &oracle);
+      auto registers = std::make_shared<SharedRegisters>(n);
+      auto servers = deploy<ServerT>(env, cfg, registers);
+      std::vector<std::optional<std::string>> decisions(n);
+      env.start();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        servers[i]->propose(
+            "proposal-" + std::to_string(i),
+            [&decisions, i](const std::string& v) { decisions[i] = v; });
+      }
+      const bool terminated = env.run_until_pred(
+          [&] {
+            for (const auto& d : decisions) {
+              if (!d.has_value()) return false;
+            }
+            return true;
+          },
+          seconds(600));
+      msgs += msgs_of(env);
+      if (!terminated) continue;
+      ++term_ok;
+      decide_ms.add(to_ms(env.now()));
+      bool agree = true;
+      for (std::uint32_t i = 1; i < n; ++i) {
+        agree &= (*decisions[i] == *decisions[0]);
+      }
+      agree_ok += agree;
+      valid_ok += decisions[0]->rfind("proposal-", 0) == 0;
+      if constexpr (kAlg2) {
+        std::size_t winners = 0;
+        for (const Change& ch : oracle.changes().all()) {
+          winners += ch.issuer() >= f && ch.target() == 0 &&
+                     ch.delta == Weight(2, 5);
+        }
+        mech_ok += winners == 1;
+      } else {
+        mech_ok += oracle.effective_count() == 1;
+      }
+    }
+    t.row(msgs)
+        .num("n", n, 0)
+        .num("f", f, 0)
+        .num("runs", kSeeds, 0)
+        .text("agreement", frac(agree_ok, kSeeds))
+        .text("validity", frac(valid_ok, kSeeds))
+        .text("termination", frac(term_ok, kSeeds))
+        .text("one-effective", frac(mech_ok, kSeeds))
+        .num("decide p50 (ms)", decide_ms.percentile(50))
+        .num("decide max (ms)", decide_ms.max());
+    agreement += agree_ok;
+    validity += valid_ok;
+    termination += term_ok;
+    one_effective += mech_ok;
+  }
+  const double runs = 7 * kSeeds;
+  run.gate("agreement runs", agreement, "==", runs);
+  run.gate("validity runs", validity, "==", runs);
+  run.gate("termination runs", termination, "==", runs);
+  run.gate("one-effective runs", one_effective, "==", runs);
+}
+
+// --- EXP-X1: 1-asset transfer [12] vs pairwise reassignment (Section VIII) -
+//
+// The same 120 sequential random transfers (n = 5, f = 1, amounts
+// 0.01-0.30) against the asset service (validity: balance >= 0) and the
+// restricted pairwise reassignment (weight stays above W_{S,0}/(2(n-f))).
+// Both let only the owner spend.
+
+bool took_effect(const AssetOutcome& o) { return o.accepted; }
+bool took_effect(const TransferOutcome& o) { return o.effective; }
+
+void exp_x1(Run& run) {
+  const std::uint32_t n = 5;
+  const SystemConfig cfg = SystemConfig::uniform(n, 1);
+  struct Op {
+    std::uint32_t src;
+    std::uint32_t dst;
+    Weight amount;
+  };
+  std::vector<Op> ops;
+  Rng rng(run.seed());
+  for (int i = 0; i < 120; ++i) {
+    Op op;
+    op.src = static_cast<std::uint32_t>(rng.below(n));
+    op.dst = (op.src + 1 + static_cast<std::uint32_t>(rng.below(n - 1))) % n;
+    op.amount = Weight(1 + static_cast<std::int64_t>(rng.below(30)), 100);
+    ops.push_back(op);
+  }
+  // Runs the ops one at a time, each to quiescence, recording per op
+  // whether it took effect and adding the messages it cost to op_msgs.
+  std::vector<std::int64_t> op_msgs(ops.size(), 0);
+  auto run_ops = [&](SimEnv& env, auto& nodes) {
+    std::vector<bool> accepted;
+    env.start();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const std::int64_t msgs0 = msgs_of(env);
+      bool done = false;
+      nodes[ops[i].src]->transfer(ops[i].dst, ops[i].amount,
+                                  [&](const auto& outcome) {
+                                    accepted.push_back(took_effect(outcome));
+                                    done = true;
+                                  });
+      env.run_until_pred([&] { return done; }, seconds(60));
+      env.run_to_quiescence();
+      op_msgs[i] += msgs_of(env) - msgs0;
+    }
+    return accepted;
+  };
+  SimEnv aenv(std::make_shared<UniformLatency>(ms(1), ms(6)), 1);
+  auto anodes = deploy<AssetTransferNode>(aenv, cfg);
+  const std::vector<bool> asset_ok = run_ops(aenv, anodes);
+  SimEnv wenv(std::make_shared<UniformLatency>(ms(1), ms(6)), 1);
+  auto wnodes = deploy<ReassignNode>(wenv, cfg);
+  const std::vector<bool> weight_ok = run_ops(wenv, wnodes);
+
+  // Replaying the effective transfers gives each source's weight before
+  // its op: an assets-only acceptance is explained when the floor blocks
+  // it (the source would not stay strictly above the floor).
+  int count[2][2] = {};  // [asset accepted][weight accepted]
+  std::int64_t msgs[2][2] = {};
+  int unexplained = 0;
+  std::vector<Weight> weight(n, Weight(1));
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    ++count[asset_ok[i]][weight_ok[i]];
+    msgs[asset_ok[i]][weight_ok[i]] += op_msgs[i];
+    const bool floor_blocks = !(weight[op.src] > op.amount + cfg.floor());
+    if (asset_ok[i] && !weight_ok[i] && !floor_blocks) ++unexplained;
+    if (weight_ok[i]) {
+      weight[op.src] -= op.amount;
+      weight[op.dst] += op.amount;
+    }
+  }
+  bench::Report& t = run.table();
+  auto row = [&](const char* outcome, bool asset, bool weight) {
+    t.row(msgs[asset][weight])
+        .text("outcome", outcome)
+        .num("count", count[asset][weight], 0);
+  };
+  row("accepted by both", true, true);
+  row("accepted by assets only (floor-blocked)", true, false);
+  row("accepted by weights only", false, true);
+  row("rejected by both", false, false);
+
+  Weight min_balance(99), min_weight(99);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    min_balance = std::min(min_balance, anodes[0]->balance_of(s));
+    min_weight = std::min(min_weight, wnodes[0]->weight_of(s));
+  }
+  run.note("minimum final balance (assets):  " + min_balance.str() +
+           "   (may legally reach 0)");
+  run.note("minimum final weight  (weights): " + min_weight.str() +
+           "   (must stay > floor = " + cfg.floor().str() + ")");
+
+  run.gate("accepted by weights only", count[0][1], "==", 0);
+  run.gate("accepted by assets only", count[1][0], ">", 0);
+  run.gate("assets-only acceptances the floor does not explain", unexplained,
+           "==", 0);
+}
+
+// --- the table ---------------------------------------------------------------
+
+struct Scenario {
+  const char* id;
+  const char* setup;  // deployment, shown in the banner
+  const char* claim;  // the paper's expected shape
+  std::optional<std::uint64_t> seed;  // master seed (JSON), see Run::seed
+  // Cap on the messages all its runs send. Exact where the protocol fixes
+  // the count (F1, P1, Q1, X1: sequential operations that each finish
+  // before the next); elsewhere about 5% above the measured total.
+  std::int64_t msgs_budget;
+  void (*run)(Run&);
+};
+
+const Scenario kScenarios[] = {
+    {"EXP-A1",
+     "adaptation to degraded replicas (s0,s1 slow 25x during [20s,60s); "
+     "n=5, f=1, continental profile)",
+     "the adaptive deployment drains the slow servers' weight toward the "
+     "floor and recovers; the static one stays degraded (Section V-C: "
+     "self-demotion is the only remedy the restricted problem allows)",
+     99, 80000, exp_a1},
+    {"EXP-C1",
+     "transfer latency: consensus-free (ours) vs Paxos-sequenced "
+     "(n=5, f=2, 20 rounds)",
+     "under heavy-tailed delays and contention the Paxos tail explodes "
+     "while ours stays at ~2 message delays (Theorem 5 in practice)",
+     2024, 30000, exp_c1},
+    {"EXP-E1",
+     "epochless (this paper) vs epoch-based [11] "
+     "(n=5, f=1, 12 rounds of 2 concurrent transfers)",
+     "epoch delay scales with the epoch length and competing increases "
+     "leak weight below W_{S,0}=5; ours applies in ~2 delays and keeps 5",
+     31337, 3250, exp_e1},
+    {"EXP-F1", "Figure 1 / Example 2 walkthrough (n=7, f=2)",
+     "three legal transfers shrink the minimum quorum 4 -> 3 and make the "
+     "minority {s1,s2,s3} a quorum; transfers reaching the floor are null",
+     4242, 165, exp_f1},
+    {"EXP-L1",
+     "read/write latency: MQS vs static WMQS vs dynamic "
+     "(client at site 0, n=5, f=1)",
+     "weighted quorums cut latency on heterogeneous WANs and the dynamic "
+     "deployment reaches the hand-tuned WMQS*; on a LAN all coincide",
+     777, 40500, exp_l1},
+    {"EXP-L2",
+     "open-loop throughput over the pipelined client "
+     "(n=5, f=1, 16 keys, window 64, latency 1-8ms/hop)",
+     "achieved throughput tracks the offered rate until the in-flight "
+     "window saturates and ops are shed",
+     888, 22000, exp_l2},
+    {"EXP-P1",
+     "reassignment operation costs vs system size (latency 2-12ms/hop)",
+     "transfer takes ~2 message delays at any n over an O(n^2) echo "
+     "broadcast; read_changes is two quorum round trips; no consensus",
+     555, 38700, exp_p1},
+    {"EXP-Q1", "quorum geometry vs weight skew (zipf exponent alpha)",
+     "skew shrinks the minimum quorum until the heaviest server holds half "
+     "the weight and Property 1 collapses",
+     std::nullopt, 0, exp_q1},
+    {"EXP-R1",
+     "null-transfer rate near the RP-Integrity floor "
+     "(n=7, f=2, uniform start, floor=7/10)",
+     "a transfer is null exactly when it would take its source to or below "
+     "the floor; the strict floor holds at every replica under concurrency",
+     17, 3500, exp_r1},
+    {"EXP-S1",
+     "piggybacked change-set overhead and operation restarts vs transfer "
+     "churn (n=5, f=1, 200 client ops)",
+     "bytes/op and restarts/op grow with churn: bounded metadata traded "
+     "for consensus-freedom",
+     909, 31500, exp_s1},
+    {"EXP-T1", "Theorem 1 - consensus from weight reassignment (Alg. 1)",
+     "every run has agreement, validity and termination, and exactly one "
+     "reassign is effective (Corollary 1)",
+     1000, 31500, exp_reduction<Alg1Server>},
+    {"EXP-T2",
+     "Theorem 2 - consensus from pairwise weight reassignment (Alg. 2)",
+     "exactly one S\\F transfer (2/5 to s1) is effective and its issuer's "
+     "proposal is decided everywhere",
+     1000, 7600, exp_reduction<Alg2Server>},
+    {"EXP-X1",
+     "1-asset transfer [12] vs restricted pairwise weight reassignment "
+     "(n=5, f=1, 120 sequential transfers, amounts 0.01-0.30)",
+     "assets accept a superset of the weight transfers; the gap is exactly "
+     "the transfers that would cross the Integrity floor",
+     606, 6061, exp_x1},
+};
+
+}  // namespace
+}  // namespace wrs
+
+int main(int argc, char** argv) {
+  using namespace wrs;
+  const std::string json_path = bench::json_path(argc, argv);
+  bool ok = true;
+  for (const Scenario& sc : kScenarios) {
+    bench::banner(sc.id, sc.setup);
+    bench::note(std::string("claim: ") + sc.claim + "\n");
+    Run run(sc.id, sc.seed);
+    sc.run(run);
+    run.gate("msgs (budget)", static_cast<double>(run.msgs()), "<=",
+             static_cast<double>(sc.msgs_budget));
+    ok = run.finish(json_path) && ok;
+  }
+  return ok ? 0 : 1;
+}

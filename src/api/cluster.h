@@ -162,7 +162,7 @@ class ClientHandle {
   /// linearization holds exactly these (tag, value) pairs, even while
   /// writers and key migrations race the scan. Double-collect first, a
   /// bounded fenced fallback under contention (see ShardRouter::snapshot;
-  /// ShardRouter::set_snapshot_max_collect_rounds sets the switch-over).
+  /// the switch-over comes after six collect rounds).
   /// The result also reports rounds taken and whether the fallback ran.
   Await<ShardRouter::SnapshotResult> snapshot(
       std::vector<RegisterKey> keys) const;

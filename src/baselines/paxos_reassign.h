@@ -44,8 +44,6 @@ class PaxosReassignNode : public Process {
   const WeightMap& weights() const { return weights_; }
   InstanceId applied_up_to() const { return next_apply_; }
 
-  void set_retry_timeout(TimeNs t) { paxos_.set_retry_timeout(t); }
-
  private:
   struct PendingSubmit {
     std::string encoded;

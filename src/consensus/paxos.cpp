@@ -53,9 +53,9 @@ void PaxosNode::retry_later(InstanceId instance) {
   // instance is still undecided and this proposer is still active.
   ProposerState& p = proposers_[instance];
   std::uint64_t attempt = p.attempt;
-  TimeNs backoff = retry_timeout_ * static_cast<TimeNs>(1 + p.attempt);
+  TimeNs backoff = kRetryTimeout * static_cast<TimeNs>(1 + p.attempt);
   backoff += static_cast<TimeNs>(rng_.below(
-      static_cast<std::uint64_t>(retry_timeout_)));
+      static_cast<std::uint64_t>(kRetryTimeout)));
   env_.schedule(self_, backoff, [this, instance, attempt] {
     auto it = proposers_.find(instance);
     if (it == proposers_.end() || !it->second.active) return;

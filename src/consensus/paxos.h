@@ -56,9 +56,6 @@ class PaxosNode {
   }
   std::optional<PaxosValue> decision(InstanceId instance) const;
 
-  /// Retry timeout base (default 20ms simulated).
-  void set_retry_timeout(TimeNs t) { retry_timeout_ = t; }
-
  private:
   struct AcceptorState {
     Ballot promised;
@@ -88,7 +85,8 @@ class PaxosNode {
   std::uint32_t f_;
   DecideCallback on_decide_;
   Rng rng_;
-  TimeNs retry_timeout_ = ms(20);
+  /// Retry backoff base (simulated time).
+  static constexpr TimeNs kRetryTimeout = ms(20);
 
   std::map<InstanceId, AcceptorState> acceptors_;
   std::map<InstanceId, ProposerState> proposers_;

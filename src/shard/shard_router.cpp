@@ -6,6 +6,14 @@
 
 namespace wrs {
 
+namespace {
+
+/// Collect rounds a snapshot tries before engaging the fenced fallback
+/// (a double collect needs at least two).
+constexpr std::uint32_t kSnapMaxCollectRounds = 6;
+
+}  // namespace
+
 ShardRouter::ShardRouter(Env& env, ProcessId self, ShardMap map,
                          AbdClient::Mode mode)
     : map_(std::move(map)), self_(self) {
@@ -58,10 +66,6 @@ OpId ShardRouter::list_keys(AbdClient::KeysCallback cb) {
     if (g == 0) first = id;
   }
   return first;
-}
-
-void ShardRouter::set_snapshot_max_collect_rounds(std::uint32_t n) {
-  snap_max_collect_rounds_ = std::max<std::uint32_t>(2, n);
 }
 
 OpId ShardRouter::snapshot(std::vector<RegisterKey> keys, SnapshotCallback cb) {
@@ -141,7 +145,7 @@ void ShardRouter::snap_collect_done(SnapPtr st) {
     // A fenced or mid-migration key poisons the round: tags observed
     // around a fence prove nothing. Start the double collect over.
     st->have_prev = false;
-    if (st->rounds >= snap_max_collect_rounds_) return snap_fallback(st);
+    if (st->rounds >= kSnapMaxCollectRounds) return snap_fallback(st);
     snap_collect_round(std::move(st));
     return;
   }
@@ -164,7 +168,7 @@ void ShardRouter::snap_collect_done(SnapPtr st) {
     st->prev_tags[i] = st->acc[i].reg.tag;
   }
   st->have_prev = true;
-  if (st->rounds >= snap_max_collect_rounds_) return snap_fallback(st);
+  if (st->rounds >= kSnapMaxCollectRounds) return snap_fallback(st);
   snap_collect_round(std::move(st));
 }
 

@@ -123,10 +123,6 @@ class ShardRouter {
   std::uint64_t snapshot_rounds() const { return snapshot_rounds_; }
   std::uint64_t snapshot_fallbacks() const { return snapshot_fallbacks_; }
 
-  /// Collect rounds a snapshot tries before engaging the fenced
-  /// fallback (clamped to >= 2: a double collect needs two rounds).
-  void set_snapshot_max_collect_rounds(std::uint32_t n);
-
   void set_retry_interval(TimeNs interval);
   /// Batched wire mode on every inner client. Batching is inherently
   /// same-shard: each inner client only ever talks to its own group, so
@@ -178,7 +174,6 @@ class ShardRouter {
   std::uint64_t snapshots_taken_ = 0;
   std::uint64_t snapshot_rounds_ = 0;
   std::uint64_t snapshot_fallbacks_ = 0;
-  std::uint32_t snap_max_collect_rounds_ = 6;
   std::uint32_t snap_seq_ = 0;  ///< per-client snapshot instance counter
 };
 

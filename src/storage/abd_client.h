@@ -47,15 +47,15 @@
 // RESTARTS every started operation from phase 1 (Algorithm 5 lines
 // 14-16/30-32 — the change set is client-level state, so all in-flight
 // quorum accounting predates the merge, not just the op whose reply
-// carried the news). Deviations from the paper's literal pseudocode
-// (rationale in DESIGN.md §2): newer sets are MERGED rather than adopted
-// verbatim, and a write keeps its once-chosen tag across restarts. The
-// client caches the weight map derived from its set, recomputing it only
-// when a merge grows the set, and skips the merge outright when a reply
-// carries the very set object it last merged from that server: a reply's
-// ChangeSetPtr points to an immutable set (see abd_messages.h) and the
-// client's memo holds a reference, so the same pointer means the same
-// contents, all of them already merged.
+// carried the news). Deviations from the paper's literal pseudocode:
+// newer sets are MERGED rather than adopted verbatim, and a write keeps
+// its once-chosen tag across restarts. The client caches the weight map
+// derived from its set, recomputing it only when a merge grows the set,
+// and skips the merge outright when a reply carries the very set object
+// it last merged from that server: a reply's ChangeSetPtr points to an
+// immutable set (see abd_messages.h) and the client's memo holds a
+// reference, so the same pointer means the same contents, all of them
+// already merged.
 //
 // Multi-register extension (beyond the paper): registers are named; the
 // paper's register is key "". list_keys() discovers every key any

@@ -118,8 +118,9 @@ TEST(Snapshot, CutsUnderConcurrentWritersStayConsistent) {
 }
 
 TEST(Snapshot, FallbackEngagesUnderWritePressure) {
-  // Two collect rounds can never agree while an open-loop writer hammers
-  // the snapshotted keys, so the fenced fallback must take the cut.
+  // Collect rounds can never agree while an open-loop writer hammers the
+  // snapshotted keys, so once the collect budget (six rounds) runs out
+  // the fenced fallback must take the cut.
   WorkloadParams wp;
   wp.num_ops = 400;
   wp.read_ratio = 0.0;  // writers only
@@ -144,11 +145,6 @@ TEST(Snapshot, FallbackEngagesUnderWritePressure) {
   ssp.attempts = 6;
   ssp.num_keys = 2;
   ssp.keys_per_snapshot = 2;
-  // The storm issues from every client round-robin; each gets the tight
-  // collect budget before the first cut is scheduled.
-  for (std::size_t k = 0; k < c.num_clients(); ++k) {
-    c.client(k).router().set_snapshot_max_collect_rounds(2);
-  }
   testing::SnapshotStorm snaps(c, 13, ssp, history);
   snaps.unleash();
 
