@@ -18,13 +18,13 @@
 //   mpsc/push4     four producers pushing inline Tasks through one
 //                  MpscRing while the consumer drains (the raw mailbox)
 //
-// The interesting gate is allocs_per_msg == 0 on the thread AND socket
-// runtimes in steady state: routing is a lock-free snapshot, traffic
-// counters are pre-interned ledger slots, the delivery closure fits in
-// Task's inline buffer, the mailbox ring never shrinks, messages come
-// from the slab pool, and the wire path encodes into recycled arena
-// chunks — so after warm-up, no message touches the allocator. The
-// binary exits nonzero when that fails (and --gate-spsc-ns bounds
+// The interesting gate is allocs_per_msg == 0 on every row in steady
+// state: routing is a lock-free snapshot, traffic counters are
+// pre-interned ledger slots, the delivery closure fits in Task's inline
+// buffer, the mailbox ring and the simulator's TaskHeap never shrink,
+// messages come from the slab pool, and the wire path encodes into
+// recycled arena chunks — so after warm-up, no message touches the
+// allocator. The binary exits nonzero when that fails (and --gate-spsc-ns bounds
 // threads/spsc absolutely); CI adds an ns/msg regression bound against
 // the committed baseline.
 //
@@ -455,15 +455,13 @@ int run(int argc, char** argv) {
     if (!report.write(path)) return 1;
   }
 
-  // Self-check: the thread runtime, socket runtime, message pool, and raw
-  // mailbox must all be allocation-free per message in steady state;
-  // --gate-spsc-ns bounds threads/spsc absolutely.
+  // Self-check: every runtime, the message pool and the raw mailbox must
+  // be allocation-free per message in steady state; --gate-spsc-ns
+  // bounds threads/spsc absolutely.
   bool ok = true;
   for (const NamedRow& r : rows) {
     const std::string name = std::string(r.runtime) + "/" + r.mode;
-    if (std::string(r.runtime) != "sim") {
-      ok &= gate(name + " allocs/msg", r.m.allocs_per_msg, "==", 0);
-    }
+    ok &= gate(name + " allocs/msg", r.m.allocs_per_msg, "==", 0);
     if (gate_spsc_ns > 0 && name == "threads/spsc") {
       ok &= gate(name + " ns/msg", r.m.ns_per_msg, "<=", gate_spsc_ns);
     }

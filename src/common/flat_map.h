@@ -1,13 +1,15 @@
 // Sorted-vector associative container for small hot-path maps.
 //
-// AbdClient keeps only in-flight state here — a handful to a few
-// hundred entries — where std::map's per-node allocation and pointer
-// chasing dominate: every insert is a heap alloc, every lookup walks
-// red-black tree nodes scattered across the heap. A sorted vector keeps
-// entries contiguous (binary-search lookups touch one or two cache
-// lines), inserts of monotonically increasing keys (OpIds) degenerate
-// to push_back, and capacity is retained across erase so steady state
-// does not allocate.
+// For a handful to a few hundred small entries (per-key FIFOs, fences,
+// the simulator's process table), std::map's per-node allocation and
+// pointer chasing dominate: every insert is a heap alloc, every lookup
+// walks red-black tree nodes scattered across the heap. A sorted vector
+// keeps entries contiguous (binary-search lookups touch one or two
+// cache lines), inserts of increasing keys degenerate to push_back, and
+// capacity is retained across erase so steady state does not allocate.
+// An insert or erase in the middle shifts every later entry, so large
+// values that leave out of key order (AbdClient's in-flight ops) belong
+// in a node map instead.
 //
 // API is the subset of std::map the storage layer uses; iteration order
 // is key order, matching std::map, so switching containers cannot

@@ -249,7 +249,7 @@ void SocketTransport::schedule_after(TimeNs delay, std::uint64_t token,
   if (delay < 0) delay = 0;
   TimeNs at = mono_now() + delay;
   if (std::this_thread::get_id() == loop_thread_.get_id()) {
-    timers_.push(TimerItem{at, timer_seq_++, token, std::move(fn)});
+    timers_.push(at, token, std::move(fn));
     return;
   }
   Cmd cmd;
@@ -295,7 +295,7 @@ void SocketTransport::loop() {
       ts.tv_nsec = 0;
       tsp = &ts;
     } else if (!timers_.empty()) {
-      TimeNs delta = timers_.top().at - mono_now();
+      TimeNs delta = timers_.next_at() - mono_now();
       if (delta < 0) delta = 0;
       ts.tv_sec = delta / kNsPerSec;
       ts.tv_nsec = delta % kNsPerSec;
@@ -354,8 +354,7 @@ void SocketTransport::dispatch(Cmd cmd) {
       cmd.fn();
       break;
     case Cmd::Kind::kTimer:
-      timers_.push(TimerItem{cmd.at, timer_seq_++, cmd.token,
-                             std::move(cmd.fn)});
+      timers_.push(cmd.at, cmd.token, std::move(cmd.fn));
       break;
     case Cmd::Kind::kSendPeer:
       do_send_to_peer(cmd.peer, std::move(cmd.seg));
@@ -373,11 +372,10 @@ void SocketTransport::dispatch(Cmd cmd) {
 }
 
 void SocketTransport::run_due_timers(TimeNs now) {
-  while (!timers_.empty() && timers_.top().at <= now) {
-    TimerItem item = std::move(const_cast<TimerItem&>(timers_.top()));
-    timers_.pop();
-    if (item.token == 0 || !events_.timer_gate ||
-        events_.timer_gate(item.token)) {
+  while (!timers_.empty() && timers_.next_at() <= now) {
+    wrs::TaskHeap::Entry item = timers_.pop();
+    if (item.tag == 0 || !events_.timer_gate ||
+        events_.timer_gate(item.tag)) {
       item.fn();
     }
   }

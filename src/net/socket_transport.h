@@ -52,7 +52,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,16 +166,6 @@ class SocketTransport {
     bool dial_timer_armed = false;
   };
 
-  struct TimerItem {
-    TimeNs at;
-    std::uint64_t seq;
-    std::uint64_t token;
-    wrs::Task fn;
-    bool operator>(const TimerItem& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-
   /// One cross-thread command. A tagged struct in a reused ring instead
   /// of a heap-allocated closure per call: the send path moves a
   /// Segment and two ints, posts/timers move a small-buffer Task.
@@ -252,9 +241,7 @@ class SocketTransport {
   // eventfd and the listener); see kFirstConnId in the .cpp.
   ConnId next_conn_id_ = 16;
 
-  std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
-      timers_;
-  std::uint64_t timer_seq_ = 0;
+  wrs::TaskHeap timers_;  // tag: the timer's token (0 = ungated)
 
   std::thread loop_thread_;
   std::atomic<bool> running_{false};

@@ -19,7 +19,7 @@ void SimEnv::register_process(ProcessId pid, Process* process) {
   }
   processes_[pid] = process;
   if (started_) {
-    push_event(now_, pid, [process] { process->on_start(); });
+    queue_.push(now_, pid, [process] { process->on_start(); });
   }
 }
 
@@ -28,7 +28,7 @@ void SimEnv::start() {
   started_ = true;
   for (auto& [pid, proc] : processes_) {
     Process* p = proc;
-    push_event(now_, pid, [p] { p->on_start(); });
+    queue_.push(now_, pid, [p] { p->on_start(); });
   }
 }
 
@@ -69,7 +69,7 @@ void SimEnv::deliver(Envelope env, TimeNs extra_delay) {
   ProcessId to = env.to;
   ProcessId from = env.from;
   MsgPtr msg = std::move(env.msg);
-  push_event(now_ + delay, to, [this, from, to, msg] {
+  queue_.push(now_ + delay, to, [this, from, to, msg] {
     auto it = processes_.find(to);
     if (it == processes_.end()) return;  // never registered: drop
     it->second->on_message(from, *msg);
@@ -77,11 +77,7 @@ void SimEnv::deliver(Envelope env, TimeNs extra_delay) {
 }
 
 void SimEnv::schedule(ProcessId pid, TimeNs delay, Task fn) {
-  push_event(now_ + delay, pid, std::move(fn));
-}
-
-void SimEnv::push_event(TimeNs at, ProcessId pid, Task fn) {
-  queue_.push(Event{at, next_seq_++, pid, std::move(fn)});
+  queue_.push(now_ + delay, pid, std::move(fn));
 }
 
 void SimEnv::crash(ProcessId pid) {
@@ -114,22 +110,21 @@ void SimEnv::release_holds(ProcessId pid) {
 
 bool SimEnv::step() {
   if (queue_.empty()) return false;
-  // Task is move-only, so move out of top() before popping (same idiom
-  // as ThreadEnv's timer queue).
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
+  TaskHeap::Entry ev = queue_.pop();
   assert(ev.at >= now_);
   now_ = ev.at;
-  // Events addressed to crashed processes are dropped; env-internal events
-  // (kNoProcess) always run.
-  if (ev.pid != kNoProcess && crashed_.count(ev.pid) != 0) return true;
+  // Events addressed to crashed processes are dropped (their captures
+  // are released here, with ev); env-internal events (kNoProcess) always
+  // run.
+  const auto pid = static_cast<ProcessId>(ev.tag);
+  if (pid != kNoProcess && crashed_.count(pid) != 0) return true;
   ev.fn();
   return true;
 }
 
 std::size_t SimEnv::run_until(TimeNs deadline) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.top().at <= deadline) {
+  while (!queue_.empty() && queue_.next_at() <= deadline) {
     step();
     ++executed;
   }
@@ -140,7 +135,7 @@ std::size_t SimEnv::run_until(TimeNs deadline) {
 bool SimEnv::run_until_pred(const std::function<bool()>& pred,
                             TimeNs deadline) {
   if (pred()) return true;
-  while (!queue_.empty() && queue_.top().at <= deadline) {
+  while (!queue_.empty() && queue_.next_at() <= deadline) {
     step();
     if (pred()) return true;
   }
@@ -150,7 +145,7 @@ bool SimEnv::run_until_pred(const std::function<bool()>& pred,
 std::size_t SimEnv::run_to_quiescence(TimeNs deadline) {
   std::size_t executed = 0;
   while (!queue_.empty()) {
-    if (queue_.top().at > deadline) {
+    if (queue_.next_at() > deadline) {
       WRS_WARN("SimEnv: deadline reached with " << queue_.size()
                                                 << " events pending");
       break;

@@ -10,11 +10,11 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "runtime/env.h"
@@ -81,30 +81,18 @@ class SimEnv : public Env {
   void release_holds(ProcessId pid);
 
  private:
-  struct Event {
-    TimeNs at;
-    std::uint64_t seq;
-    ProcessId pid;  // execution context; kNoProcess for env-internal
-    Task fn;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;  // min-heap: earliest (time, seq) first
-    }
-  };
-
-  void push_event(TimeNs at, ProcessId pid, Task fn);
   void route(Envelope env, TimeNs extra_delay);
   void deliver(Envelope env, TimeNs extra_delay = 0);
 
   std::shared_ptr<LatencyModel> latency_;
   Rng rng_;
   TimeNs now_ = 0;
-  std::uint64_t next_seq_ = 0;
   bool started_ = false;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
-  std::map<ProcessId, Process*> processes_;
+  /// Pending events by (time, push order); the tag is the pid whose
+  /// execution context runs the event (kNoProcess for env-internal).
+  TaskHeap queue_;
+  /// Sorted by pid: start() and server_ids() walk it in pid order.
+  FlatMap<ProcessId, Process*> processes_;
   std::set<ProcessId> crashed_;
   std::set<ProcessId> held_;
   /// Buffered (envelope, reorder-extra) — the extra delay drawn at send

@@ -1,5 +1,6 @@
-// Move-only callable with small-buffer storage, plus a growable ring of
-// them. Together these keep the runtime delivery path allocation-free:
+// Move-only callable with small-buffer storage, a growable ring of them,
+// and a deadline heap of them. Together these keep the runtime delivery
+// and timer paths allocation-free:
 //
 //  - `std::function` must be copyable, so it cannot hold a move-only
 //    capture (an owned MsgPtr moved off the send path), and libstdc++'s
@@ -10,9 +11,18 @@
 //    zephyr `lib/os/heap.h` pool idiom: reserve once, reuse forever), so
 //    a mailbox's steady-state push/pop never touches the allocator,
 //    unlike std::deque which frees and reallocates blocks as it drains.
+//  - `TaskHeap` is the one deadline queue of all three runtimes: the
+//    simulator's event queue and the thread and socket runtimes' timer
+//    queues. A Task is 64 bytes behind an indirect relocate call, so a
+//    binary heap of Tasks pays that call at every sift level. TaskHeap
+//    parks each Task once in a slot arena and sifts 32-byte trivially
+//    copyable keys instead; arena, key vector and free list only grow,
+//    so steady-state push/pop never touches the allocator either.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -177,5 +187,69 @@ class GrowRing {
 
 /// The mailbox/timer ring of small-buffer Tasks.
 using TaskRing = GrowRing<Task>;
+
+/// Min-heap of Tasks ordered by (at, seq), where seq counts pushes: equal
+/// deadlines pop in push order, so a simulated run is a pure function of
+/// its inputs. `tag` rides along for the owner to read at pop time (the
+/// pid whose context runs the task, or the socket loop's timer token).
+class TaskHeap {
+ public:
+  struct Entry {
+    std::int64_t at;
+    std::uint64_t tag;
+    Task fn;
+  };
+
+  bool empty() const { return keys_.empty(); }
+  std::size_t size() const { return keys_.size(); }
+
+  /// Deadline of the entry pop() returns next; the heap must be non-empty.
+  std::int64_t next_at() const { return keys_.front().at; }
+
+  void push(std::int64_t at, std::uint64_t tag, Task fn) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(tasks_.size());
+      tasks_.push_back(std::move(fn));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      tasks_[slot] = std::move(fn);
+    }
+    keys_.push_back(Key{at, seq_++, tag, slot});
+    std::push_heap(keys_.begin(), keys_.end(), Later{});
+  }
+
+  /// Removes the earliest entry. Its Task leaves the arena before the
+  /// caller runs it, so the task may push (and grow the arena) freely.
+  Entry pop() {
+    std::pop_heap(keys_.begin(), keys_.end(), Later{});
+    const Key k = keys_.back();
+    keys_.pop_back();
+    free_.push_back(k.slot);
+    return Entry{k.at, k.tag, std::move(tasks_[k.slot])};
+  }
+
+ private:
+  struct Key {
+    std::int64_t at;
+    std::uint64_t seq;
+    std::uint64_t tag;
+    std::uint32_t slot;
+  };
+  static_assert(std::is_trivially_copyable_v<Key>);
+
+  /// std heaps are max-heaps: "later" sorts to the bottom.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+
+  std::vector<Key> keys_;
+  std::vector<Task> tasks_;          // slot arena; freed slots are empty
+  std::vector<std::uint32_t> free_;  // free slots of tasks_
+  std::uint64_t seq_ = 0;
+};
 
 }  // namespace wrs

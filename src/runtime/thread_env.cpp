@@ -229,8 +229,7 @@ void ThreadEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
     if (dup_delay <= 0) {
       enqueue_task(box, std::move(dup));
     } else {
-      timer_schedule(Clock::now() + std::chrono::nanoseconds(dup_delay), to,
-                     std::move(dup));
+      timer_schedule(now() + dup_delay, to, std::move(dup));
     }
   }
   Task deliver([box, from, msg = std::move(msg)] {
@@ -241,25 +240,23 @@ void ThreadEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   if (delay <= 0) {
     enqueue_task(box, std::move(deliver));
   } else {
-    timer_schedule(Clock::now() + std::chrono::nanoseconds(delay), to,
-                   std::move(deliver));
+    timer_schedule(now() + delay, to, std::move(deliver));
   }
 }
 
 void ThreadEnv::schedule(ProcessId pid, TimeNs delay, Task fn) {
-  timer_schedule(Clock::now() + std::chrono::nanoseconds(delay), pid,
-                 std::move(fn));
+  timer_schedule(now() + delay, pid, std::move(fn));
 }
 
-void ThreadEnv::timer_schedule(Clock::time_point at, ProcessId pid, Task fn) {
+void ThreadEnv::timer_schedule(TimeNs at, ProcessId pid, Task fn) {
   bool wake = false;
   {
     std::lock_guard lock(timer_mu_);
     if (timer_stop_) return;
     // The timer thread only needs a nudge when this deadline preempts
     // the one it is currently sleeping toward.
-    wake = timers_.empty() || at < timers_.top().at;
-    timers_.push(TimerItem{at, timer_seq_++, pid, std::move(fn)});
+    wake = timers_.empty() || at < timers_.next_at();
+    timers_.push(at, pid, std::move(fn));
   }
   if (wake) timer_cv_.notify_one();
 }
@@ -272,15 +269,15 @@ void ThreadEnv::timer_loop() {
       timer_cv_.wait(lock, [this] { return timer_stop_ || !timers_.empty(); });
       continue;
     }
-    auto next_at = timers_.top().at;
-    if (Clock::now() < next_at) {
-      timer_cv_.wait_until(lock, next_at);
+    const TimeNs next_at = timers_.next_at();
+    if (now() < next_at) {
+      timer_cv_.wait_until(lock, epoch_ + std::chrono::nanoseconds(next_at));
       continue;
     }
-    TimerItem item = std::move(const_cast<TimerItem&>(timers_.top()));
-    timers_.pop();
+    TaskHeap::Entry item = timers_.pop();
     lock.unlock();
-    if (item.pid == kNoProcess) {
+    const auto pid = static_cast<ProcessId>(item.tag);
+    if (pid == kNoProcess) {
       // Env-internal work (scenario scripts) always runs — matching the
       // simulator, where kNoProcess events ignore the crashed set. It
       // executes on the timer thread, so it must only touch
@@ -290,7 +287,7 @@ void ThreadEnv::timer_loop() {
       // Routed through the target's mailbox; enqueue_task drops the task
       // if the process crashed while the timer was pending (crash
       // semantics for in-flight deliveries, pinned by test).
-      Mailbox* box = routing()->find(item.pid);
+      Mailbox* box = routing()->find(pid);
       if (box != nullptr) enqueue_task(box, std::move(item.fn));
     }
     lock.lock();

@@ -46,7 +46,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -160,16 +159,6 @@ class ThreadEnv : public Env {
     }
   };
 
-  struct TimerItem {
-    std::chrono::steady_clock::time_point at;
-    std::uint64_t seq;
-    ProcessId pid;
-    Task fn;
-    bool operator>(const TimerItem& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-
   const Routing* routing() const {
     return routing_.load(std::memory_order_acquire);
   }
@@ -177,8 +166,8 @@ class ThreadEnv : public Env {
   void enqueue_task(Mailbox* box, Task fn);
   void timer_loop();
   void worker_loop(Mailbox* box);
-  void timer_schedule(std::chrono::steady_clock::time_point at, ProcessId pid,
-                      Task fn);
+  /// Queues `fn` for `pid` at `at`, in now()'s clock (ns since epoch_).
+  void timer_schedule(TimeNs at, ProcessId pid, Task fn);
 
   std::shared_ptr<LatencyModel> latency_;
   std::chrono::steady_clock::time_point epoch_;
@@ -200,9 +189,7 @@ class ThreadEnv : public Env {
   // Timer thread state.
   std::mutex timer_mu_;
   std::condition_variable timer_cv_;
-  std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
-      timers_;
-  std::uint64_t timer_seq_ = 0;
+  TaskHeap timers_;  // tag: the pid whose mailbox runs the task
   bool timer_stop_ = false;
   std::thread timer_thread_;
 };

@@ -343,9 +343,10 @@ void AbdClient::schedule_retry(OpId id, std::uint32_t seq) {
 }
 
 void AbdClient::complete(OpId id) {
-  auto it = ops_.find(id);
-  Op finished = std::move(it->second);
-  ops_.erase(it);
+  // Out of ops_ before the callbacks below run (they may issue new
+  // operations); extract unlinks the node, so the Op itself stays put.
+  auto node = ops_.extract(id);
+  Op& finished = node.mapped();
   --started_count_;  // only started ops complete
   if (!keyless(finished.kind)) {
     // Release the key FIFO and start the successor, if any, BEFORE the

@@ -80,6 +80,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -381,10 +382,14 @@ class AbdClient {
   /// Per server, the last change set merged from its replies. A reply
   /// carrying that same pointer holds nothing new: its join is skipped.
   FlatMap<ProcessId, ChangeSetPtr> merged_from_;
-  /// Concurrent operation state machines, keyed by OpId. FlatMap keeps
-  /// in-flight state contiguous; OpIds are allocated monotonically, so
-  /// inserts land at the back.
-  FlatMap<OpId, Op> ops_;
+  /// Concurrent operation state machines, keyed by OpId. A node map,
+  /// not a FlatMap: an Op is a few hundred bytes of callbacks and
+  /// vectors, and although inserts land at the back (OpIds grow
+  /// monotonically), completing any op but the newest would shift every
+  /// later one. Nodes stay put, so an Op& survives inserts and erases of
+  /// other ops. Iteration is in OpId order, the order
+  /// merge_and_maybe_restart restarts ops in.
+  std::map<OpId, Op> ops_;
   /// Issue-order FIFO per key; the front op is the started one.
   FlatMap<RegisterKey, std::deque<OpId>> key_fifo_;
   std::size_t started_count_ = 0;

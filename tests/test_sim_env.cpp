@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -101,6 +102,65 @@ TEST(SimEnv, TieBreakIsFifoBySequence) {
   env.schedule(0, ms(5), [&] { order.push_back(3); });
   env.run_to_quiescence();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimEnv, SameInstantFifoSurvivesArenaGrowth) {
+  // One task schedules far more same-instant tasks than the event arena
+  // holds, so the arena reallocates while that task runs; the tasks must
+  // still run in scheduling order, interleaved correctly with a task
+  // queued for the same instant before them.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  Recorder r(env);
+  env.register_process(0, &r);
+  env.start();
+  env.run_to_quiescence();
+  std::vector<int> order;
+  env.schedule(0, ms(5), [&] {
+    for (int i = 1; i <= 1000; ++i) {
+      env.schedule(0, 0, [&order, i] { order.push_back(i); });
+    }
+  });
+  env.schedule(0, ms(5), [&] { order.push_back(0); });
+  env.run_to_quiescence();
+  ASSERT_EQ(order.size(), 1001u);
+  for (int i = 0; i <= 1000; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(env.now(), ms(5));
+}
+
+TEST(SimEnv, DroppedEventReleasesCapturesWhenPopped) {
+  SimEnv env(std::make_shared<ConstantLatency>(ms(5)), 1);
+  Recorder a(env);
+  Recorder b(env);
+  env.register_process(0, &a);
+  env.register_process(1, &b);
+  env.start();
+  MsgPtr msg = std::make_shared<NoteMsg>(1);
+  env.send(0, 1, msg);
+  EXPECT_EQ(msg.use_count(), 2);  // the in-flight delivery holds one
+  env.crash(1);
+  env.schedule(0, ms(50), [] {});  // keeps the queue non-empty
+  env.run_until(ms(10));
+  EXPECT_EQ(msg.use_count(), 1);
+  EXPECT_EQ(env.pending_events(), 1u);
+  EXPECT_TRUE(b.entries.empty());
+}
+
+TEST(SimEnv, DestroyedWithPendingEventsReleasesCaptures) {
+  auto token = std::make_shared<int>(0);
+  {
+    SimEnv env(std::make_shared<ConstantLatency>(ms(5)), 1);
+    Recorder a(env);
+    env.register_process(0, &a);
+    env.start();
+    env.schedule(0, ms(10), [token] {});
+    // Larger than Task's inline buffer: held on the heap.
+    std::array<char, 2 * Task::kInlineBytes> big{};
+    env.schedule(0, ms(20), [token, big] { (void)big; });
+    env.send(0, 0, std::make_shared<NoteMsg>(2));
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_EQ(env.pending_events(), 4u);  // on_start, two timers, one send
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SimEnv, CrashDropsQueuedAndFutureDeliveries) {

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "api/cluster.h"
 #include "broadcast/reliable_broadcast.h"
@@ -28,6 +29,7 @@
 #include "net/wire_codec.h"
 #include "runtime/sim_env.h"
 #include "runtime/socket_env.h"
+#include "runtime/sync.h"
 #include "runtime/thread_env.h"
 #include "shard/shard_map.h"
 #include "storage/dynamic_node.h"
@@ -366,6 +368,57 @@ class SinkProcess : public Process {
   void on_message(ProcessId, const Message&) override { ++count; }
   std::atomic<int> count{0};
 };
+
+SocketEnv::Options loopback_options() {
+  SocketEnv::Options so;
+  so.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
+  return so;
+}
+
+TEST(SocketTimers, SameDelayTimersFireInScheduleOrder) {
+  SocketEnv env(loopback_options());
+  SinkProcess a;
+  env.register_process(0, &a);
+  env.start();
+  constexpr int kTimers = 500;
+  std::vector<int> order;  // touched only by the loop thread
+  Waiter<bool> done;
+  for (int i = 0; i < kTimers; ++i) {
+    env.schedule(0, ms(20), [&order, &done, i] {
+      order.push_back(i);
+      if (i == kTimers - 1) done.set(true);
+    });
+  }
+  ASSERT_TRUE(done.wait_for(seconds(10)).has_value());
+  env.stop();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTimers));
+  for (int i = 0; i < kTimers; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SocketTimers, TimerCapturesReleasedWhenGatedOrDestroyed) {
+  auto token = std::make_shared<int>(0);
+  {
+    SocketEnv env(loopback_options());
+    SinkProcess a;
+    SinkProcess b;
+    env.register_process(0, &a);
+    env.register_process(1, &b);
+    env.start();
+    std::atomic<bool> fired{false};
+    env.crash(1);
+    env.schedule(1, ms(20), [token, &fired] { fired.store(true); });
+    env.schedule(0, seconds(60), [token] {});  // still pending at stop
+    Waiter<bool> later;
+    env.schedule(0, ms(40), [&later] { later.set(true); });
+    ASSERT_TRUE(later.wait_for(seconds(10)).has_value());
+    // The timer gate refused the crashed pid's callback when it came
+    // due; its capture died with it.
+    EXPECT_FALSE(fired.load());
+    EXPECT_EQ(token.use_count(), 2);
+    env.stop();
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
 
 struct Routed {
   ProcessId from;

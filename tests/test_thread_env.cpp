@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -201,6 +202,52 @@ TEST(ThreadEnv, ScheduleToCrashedProcessDropped) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   env.stop();
   EXPECT_FALSE(fired.load());
+}
+
+TEST(ThreadEnv, SameDelayTimersFireInScheduleOrder) {
+  // Deadlines are non-decreasing in call order and ties break by push
+  // order, so 500 timers (far more than the timer arena starts with)
+  // reach the mailbox in exactly the order they were scheduled.
+  ThreadEnv env;
+  CountingProcess a;
+  env.register_process(0, &a);
+  env.start();
+  constexpr int kTimers = 500;
+  std::vector<int> order;  // touched only by pid 0's worker
+  Waiter<bool> done;
+  for (int i = 0; i < kTimers; ++i) {
+    env.schedule(0, ms(20), [&order, &done, i] {
+      order.push_back(i);
+      if (i == kTimers - 1) done.set(true);
+    });
+  }
+  ASSERT_TRUE(done.wait_for(seconds(10)).has_value());
+  env.stop();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTimers));
+  for (int i = 0; i < kTimers; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadEnv, TimerCapturesReleasedWhenDroppedOrDestroyed) {
+  auto token = std::make_shared<int>(0);
+  {
+    ThreadEnv env;
+    CountingProcess a;
+    CountingProcess b;
+    env.register_process(0, &a);
+    env.register_process(1, &b);
+    env.start();
+    env.crash(1);
+    env.schedule(1, ms(20), [token] {});       // dropped when it comes due
+    env.schedule(0, seconds(60), [token] {});  // still pending at stop
+    Waiter<bool> later;
+    env.schedule(0, ms(40), [&later] { later.set(true); });
+    ASSERT_TRUE(later.wait_for(seconds(10)).has_value());
+    // The crashed pid's timer popped before the 40 ms one and died
+    // unexecuted on the timer thread.
+    EXPECT_EQ(token.use_count(), 2);
+    env.stop();
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(ThreadEnv, ConcurrentSendersCountExactly) {
