@@ -26,14 +26,20 @@
 // recycled arena chunks — so after warm-up, no message touches the
 // allocator. The binary exits nonzero when that fails (and --gate-spsc-ns bounds
 // threads/spsc absolutely); CI adds an ns/msg regression bound against
-// the committed baseline.
+// the committed baseline. A failing allocs gate prints the call stack of
+// the row's first counted allocation, so a rare stray allocation names
+// its site.
 //
 // Senders pace themselves (bounded backlog, wait for the sink to catch
 // up) so queues plateau during warm-up and the measured window exercises
 // the steady state, not queue growth.
 
+#include <execinfo.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -60,19 +66,30 @@ namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::int64_t> g_allocs{0};
 
-void* counted_alloc(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+// The window's first counted allocation records its call stack here.
+// Static storage, so the hook itself allocates nothing; glibc backtrace
+// is called once before any window (it loads the unwinder lazily).
+constexpr int kTraceDepth = 32;
+void* g_first_trace[kTraceDepth];
+std::atomic<int> g_first_trace_depth{0};
+
+void count_alloc() {
+  if (!g_count_allocs.load(std::memory_order_relaxed)) return;
+  if (g_allocs.fetch_add(1, std::memory_order_relaxed) == 0) {
+    g_first_trace_depth.store(backtrace(g_first_trace, kTraceDepth),
+                              std::memory_order_release);
   }
+}
+
+void* counted_alloc(std::size_t n) {
+  count_alloc();
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  count_alloc();
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
                      n == 0 ? align : n) != 0) {
@@ -130,7 +147,37 @@ struct Measurement {
   double allocs_per_msg = 0;
   double wall_ms = 0;
   std::uint64_t msgs = 0;
+  std::vector<void*> first_alloc;  // call stack; empty without allocations
 };
+
+using Clock = std::chrono::steady_clock;
+
+/// Opens the counting window: from here every operator new counts.
+void open_alloc_window() {
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_first_trace_depth.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_release);
+}
+
+void close_alloc_window() {
+  g_count_allocs.store(false, std::memory_order_release);
+}
+
+/// `msgs` messages measured over [t0, t1], with the closed window's
+/// allocation count and first allocation's stack.
+Measurement measured(std::uint64_t msgs, Clock::time_point t0,
+                     Clock::time_point t1) {
+  Measurement m;
+  m.msgs = msgs;
+  m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  m.ns_per_msg = std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                 static_cast<double>(msgs);
+  m.allocs_per_msg =
+      static_cast<double>(g_allocs.load()) / static_cast<double>(msgs);
+  const int depth = g_first_trace_depth.load(std::memory_order_acquire);
+  m.first_alloc.assign(g_first_trace, g_first_trace + depth);
+  return m;
+}
 
 /// Paced multi-threaded fire-hose at one ThreadEnv mailbox. Sender
 /// threads are spawned (and the deployment warmed) with counting OFF;
@@ -195,28 +242,19 @@ Measurement run_threads(unsigned senders, std::uint64_t msgs) {
     std::this_thread::yield();
   }
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_release);
-  auto t0 = std::chrono::steady_clock::now();
+  open_alloc_window();
+  auto t0 = Clock::now();
   phase.store(1, std::memory_order_release);
   while (sink.delivered.load(std::memory_order_acquire) < warm_total + total) {
     std::this_thread::yield();
   }
-  auto t1 = std::chrono::steady_clock::now();
-  g_count_allocs.store(false, std::memory_order_release);
+  auto t1 = Clock::now();
+  close_alloc_window();
 
   for (std::thread& t : pumps) t.join();
   env.stop();
 
-  Measurement m;
-  m.msgs = total;
-  m.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  m.ns_per_msg = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                 static_cast<double>(total);
-  m.allocs_per_msg = static_cast<double>(g_allocs.load()) /
-                     static_cast<double>(total);
-  return m;
+  return measured(total, t0, t1);
 }
 
 /// The simulator as the single-threaded reference: same pacing (chunks
@@ -243,21 +281,13 @@ Measurement run_sim(std::uint64_t msgs) {
 
   burst(kWarmupMsgs);
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_release);
-  auto t0 = std::chrono::steady_clock::now();
+  open_alloc_window();
+  auto t0 = Clock::now();
   burst(msgs);
-  auto t1 = std::chrono::steady_clock::now();
-  g_count_allocs.store(false, std::memory_order_release);
+  auto t1 = Clock::now();
+  close_alloc_window();
 
-  Measurement m;
-  m.msgs = msgs;
-  m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  m.ns_per_msg = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                 static_cast<double>(msgs);
-  m.allocs_per_msg =
-      static_cast<double>(g_allocs.load()) / static_cast<double>(msgs);
-  return m;
+  return measured(msgs, t0, t1);
 }
 
 /// SocketEnv loopback: sends are arena-encoded, cross the kernel over a
@@ -297,23 +327,15 @@ Measurement run_socket(std::uint64_t msgs) {
 
   pump(0, kWarmupMsgs);
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_release);
-  auto t0 = std::chrono::steady_clock::now();
+  open_alloc_window();
+  auto t0 = Clock::now();
   pump(kWarmupMsgs, msgs);
-  auto t1 = std::chrono::steady_clock::now();
-  g_count_allocs.store(false, std::memory_order_release);
+  auto t1 = Clock::now();
+  close_alloc_window();
 
   env.stop();
 
-  Measurement m;
-  m.msgs = msgs;
-  m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  m.ns_per_msg = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                 static_cast<double>(msgs);
-  m.allocs_per_msg =
-      static_cast<double>(g_allocs.load()) / static_cast<double>(msgs);
-  return m;
+  return measured(msgs, t0, t1);
 }
 
 /// Slab-pool churn: make_msg construct + destroy round trips on one
@@ -325,24 +347,16 @@ Measurement run_pool(std::uint64_t ops) {
     (void)m;
   }
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_release);
-  auto t0 = std::chrono::steady_clock::now();
+  open_alloc_window();
+  auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < ops; ++i) {
     MsgPtr m = make_msg<PingMsg>(static_cast<TimeNs>(i));
     (void)m;
   }
-  auto t1 = std::chrono::steady_clock::now();
-  g_count_allocs.store(false, std::memory_order_release);
+  auto t1 = Clock::now();
+  close_alloc_window();
 
-  Measurement m;
-  m.msgs = ops;
-  m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  m.ns_per_msg = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                 static_cast<double>(ops);
-  m.allocs_per_msg =
-      static_cast<double>(g_allocs.load()) / static_cast<double>(ops);
-  return m;
+  return measured(ops, t0, t1);
 }
 
 /// Raw mailbox ring: `producers` threads push inline no-op Tasks through
@@ -371,9 +385,8 @@ Measurement run_mpsc(unsigned producers, std::uint64_t ops) {
     });
   }
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_release);
-  auto t0 = std::chrono::steady_clock::now();
+  open_alloc_window();
+  auto t0 = Clock::now();
   phase.store(1, std::memory_order_release);
   std::uint64_t popped = 0;
   Task t;
@@ -384,19 +397,12 @@ Measurement run_mpsc(unsigned producers, std::uint64_t ops) {
       std::this_thread::yield();
     }
   }
-  auto t1 = std::chrono::steady_clock::now();
-  g_count_allocs.store(false, std::memory_order_release);
+  auto t1 = Clock::now();
+  close_alloc_window();
 
   for (std::thread& th : pumps) th.join();
 
-  Measurement m;
-  m.msgs = total;
-  m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  m.ns_per_msg = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                 static_cast<double>(total);
-  m.allocs_per_msg =
-      static_cast<double>(g_allocs.load()) / static_cast<double>(total);
-  return m;
+  return measured(total, t0, t1);
 }
 
 int run(int argc, char** argv) {
@@ -409,6 +415,9 @@ int run(int argc, char** argv) {
       gate_spsc_ns = std::strtod(argv[++i], nullptr);
     }
   }
+
+  void* warm_trace[1];
+  backtrace(warm_trace, 1);  // loads the unwinder outside every window
 
   banner("EXP-RT1", "runtime enqueue→deliver overhead (ns/msg, allocs/msg)");
   note("Counting allocator hook active in the measured window only;");
@@ -461,7 +470,14 @@ int run(int argc, char** argv) {
   bool ok = true;
   for (const NamedRow& r : rows) {
     const std::string name = std::string(r.runtime) + "/" + r.mode;
-    ok &= gate(name + " allocs/msg", r.m.allocs_per_msg, "==", 0);
+    if (!gate(name + " allocs/msg", r.m.allocs_per_msg, "==", 0)) {
+      ok = false;
+      std::printf("first counted allocation in %s:\n", name.c_str());
+      std::fflush(stdout);
+      backtrace_symbols_fd(r.m.first_alloc.data(),
+                           static_cast<int>(r.m.first_alloc.size()),
+                           STDOUT_FILENO);
+    }
     if (gate_spsc_ns > 0 && name == "threads/spsc") {
       ok &= gate(name + " ns/msg", r.m.ns_per_msg, "<=", gate_spsc_ns);
     }

@@ -10,10 +10,12 @@ AssetTransferNode::AssetTransferNode(Env& env, ProcessId self,
     : env_(env),
       self_(self),
       config_(config),
-      rb_(env, self, [this](ProcessId, const Message& payload) {
-        const auto* m = msg_cast<AssetMsg>(payload);
-        if (m != nullptr) apply(m->rec());
-      }) {
+      rb_(env, self,
+          [this](ProcessId, const Message& payload) {
+            const auto* m = msg_cast<AssetMsg>(payload);
+            if (m != nullptr) apply(m->rec());
+          },
+          config.servers()) {
   // Initial balances mirror the initial weights (so EXP-X1 runs the same
   // workload on both services).
   for (const auto& [s, w] : config.initial_weights.entries()) {

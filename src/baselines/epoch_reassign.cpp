@@ -13,11 +13,13 @@ EpochReassignNode::EpochReassignNode(Env& env, ProcessId self,
       config_(config),
       epoch_length_(epoch_length),
       weights_(config.initial_weights),
-      rb_(env, self, [this](ProcessId, const Message& payload) {
-        const auto* m = msg_cast<EpochReqMsg>(payload);
-        if (m == nullptr) return;
-        pending_[m->req().epoch].push_back(m->req());
-      }) {}
+      rb_(env, self,
+          [this](ProcessId, const Message& payload) {
+            const auto* m = msg_cast<EpochReqMsg>(payload);
+            if (m == nullptr) return;
+            pending_[m->req().epoch].push_back(m->req());
+          },
+          config.servers()) {}
 
 void EpochReassignNode::on_start() {
   env_.schedule(self_, epoch_length_, [this] { on_epoch_boundary(); });

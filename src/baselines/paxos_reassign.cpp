@@ -12,7 +12,7 @@ PaxosReassignNode::PaxosReassignNode(Env& env, ProcessId self,
       config_(config),
       weights_(config.initial_weights),
       paxos_(
-          env, self, config.n, config.f,
+          env, self, config.servers(), config.f,
           [this](InstanceId i, const PaxosValue& v) { on_decide(i, v); },
           seed) {}
 

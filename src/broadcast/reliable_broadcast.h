@@ -47,16 +47,15 @@ class RbMsg : public MessageBase<RbMsg> {
 /// not itself a Process. The owner must route RbMsg instances received in
 /// its on_message into handle().
 ///
-/// A non-empty `group` scopes both the origin broadcast and the forward
-/// step to exactly that server set (one replica group of a sharded
-/// deployment); an empty group falls back to every server registered in
-/// the Env (the classic single-group behavior).
+/// `group` scopes both the origin broadcast and the forward step to
+/// exactly that server set: the owner's config's servers, i.e. one
+/// replica group of a (possibly sharded) deployment.
 class ReliableBroadcast {
  public:
   using DeliverFn = std::function<void(ProcessId origin, const Message&)>;
 
   ReliableBroadcast(Env& env, ProcessId self, DeliverFn deliver,
-                    std::vector<ProcessId> group = {})
+                    std::vector<ProcessId> group)
       : env_(env),
         self_(self),
         deliver_(std::move(deliver)),
@@ -87,11 +86,7 @@ class ReliableBroadcast {
 
  private:
   void send_all(const MsgPtr& wrapped) {
-    if (group_.empty()) {
-      env_.broadcast_to_servers(self_, wrapped);
-    } else {
-      env_.broadcast_to_group(self_, group_, wrapped);
-    }
+    env_.broadcast_to_group(self_, group_, wrapped);
   }
 
   Env& env_;

@@ -1,6 +1,7 @@
 #include "consensus/paxos.h"
 
 #include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "consensus/paxos_messages.h"
@@ -8,12 +9,12 @@
 
 namespace wrs {
 
-PaxosNode::PaxosNode(Env& env, ProcessId self, std::uint32_t n,
+PaxosNode::PaxosNode(Env& env, ProcessId self, std::vector<ProcessId> servers,
                      std::uint32_t f, DecideCallback on_decide,
                      std::uint64_t seed)
     : env_(env),
       self_(self),
-      n_(n),
+      servers_(std::move(servers)),
       f_(f),
       on_decide_(std::move(on_decide)),
       rng_(seed ^ (std::uint64_t{self} << 32)) {}
@@ -43,8 +44,8 @@ void PaxosNode::start_round(InstanceId instance) {
   p.best_accepted.reset();
   p.best_value.clear();
   p.accept_phase = false;
-  env_.broadcast_to_servers(self_,
-                            make_msg<PaxPrepare>(instance, p.ballot));
+  env_.broadcast_to_group(self_, servers_,
+                          make_msg<PaxPrepare>(instance, p.ballot));
   retry_later(instance);
 }
 
@@ -104,8 +105,8 @@ bool PaxosNode::handle(ProcessId from, const Message& msg) {
       p.accept_phase = true;
       const PaxosValue& v =
           p.best_accepted.has_value() ? p.best_value : p.my_value;
-      env_.broadcast_to_servers(
-          self_, make_msg<PaxAccept>(prom->instance(), p.ballot, v));
+      env_.broadcast_to_group(
+          self_, servers_, make_msg<PaxAccept>(prom->instance(), p.ballot, v));
     }
     return true;
   }
@@ -136,8 +137,8 @@ bool PaxosNode::handle(ProcessId from, const Message& msg) {
     if (p.accepts.size() >= majority()) {
       // Decided: tell everyone (including self via loopback).
       PaxosValue v = p.best_accepted.has_value() ? p.best_value : p.my_value;
-      env_.broadcast_to_servers(
-          self_, make_msg<PaxLearn>(acd->instance(), v));
+      env_.broadcast_to_group(self_, servers_,
+                              make_msg<PaxLearn>(acd->instance(), v));
     }
     return true;
   }

@@ -19,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "runtime/env.h"
@@ -39,10 +40,11 @@ class PaxosNode {
  public:
   using DecideCallback = std::function<void(InstanceId, const PaxosValue&)>;
 
-  /// `on_decide` fires exactly once per instance on every correct node
-  /// that learns the decision.
-  PaxosNode(Env& env, ProcessId self, std::uint32_t n, std::uint32_t f,
-            DecideCallback on_decide, std::uint64_t seed = 7);
+  /// `servers` are the acceptors every phase broadcasts to (including
+  /// self). `on_decide` fires exactly once per instance on every correct
+  /// node that learns the decision.
+  PaxosNode(Env& env, ProcessId self, std::vector<ProcessId> servers,
+            std::uint32_t f, DecideCallback on_decide, std::uint64_t seed = 7);
 
   /// Proposes `value` for `instance`. Safe to call on multiple nodes for
   /// the same instance; Paxos decides a single value.
@@ -77,11 +79,11 @@ class PaxosNode {
   void start_round(InstanceId instance);
   void retry_later(InstanceId instance);
   void learn(InstanceId instance, const PaxosValue& value);
-  std::uint32_t majority() const { return n_ / 2 + 1; }
+  std::size_t majority() const { return servers_.size() / 2 + 1; }
 
   Env& env_;
   ProcessId self_;
-  std::uint32_t n_;
+  std::vector<ProcessId> servers_;
   std::uint32_t f_;
   DecideCallback on_decide_;
   Rng rng_;

@@ -6,13 +6,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -92,114 +90,53 @@ int run_node(const NodeOptions& opts, const std::atomic<bool>* stop) {
   return 0;
 }
 
-// --- flag / config parsing --------------------------------------------------
+// --- flag parsing ------------------------------------------------------------
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& flag, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    std::uint64_t out = std::stoull(v, &used);
-    if (used != v.size()) throw std::invalid_argument("");
-    return out;
-  } catch (const std::exception&) {
+/// A decimal number that fits T. from_chars, unlike stoull, rejects
+/// leading whitespace and (for unsigned T) a sign, and reports a value
+/// out of T's range instead of wrapping: "--seed=-1" and
+/// "--shard=4294967296" are errors, not 2^64-1 and shard 0.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& v) {
+  T out{};
+  const char* end = v.data() + v.size();
+  auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc() || ptr != end) {
     throw std::invalid_argument("wrs-node: bad number for " + flag + ": \"" +
                                 v + "\"");
   }
+  return out;
 }
 
-/// Applies one key=value pair; `key` uses flag spelling without dashes.
+/// Applies one --key=value flag; `key` is the flag without its dashes.
 void apply_option(NodeOptions& opts, const std::string& key,
                   const std::string& value) {
+  auto u32 = [&] { return parse_number<std::uint32_t>(key, value); };
+  auto u64 = [&] { return parse_number<std::uint64_t>(key, value); };
   if (key == "shard") {
-    opts.shard = static_cast<std::uint32_t>(parse_u64(key, value));
+    opts.shard = u32();
   } else if (key == "num-shards") {
-    opts.num_shards = static_cast<std::uint32_t>(parse_u64(key, value));
+    opts.num_shards = u32();
   } else if (key == "servers") {
-    opts.servers_per_shard = static_cast<std::uint32_t>(parse_u64(key, value));
+    opts.servers_per_shard = u32();
   } else if (key == "faults") {
-    opts.faults = static_cast<std::uint32_t>(parse_u64(key, value));
+    opts.faults = u32();
   } else if (key == "listen") {
     opts.listen = value;
   } else if (key == "service-time-us") {
-    opts.service_time = us(static_cast<double>(parse_u64(key, value)));
+    opts.service_time = us(static_cast<double>(u64()));
   } else if (key == "retry-ms") {
-    opts.retry = ms(static_cast<double>(parse_u64(key, value)));
+    opts.retry = ms(static_cast<double>(u64()));
   } else if (key == "anti-entropy-ms") {
-    opts.anti_entropy = ms(static_cast<double>(parse_u64(key, value)));
+    opts.anti_entropy = ms(static_cast<double>(u64()));
   } else if (key == "seed") {
-    opts.seed = parse_u64(key, value);
+    opts.seed = u64();
   } else if (key == "ready-fd") {
-    opts.ready_fd = static_cast<int>(parse_u64(key, value));
+    opts.ready_fd = parse_number<int>(key, value);
   } else {
     throw std::invalid_argument("wrs-node: unknown option \"" + key + "\"");
-  }
-}
-
-/// Minimal parser for the flat JSON object the --config file holds:
-/// string keys, string or integer values, no nesting. Rejects anything
-/// it does not understand rather than guessing.
-void apply_config_file(NodeOptions& opts, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::invalid_argument("wrs-node: cannot read config file " + path);
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-  };
-  auto fail = [&](const std::string& what) -> std::invalid_argument {
-    return std::invalid_argument("wrs-node: config " + path + ": " + what +
-                                 " at offset " + std::to_string(i));
-  };
-  auto parse_string = [&]() -> std::string {
-    if (text[i] != '"') throw fail("expected string");
-    ++i;
-    std::string out;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\') throw fail("escapes unsupported");
-      out.push_back(text[i++]);
-    }
-    if (i >= text.size()) throw fail("unterminated string");
-    ++i;
-    return out;
-  };
-
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') throw fail("expected '{'");
-  ++i;
-  skip_ws();
-  if (i < text.size() && text[i] == '}') return;  // empty object
-  while (true) {
-    skip_ws();
-    std::string key = parse_string();
-    skip_ws();
-    if (i >= text.size() || text[i] != ':') throw fail("expected ':'");
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < text.size() && text[i] == '"') {
-      value = parse_string();
-    } else {
-      while (i < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[i])))) {
-        value.push_back(text[i++]);
-      }
-      if (value.empty()) throw fail("expected string or integer value");
-    }
-    apply_option(opts, key, value);
-    skip_ws();
-    if (i < text.size() && text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < text.size() && text[i] == '}') return;
-    throw fail("expected ',' or '}'");
   }
 }
 
@@ -207,17 +144,8 @@ void apply_config_file(NodeOptions& opts, const std::string& path) {
 
 NodeOptions parse_node_flags(int argc, const char* const* argv) {
   NodeOptions opts;
-  // First pass: the config file is the base layer.
   for (int a = 1; a < argc; ++a) {
     std::string arg = argv[a];
-    if (arg.rfind("--config=", 0) == 0) {
-      apply_config_file(opts, arg.substr(9));
-    }
-  }
-  // Second pass: explicit flags override it.
-  for (int a = 1; a < argc; ++a) {
-    std::string arg = argv[a];
-    if (arg.rfind("--config=", 0) == 0) continue;
     if (arg.rfind("--", 0) != 0) {
       throw std::invalid_argument("wrs-node: unknown argument \"" + arg +
                                   "\" (flags are --key=value)");

@@ -3,7 +3,7 @@
 // sibling processes over real sockets.
 //
 // Used three ways:
-//  * tools/wrs_node.cpp wraps it in a main() with flag/JSON parsing —
+//  * tools/wrs_node.cpp wraps it in a main() with flag parsing —
 //    the manually deployable binary;
 //  * spawn_node_group() forks it as a child process (no exec), which is
 //    how examples/socket_demo and bench/socket_calibration stand up
@@ -53,10 +53,8 @@ int run_node(const NodeOptions& opts, const std::atomic<bool>* stop);
 
 /// Parses --shard=, --num-shards=, --servers=, --faults=, --listen=,
 /// --service-time-us=, --retry-ms=, --anti-entropy-ms=, --seed=,
-/// --ready-fd=, and --config=FILE (a flat JSON object with the same
-/// keys, minus leading dashes, e.g. {"shard": 1, "listen": "tcp:..."});
-/// explicit flags win over the config file. Throws std::invalid_argument
-/// naming any unknown flag or malformed value.
+/// and --ready-fd=. Throws std::invalid_argument naming any unknown
+/// flag, a flag without "=value", or a malformed or out-of-range number.
 NodeOptions parse_node_flags(int argc, const char* const* argv);
 
 /// One forked node-group process.

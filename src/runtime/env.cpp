@@ -5,10 +5,9 @@
 
 namespace wrs {
 
-void Env::broadcast_to_servers(ProcessId from, const MsgPtr& msg) {
-  for (ProcessId sid : server_ids()) {
-    send(from, sid, msg);
-  }
+const Counters& Env::traffic() const {
+  traffic_export_ = ledger_.snapshot();
+  return traffic_export_;
 }
 
 void Env::broadcast_to_group(ProcessId from,
@@ -41,14 +40,26 @@ const Counters& Env::shard_traffic(std::size_t g) const {
   return shard_traffic_export_[g];
 }
 
-void Env::count_shard_traffic(ProcessId from, ProcessId to,
-                              std::size_t bytes) {
+void Env::count_send(ProcessId from, ProcessId to, const Message& msg,
+                     std::size_t bytes) {
+  ledger_.count_message(msg, static_cast<std::int64_t>(bytes));
   if (shard_traffic_.empty()) return;
   int g = shard_of_(from, to);
   if (g < 0 || static_cast<std::size_t>(g) >= shard_traffic_.size()) return;
   TrafficLedger& ledger = shard_traffic_[static_cast<std::size_t>(g)];
   ledger.inc(TrafficLedger::kMsgs);
   ledger.inc(TrafficLedger::kBytes, static_cast<std::int64_t>(bytes));
+}
+
+LinkFaults::Decision Env::fault_verdict(ProcessId from, ProcessId to,
+                                        Rng& rng) {
+  LinkFaults::Decision fate = faults_.decide(from, to, rng);
+  if (!fate.deliver) {
+    ledger_.inc(TrafficLedger::kMsgsLost);
+  } else if (fate.duplicate) {
+    ledger_.inc(TrafficLedger::kMsgsDup);
+  }
+  return fate;
 }
 
 }  // namespace wrs

@@ -1,7 +1,8 @@
-// Runtime interface shared by the discrete-event simulator (SimEnv) and
-// the thread-per-process runtime (ThreadEnv).
+// Runtime interface shared by the discrete-event simulator (SimEnv), the
+// thread-per-process runtime (ThreadEnv) and the socket runtime
+// (SocketEnv).
 //
-// Execution model (both runtimes guarantee it):
+// Execution model (all three runtimes guarantee it):
 //  * Each process's handlers (`on_message`, scheduled callbacks,
 //    `on_start`) run serially — never two at once for the same process.
 //  * Links are reliable BY DEFAULT: a message from a correct process to
@@ -13,13 +14,20 @@
 //  * Crashing a process silently drops its queued and future messages.
 //
 // Protocols are event-driven state machines written only against this
-// interface, so every protocol runs unmodified on both substrates.
+// interface, so every protocol runs unmodified on all three substrates.
+//
+// What the runtimes share lives here, defined once: the traffic ledger
+// and its export, the per-shard ledgers, the fault plane and its
+// send-time verdict, and the group broadcast. A runtime supplies only
+// what really differs: its clock, registration, crash handling and
+// delivery.
 #pragma once
 
 #include <functional>
 #include <memory>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/types.h"
 #include "runtime/link_faults.h"
 #include "runtime/message.h"
@@ -63,39 +71,33 @@ class Env {
   /// Crash-stops `pid`: queued and future messages/callbacks are dropped.
   virtual void crash(ProcessId pid) = 0;
 
+  virtual bool is_crashed(ProcessId pid) const = 0;
+
   /// The fault-injection plane: partitions, message loss, duplication,
   /// reordering (see runtime/link_faults.h). Faults apply to messages
   /// SENT while active; healing does not resurrect dropped messages, so
   /// protocol liveness under faults needs retries
   /// (AbdClient::set_retry_interval) / anti-entropy
   /// (ReassignNode::enable_sync).
-  virtual LinkFaults& faults() = 0;
+  LinkFaults& faults() { return faults_; }
 
-  virtual bool is_crashed(ProcessId pid) const = 0;
+  /// Message traffic counters ("msgs", "bytes", per-type counts). The
+  /// snapshot is materialized on each call; on the thread and socket
+  /// runtimes it is exact only once the deployment is quiescent.
+  const Counters& traffic() const;
 
-  /// Message traffic counters ("msgs", "bytes", per-type counts).
-  virtual const Counters& traffic() const = 0;
-
-  /// Bumps a well-known ledger slot from protocol code (e.g. the ABD
-  /// read fast path counting "reads.fast_path"). Lock-free on every
-  /// runtime; the default is a no-op for minimal test doubles.
-  virtual void count_event(TrafficLedger::Slot /*slot*/,
-                           std::int64_t /*by*/ = 1) {}
-
-  /// Broadcast helper: sends to every registered *server* id (< base),
-  /// including `from` itself when it is a server — matching the paper's
-  /// "broadcast to all servers" which includes the sender.
-  void broadcast_to_servers(ProcessId from, const MsgPtr& msg);
+  /// Bumps a well-known ledger slot (e.g. AbdClient counting
+  /// "reads.fast_path", SocketEnv counting "msgs.malformed"). Lock-free.
+  void count_event(TrafficLedger::Slot slot, std::int64_t by = 1) {
+    ledger_.inc(slot, by);
+  }
 
   /// Group-scoped broadcast: sends to exactly `group` (including `from`
-  /// when it is a member). Sharded deployments run several independent
-  /// replica groups in one Env, so protocol components broadcast to
-  /// their own config's server set rather than every registered server.
+  /// when it is a member). Protocol components broadcast to their own
+  /// config's server set: a sharded deployment runs several independent
+  /// replica groups in one Env.
   void broadcast_to_group(ProcessId from, const std::vector<ProcessId>& group,
                           const MsgPtr& msg);
-
-  /// All currently registered server ids (sorted).
-  virtual std::vector<ProcessId> server_ids() const = 0;
 
   // --- per-shard traffic accounting ---------------------------------------
   /// Attributes a message to a shard: the destination server's shard, or
@@ -118,15 +120,25 @@ class Env {
   const Counters& shard_traffic(std::size_t g) const;
 
  protected:
-  /// Implementations call this from send() with the same byte count
-  /// they charge traffic(): the message's encoded frame size. SimEnv and
-  /// ThreadEnv get it from WireCodec::frame_size, SocketEnv from the
-  /// frame it just encoded; the two agree by construction. Lock-free:
-  /// the ledger is sharded atomics and `shard_of` is a pure function of
-  /// the ids.
-  void count_shard_traffic(ProcessId from, ProcessId to, std::size_t bytes);
+  /// Charges one sent message to traffic() ("msgs", "bytes", "msg.<T>")
+  /// and to its shard's counters. `bytes` is the message's encoded frame
+  /// size: SimEnv and ThreadEnv get it from WireCodec::frame_size,
+  /// SocketEnv from the frame it just encoded; the two agree by
+  /// construction. Lock-free: the ledgers are sharded atomics and
+  /// `shard_of` is a pure function of the ids.
+  void count_send(ProcessId from, ProcessId to, const Message& msg,
+                  std::size_t bytes);
+
+  /// The fault plane's send-time verdict on one from->to message, drawn
+  /// from `rng`; a lost message counts "msgs.lost", a duplicated one
+  /// "msgs.dup". The caller serializes its own rng (SimEnv is single
+  /// threaded, ThreadEnv holds rng_mu_, SocketEnv mu_).
+  LinkFaults::Decision fault_verdict(ProcessId from, ProcessId to, Rng& rng);
 
  private:
+  LinkFaults faults_;
+  TrafficLedger ledger_;
+  mutable Counters traffic_export_;
   std::vector<TrafficLedger> shard_traffic_;
   mutable std::vector<Counters> shard_traffic_export_;
   ShardOfMessage shard_of_;

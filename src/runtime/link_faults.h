@@ -1,4 +1,5 @@
-// Per-link fault-injection plane shared by both runtimes.
+// Per-link fault-injection plane, owned by Env and shared by all three
+// runtimes (SimEnv, ThreadEnv, SocketEnv).
 //
 // The paper's system model assumes reliable links; this plane lets tests
 // and chaos harnesses violate that assumption on purpose:
@@ -13,7 +14,8 @@
 //                                         probability p (bounded
 //                                         reordering; the simulator applies
 //                                         it seeded and deterministically,
-//                                         the thread runtime ignores it).
+//                                         the thread and socket runtimes
+//                                         ignore it).
 //
 // Semantics: faults apply to messages SENT while the fault is active.
 // Cut/dropped messages are LOST, not buffered — healing does not
@@ -24,7 +26,8 @@
 // a process can always talk to itself.
 //
 // Internally synchronized: scenario scripts mutate the plane from the
-// thread runtime's timer thread while workers send. decide() draws from
+// thread runtime's timer thread while workers send. Env::fault_verdict
+// is the one caller of decide() on every runtime. decide() draws from
 // the CALLER's rng (the env's seeded stream) and only for links with
 // probabilistic faults configured, so fault-free runs consume no
 // randomness and stay bit-for-bit identical to pre-fault-plane builds.
@@ -89,7 +92,7 @@ class LinkFaults {
 
   /// Decides the fate of one from->to message, drawing from `rng` only
   /// when the link has probabilistic faults (or reordering is on). The
-  /// caller must own `rng` (both envs call this under their own
+  /// caller must own `rng` (each runtime calls this under its own
   /// serialization).
   Decision decide(ProcessId from, ProcessId to, Rng& rng);
 

@@ -23,7 +23,7 @@ class Message {
  public:
   /// Process-wide unique tag per concrete message type, allocated lazily
   /// on first use. Dispatch compares tags instead of running dynamic_cast
-  /// (msg_cast sits on the per-message hot path of both runtimes).
+  /// (msg_cast sits on the per-message hot path of every runtime).
   using TypeId = std::uint32_t;
 
   virtual ~Message() = default;

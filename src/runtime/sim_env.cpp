@@ -35,21 +35,15 @@ void SimEnv::start() {
 void SimEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   if (!msg) throw std::invalid_argument("SimEnv::send: null message");
   if (crashed_.count(from) != 0) return;  // a crashed process sends nothing
-  const std::size_t bytes = net::WireCodec::frame_size(*msg);
-  ledger_.count_message(*msg, static_cast<std::int64_t>(bytes));
-  count_shard_traffic(from, to, bytes);
+  count_send(from, to, *msg, net::WireCodec::frame_size(*msg));
   Envelope env{from, to, std::move(msg)};
-  if (!faults_.active()) {
+  if (!faults().active()) {
     route(std::move(env), 0);
     return;
   }
-  LinkFaults::Decision fate = faults_.decide(from, to, rng_);
-  if (!fate.deliver) {
-    ledger_.inc(TrafficLedger::kMsgsLost);
-    return;
-  }
+  LinkFaults::Decision fate = fault_verdict(from, to, rng_);
+  if (!fate.deliver) return;
   if (fate.duplicate) {
-    ledger_.inc(TrafficLedger::kMsgsDup);
     route(Envelope{env.from, env.to, env.msg}, fate.extra_delay);
   }
   route(std::move(env), fate.extra_delay);
@@ -87,14 +81,6 @@ void SimEnv::crash(ProcessId pid) {
 
 bool SimEnv::is_crashed(ProcessId pid) const {
   return crashed_.count(pid) != 0;
-}
-
-std::vector<ProcessId> SimEnv::server_ids() const {
-  std::vector<ProcessId> out;
-  for (const auto& [pid, _] : processes_) {
-    if (is_server(pid)) out.push_back(pid);
-  }
-  return out;
 }
 
 void SimEnv::hold_messages(ProcessId pid) { held_.insert(pid); }

@@ -15,12 +15,10 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "runtime/env.h"
 #include "runtime/latency_model.h"
 #include "runtime/task.h"
-#include "runtime/traffic_ledger.h"
 
 namespace wrs {
 
@@ -37,18 +35,9 @@ class SimEnv : public Env {
   void register_process(ProcessId pid, Process* process) override;
   void crash(ProcessId pid) override;
   bool is_crashed(ProcessId pid) const override;
-  const Counters& traffic() const override {
-    traffic_export_ = ledger_.snapshot();
-    return traffic_export_;
-  }
-  void count_event(TrafficLedger::Slot slot, std::int64_t by = 1) override {
-    ledger_.inc(slot, by);
-  }
-  std::vector<ProcessId> server_ids() const override;
-  /// Faults draw from the simulator's seeded rng, so an entire chaos
-  /// episode (including bounded reordering) replays bit-for-bit from the
-  /// seed.
-  LinkFaults& faults() override { return faults_; }
+  // Fault verdicts draw from the simulator's seeded rng, so an entire
+  // chaos episode (including bounded reordering) replays bit-for-bit
+  // from the seed.
 
   // --- Simulation control -------------------------------------------------
   /// Delivers `on_start` to all registered processes (idempotent).
@@ -91,7 +80,7 @@ class SimEnv : public Env {
   /// Pending events by (time, push order); the tag is the pid whose
   /// execution context runs the event (kNoProcess for env-internal).
   TaskHeap queue_;
-  /// Sorted by pid: start() and server_ids() walk it in pid order.
+  /// Sorted by pid: start() walks it in pid order.
   FlatMap<ProcessId, Process*> processes_;
   std::set<ProcessId> crashed_;
   std::set<ProcessId> held_;
@@ -99,9 +88,6 @@ class SimEnv : public Env {
   /// time survives the hold and applies at release.
   std::map<ProcessId, std::vector<std::pair<Envelope, TimeNs>>>
       held_messages_;
-  LinkFaults faults_;
-  TrafficLedger ledger_;
-  mutable Counters traffic_export_;
 };
 
 }  // namespace wrs

@@ -2,7 +2,6 @@
 
 #include "runtime/socket_env.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -105,20 +104,6 @@ bool SocketEnv::is_crashed(ProcessId pid) const {
   return crashed_.count(pid) != 0;
 }
 
-std::vector<ProcessId> SocketEnv::server_ids() const {
-  std::lock_guard lock(mu_);
-  std::vector<ProcessId> out;
-  for (const auto& [pid, proc] : local_) {
-    if (is_server(pid)) out.push_back(pid);
-  }
-  for (const auto& [pid, addr] : routes_) {
-    if (is_server(pid) && local_.count(pid) == 0) out.push_back(pid);
-  }
-  // local_ and routes_ are both id-sorted maps but their union is not.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void SocketEnv::add_route(ProcessId pid, const net::SocketAddr& addr) {
   net::SocketTransport::PeerId peer = transport_.intern_peer(addr);
   std::lock_guard lock(mu_);
@@ -162,21 +147,14 @@ void SocketEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   int copies = 1;
   net::SocketTransport::PeerId peer = net::SocketTransport::kNoPeer;
   net::SocketTransport::ConnId conn = 0;
-  ledger_.count_message(*msg, static_cast<std::int64_t>(frame.size()));
-  count_shard_traffic(from, to, frame.size());
+  count_send(from, to, *msg, frame.size());
   {
     std::lock_guard lock(mu_);
     if (crashed_.count(to) != 0) return;
-    if (faults_.active() && from != to) {
-      auto decision = faults_.decide(from, to, rng_);
-      if (!decision.deliver) {
-        ledger_.inc(TrafficLedger::kMsgsLost);
-        return;
-      }
-      if (decision.duplicate) {
-        ledger_.inc(TrafficLedger::kMsgsDup);
-        copies = 2;
-      }
+    if (faults().active()) {
+      LinkFaults::Decision fate = fault_verdict(from, to, rng_);
+      if (!fate.deliver) return;
+      if (fate.duplicate) copies = 2;
     }
     if (local_.count(to) != 0) {
       if (opts_.loopback_self) {  // out through our own listener
@@ -192,7 +170,7 @@ void SocketEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
       via = Via::kConn;
       conn = lit->second;
     } else {
-      ledger_.inc(TrafficLedger::kMsgsUnroutable);
+      count_event(TrafficLedger::kMsgsUnroutable);
       return;
     }
   }
@@ -204,7 +182,7 @@ void SocketEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
       auto decoded = net::WireCodec::decode_frame(frame.data() + 4,
                                                   frame.size() - 4);
       if (!decoded) {
-        ledger_.inc(TrafficLedger::kMsgsMalformed);
+        count_event(TrafficLedger::kMsgsMalformed);
         continue;
       }
       MsgPtr local_msg = decoded->msg;
@@ -224,27 +202,27 @@ void SocketEnv::on_frame(net::SocketTransport::ConnId conn,
   if (!decoded) {
     // A frame we cannot decode means the stream is not speaking our
     // protocol (or a version we know) — drop the connection.
-    ledger_.inc(TrafficLedger::kMsgsMalformed);
+    count_event(TrafficLedger::kMsgsMalformed);
     transport_.close_conn(conn);
     return;
   }
   ProcessId from = decoded->from;
   ProcessId to = decoded->to;
-  ledger_.inc(TrafficLedger::kMsgsIn);
-  ledger_.inc(TrafficLedger::kBytesIn, static_cast<std::int64_t>(len + 4));
+  count_event(TrafficLedger::kMsgsIn);
+  count_event(TrafficLedger::kBytesIn, static_cast<std::int64_t>(len + 4));
   {
     std::lock_guard lock(mu_);
     // Learn the return route (how servers answer dialed-in clients).
     if (local_.count(from) == 0) learned_[from] = conn;
     if (local_.count(to) == 0) {
-      ledger_.inc(TrafficLedger::kMsgsNoHandler);
+      count_event(TrafficLedger::kMsgsNoHandler);
       return;
     }
     if (crashed_.count(to) != 0) return;
     // Delivery-time cut filter: a partition started after the bytes left
     // the sender still stops them here, like a mid-flight cable pull.
-    if (from != to && faults_.active() && faults_.is_cut(from, to)) {
-      ledger_.inc(TrafficLedger::kMsgsLost);
+    if (faults().active() && faults().is_cut(from, to)) {
+      count_event(TrafficLedger::kMsgsLost);
       return;
     }
   }
@@ -287,7 +265,7 @@ void SocketEnv::on_conn_closed(net::SocketTransport::ConnId conn) {
 }
 
 void SocketEnv::fault_poll() {
-  if (faults_.active()) {
+  if (faults().active()) {
     // Collect the remote peers whose every pid pair is cut both ways;
     // their connections get torn down for real (the redial/backoff path
     // then exercises reconnection when the partition heals).
@@ -295,12 +273,13 @@ void SocketEnv::fault_poll() {
     std::vector<net::SocketTransport::ConnId> cut_conns;
     {
       std::lock_guard lock(mu_);
-      auto fully_cut = [this](ProcessId remote) {
+      const LinkFaults& plane = faults();
+      auto fully_cut = [this, &plane](ProcessId remote) {
         bool any = false;
         for (const auto& [lpid, proc] : local_) {
           if (crashed_.count(lpid) != 0) continue;
           any = true;
-          if (!faults_.is_cut(lpid, remote) || !faults_.is_cut(remote, lpid)) {
+          if (!plane.is_cut(lpid, remote) || !plane.is_cut(remote, lpid)) {
             return false;
           }
         }

@@ -88,17 +88,7 @@ class SocketEnv : public Env {
   void register_process(ProcessId pid, Process* process) override;
   void crash(ProcessId pid) override;
   bool is_crashed(ProcessId pid) const override;
-  /// Stable only once the deployment is quiescent (like ThreadEnv); the
-  /// snapshot is materialized per call.
-  const Counters& traffic() const override {
-    traffic_export_ = ledger_.snapshot();
-    return traffic_export_;
-  }
-  void count_event(TrafficLedger::Slot slot, std::int64_t by = 1) override {
-    ledger_.inc(slot, by);
-  }
-  std::vector<ProcessId> server_ids() const override;
-  LinkFaults& faults() override { return faults_; }
+  // Fault verdicts draw from the env's seeded rng under mu_.
 
   // --- socket-specific -----------------------------------------------------
   /// Static route to a remote pid. May be called any time.
@@ -143,14 +133,7 @@ class SocketEnv : public Env {
   // up a dense PeerId instead of building an address string.
   std::map<ProcessId, net::SocketTransport::PeerId> route_peers_;
   std::map<ProcessId, net::SocketTransport::ConnId> learned_;
-  LinkFaults faults_;
-  Rng rng_;
-  // Lock-free sharded counters: syscalls dominate this runtime, but the
-  // counting idiom (pre-interned slots, no string build per send) is
-  // shared with SimEnv/ThreadEnv so the three traffic() outputs stay
-  // key-compatible.
-  TrafficLedger ledger_;
-  mutable Counters traffic_export_;
+  Rng rng_;  // fault verdicts and latency draws
   bool started_ = false;
 
   std::atomic<std::uint64_t> fault_teardowns_{0};

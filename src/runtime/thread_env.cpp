@@ -197,23 +197,17 @@ void ThreadEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   const Routing* routes = routing();
   Mailbox* src = routes->find(from);
   if (src != nullptr && src->crashed.load(std::memory_order_acquire)) return;
-  const std::size_t bytes = net::WireCodec::frame_size(*msg);
-  ledger_.count_message(*msg, static_cast<std::int64_t>(bytes));
-  count_shard_traffic(from, to, bytes);
+  count_send(from, to, *msg, net::WireCodec::frame_size(*msg));
   TimeNs delay = 0;
   TimeNs dup_delay = -1;  // >= 0 iff the message is duplicated
-  if (faults_.active() || latency_) {
+  if (faults().active() || latency_) {
     // Only fault decisions and latency samples need the seeded rng; the
     // default configuration never takes this lock.
     std::lock_guard lock(rng_mu_);
-    if (faults_.active()) {
-      LinkFaults::Decision fate = faults_.decide(from, to, rng_);
-      if (!fate.deliver) {
-        ledger_.inc(TrafficLedger::kMsgsLost);
-        return;
-      }
+    if (faults().active()) {
+      LinkFaults::Decision fate = fault_verdict(from, to, rng_);
+      if (!fate.deliver) return;
       if (fate.duplicate) {
-        ledger_.inc(TrafficLedger::kMsgsDup);
         dup_delay = latency_ ? latency_->sample(from, to, rng_) : 0;
       }
       // fate.extra_delay (bounded reordering) is sim-only; ignored here.
@@ -310,20 +304,6 @@ void ThreadEnv::crash(ProcessId pid) {
 bool ThreadEnv::is_crashed(ProcessId pid) const {
   Mailbox* box = routing()->find(pid);
   return box != nullptr && box->crashed.load(std::memory_order_acquire);
-}
-
-const Counters& ThreadEnv::traffic() const {
-  traffic_export_ = ledger_.snapshot();
-  return traffic_export_;
-}
-
-std::vector<ProcessId> ThreadEnv::server_ids() const {
-  const Routing* routes = routing();
-  std::vector<ProcessId> out;
-  for (const auto& [pid, box] : routes->entries) {
-    if (is_server(pid)) out.push_back(pid);
-  }
-  return out;
 }
 
 }  // namespace wrs

@@ -16,9 +16,8 @@
 //    pointer; send() does one acquire load and a binary search — no
 //    lock. Retired tables are kept until destruction, so readers never
 //    race reclamation.
-//  * Traffic accounting goes through TrafficLedger (sharded relaxed
-//    atomics, pre-interned type slots) instead of a string-keyed map
-//    under a mutex.
+//  * Traffic accounting goes through Env's TrafficLedger (sharded
+//    relaxed atomics, pre-interned type slots): no lock.
 //  * A small rng_mu_ is taken only when a fault decision or latency
 //    sample actually needs the seeded rng; the common configuration
 //    (no faults, no latency model) takes no lock at all.
@@ -56,7 +55,6 @@
 #include "runtime/latency_model.h"
 #include "runtime/mpsc_queue.h"
 #include "runtime/task.h"
-#include "runtime/traffic_ledger.h"
 
 namespace wrs {
 
@@ -89,18 +87,9 @@ class ThreadEnv : public Env {
   void register_process(ProcessId pid, Process* process) override;
   void crash(ProcessId pid) override;
   bool is_crashed(ProcessId pid) const override;
-  /// Only meaningful after stop(): the returned snapshot is materialized
-  /// per call and not synchronized against concurrent traffic() readers.
-  const Counters& traffic() const override;
-  void count_event(TrafficLedger::Slot slot, std::int64_t by = 1) override {
-    ledger_.inc(slot, by);
-  }
-  std::vector<ProcessId> server_ids() const override;
-  /// Drop/duplicate decisions draw from the env's seeded rng under a
-  /// dedicated lock; the reorder knob is ignored (reordering is the
-  /// simulator's deterministic specialty — real threads reorder for
-  /// free).
-  LinkFaults& faults() override { return faults_; }
+  // Fault verdicts draw from the env's seeded rng under rng_mu_; the
+  // reorder knob is ignored (reordering is the simulator's deterministic
+  // specialty — real threads reorder for free).
 
   // --- Lifecycle ----------------------------------------------------------
   /// Launches worker and timer threads and delivers on_start.
@@ -180,11 +169,8 @@ class ThreadEnv : public Env {
   bool started_ = false;
   bool stopping_ = false;
 
-  LinkFaults faults_;
   std::mutex rng_mu_;  // guards rng_ (fault + latency draws only)
   Rng rng_;
-  TrafficLedger ledger_;
-  mutable Counters traffic_export_;
 
   // Timer thread state.
   std::mutex timer_mu_;

@@ -16,7 +16,7 @@ class PaxosProcess : public Process {
   PaxosProcess(Env& env, ProcessId self, std::uint32_t n, std::uint32_t f,
                std::uint64_t seed)
       : node_(
-            env, self, n, f,
+            env, self, server_range(0, n), f,
             [this](InstanceId i, const PaxosValue& v) { decisions[i] = v; },
             seed) {}
   void on_message(ProcessId from, const Message& msg) override {

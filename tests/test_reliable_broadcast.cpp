@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "runtime/sim_env.h"
@@ -24,12 +25,15 @@ class NoteMsg : public MessageBase<NoteMsg> {
 /// A server that only runs a reliable-broadcast endpoint.
 class RbServer : public Process {
  public:
-  RbServer(Env& env, ProcessId self)
-      : rb_(env, self, [this](ProcessId origin, const Message& m) {
-          const auto* note = msg_cast<NoteMsg>(m);
-          ASSERT_NE(note, nullptr);
-          delivered.emplace_back(origin, note->value());
-        }) {}
+  RbServer(Env& env, ProcessId self, std::vector<ProcessId> group)
+      : rb_(
+            env, self,
+            [this](ProcessId origin, const Message& m) {
+              const auto* note = msg_cast<NoteMsg>(m);
+              ASSERT_NE(note, nullptr);
+              delivered.emplace_back(origin, note->value());
+            },
+            std::move(group)) {}
 
   void on_message(ProcessId from, const Message& msg) override {
     rb_.handle(from, msg);
@@ -50,7 +54,8 @@ struct RbCluster {
     env = std::make_unique<SimEnv>(
         std::make_shared<UniformLatency>(ms(1), ms(10)), seed);
     for (std::uint32_t i = 0; i < n; ++i) {
-      servers.push_back(std::make_unique<RbServer>(*env, i));
+      servers.push_back(
+          std::make_unique<RbServer>(*env, i, server_range(0, n)));
       env->register_process(i, servers.back().get());
     }
     env->start();

@@ -1,4 +1,4 @@
-// Golden digests of two seeded simulator deployments.
+// Golden digests of three seeded simulator deployments.
 //
 // A simulated run is a pure function of its seed, so a change to the
 // event queue, the process table or any container on the delivery path
@@ -213,6 +213,46 @@ TEST(SimDigest, ShardedClusterWithSnapshotsAndMigration) {
   EXPECT_EQ(taps.deliveries(), 3'282u);
   EXPECT_EQ(c.traffic().get("msgs"), 3'282);
   EXPECT_EQ(digest.value(), 7967672314275316583ull);
+}
+
+// Five servers, two clients with retransmission, under every fault the
+// link plane injects: a loss storm, a duplication storm, bounded
+// reordering and one partition that later heals. Pins the rng order of
+// the fault path (each send's verdict, then its latency draws).
+TEST(SimDigest, FaultedClusterWithLossDuplicationReorderAndPartition) {
+  Cluster c = Cluster::builder()
+                  .servers(5)
+                  .faults(1)
+                  .clients(2)
+                  .retry(ms(40))
+                  .uniform_latency(ms(1), ms(8))
+                  .seed(23)
+                  .build();
+  Digest digest;
+  Taps taps(c, digest);
+  c.drop_all_links(0.1);
+  c.duplicate_all_links(0.1);
+  c.reorder_links(0.3, ms(6));
+  c.at(seconds(1), [&] { c.partition(0, 1); });
+  c.at(seconds(2), [&] { c.heal(0, 1); });
+
+  for (int i = 0; c.now() < seconds(3); ++i) {
+    const RegisterKey key = "k" + std::to_string(i % 6);
+    Await<Tag> w = c.client(0).write(key, "v" + std::to_string(i));
+    Await<TaggedValue> r = c.client(1).read(key);
+    w.get(seconds(60));
+    r.get(seconds(60));
+    c.run_for(ms(15));
+  }
+  c.heal_all_links();
+  c.quiesce();
+  add_traffic(digest, c.traffic());
+
+  EXPECT_EQ(taps.deliveries(), 2'243u);
+  EXPECT_EQ(c.traffic().get("msgs"), 2'306);
+  EXPECT_EQ(c.traffic().get("msgs.lost"), 253);
+  EXPECT_EQ(c.traffic().get("msgs.dup"), 190);
+  EXPECT_EQ(digest.value(), 11634823246637519473ull);
 }
 
 }  // namespace

@@ -277,29 +277,20 @@ TEST(SimEnv, SeededFaultTrafficReplaysIdentically) {
   EXPECT_GT(first.at("msgs.dup"), 0);
 }
 
-TEST(SimEnv, ServerIdsExcludeClients) {
+TEST(SimEnv, BroadcastToGroupIncludesSenderAndNoOneElse) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   Recorder a(env);
   Recorder b(env);
   Recorder c(env);
   env.register_process(0, &a);
   env.register_process(1, &b);
-  env.register_process(client_id(0), &c);
-  auto ids = env.server_ids();
-  EXPECT_EQ(ids, (std::vector<ProcessId>{0, 1}));
-}
-
-TEST(SimEnv, BroadcastToServersIncludesSender) {
-  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
-  Recorder a(env);
-  Recorder b(env);
-  env.register_process(0, &a);
-  env.register_process(1, &b);
+  env.register_process(2, &c);
   env.start();
-  env.broadcast_to_servers(0, std::make_shared<NoteMsg>(5));
+  env.broadcast_to_group(0, {0, 1}, std::make_shared<NoteMsg>(5));
   env.run_to_quiescence();
   EXPECT_EQ(a.entries.size(), 1u);  // self-delivery
   EXPECT_EQ(b.entries.size(), 1u);
+  EXPECT_EQ(c.entries.size(), 0u);  // registered, but not in the group
 }
 
 TEST(LatencyModels, HeavyTailRespectsCap) {

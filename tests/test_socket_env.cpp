@@ -57,6 +57,9 @@ struct SocketClient {
     if (retry > 0) client.router().set_retry_interval(retry);
     env.register_process(pid, &client);
   }
+  // Members die in reverse order, so `client` would go first while the
+  // loop thread may still be running its handlers: stop the loop before.
+  ~SocketClient() { env.stop(); }
 
   static SocketEnv::Options make_opts(std::uint64_t seed) {
     SocketEnv::Options o;
@@ -91,6 +94,44 @@ struct SocketClient {
     return aw.get(timeout);
   }
 };
+
+// --- wrs-node flags ----------------------------------------------------------
+
+NodeOptions parse(std::vector<const char*> args) {
+  args.insert(args.begin(), "wrs-node");
+  return deploy::parse_node_flags(static_cast<int>(args.size()), args.data());
+}
+
+TEST(NodeFlags, AcceptsEveryFlag) {
+  NodeOptions o = parse({"--shard=1", "--num-shards=2", "--servers=5",
+                         "--faults=2", "--listen=unix:node.sock",
+                         "--service-time-us=100", "--retry-ms=10",
+                         "--anti-entropy-ms=25", "--seed=9", "--ready-fd=4"});
+  EXPECT_EQ(o.shard, 1u);
+  EXPECT_EQ(o.num_shards, 2u);
+  EXPECT_EQ(o.servers_per_shard, 5u);
+  EXPECT_EQ(o.faults, 2u);
+  EXPECT_EQ(o.listen, "unix:node.sock");
+  EXPECT_EQ(o.service_time, us(100));
+  EXPECT_EQ(o.retry, ms(10));
+  EXPECT_EQ(o.anti_entropy, ms(25));
+  EXPECT_EQ(o.seed, 9u);
+  EXPECT_EQ(o.ready_fd, 4);
+
+  NodeOptions defaults = parse({});
+  EXPECT_EQ(defaults.shard, 0u);
+  EXPECT_EQ(defaults.listen, "tcp:127.0.0.1:0");
+  EXPECT_EQ(defaults.ready_fd, -1);
+}
+
+TEST(NodeFlags, RejectsUnknownMalformedAndValuelessFlags) {
+  EXPECT_THROW(parse({"--shards=2"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--shard=1x"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--seed=-1"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--shard=4294967296"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--retry-ms"}), std::invalid_argument);
+  EXPECT_THROW(parse({"shard=1"}), std::invalid_argument);
+}
 
 // --- multi-process -----------------------------------------------------------
 // Declared first: fork() happens before any test has started (and

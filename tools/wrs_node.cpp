@@ -4,13 +4,13 @@
 //   wrs-node --shard=0 --num-shards=2 --servers=3 --faults=1
 //            --listen=tcp:127.0.0.1:7000 [--service-time-us=100]
 //            [--retry-ms=10] [--anti-entropy-ms=25] [--seed=1]
-//            [--ready-fd=N] [--config=node.json]
+//            [--ready-fd=N]
 //
 // After the listener is bound the process prints its actual address
 // ("tcp:127.0.0.1:7000", with port 0 resolved to the ephemeral choice)
 // on stdout — or to --ready-fd when given — then serves until SIGTERM
-// or SIGINT. --config takes a flat JSON object with the same keys
-// ({"shard": 0, "listen": "tcp:..."}); explicit flags win.
+// or SIGINT. Every flag takes the form --key=value; an unknown flag or
+// a malformed or out-of-range number exits with status 2.
 #ifdef __linux__
 
 #include <signal.h>
