@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "runtime/msg_pool.h"
@@ -133,19 +134,9 @@ std::vector<AbdClient::EjectedOp> AbdClient::eject(OpId id) {
     return {};
   }
   auto take = [this](OpId op_id) {
-    auto oit = ops_.find(op_id);
-    Op& op = oit->second;
-    EjectedOp out;
-    out.kind = op.kind;
-    out.key = std::move(op.key);
-    out.value = std::move(op.value);
-    out.to_write = std::move(op.to_write);
-    out.write_tag_chosen = op.write_tag_chosen;
-    out.rcb = std::move(op.rcb);
-    out.wcb = std::move(op.wcb);
-    if (op.started) --started_count_;
-    ops_.erase(oit);
-    return out;
+    auto node = ops_.extract(op_id);
+    if (node.mapped().started) --started_count_;
+    return std::move(node.mapped());
   };
   std::vector<EjectedOp> out;
   if (keyless(kind)) {  // kInstall: no FIFO entry
@@ -163,15 +154,12 @@ std::vector<AbdClient::EjectedOp> AbdClient::eject(OpId id) {
   return out;
 }
 
-OpId AbdClient::resume(EjectedOp e) {
-  Op op;
-  op.kind = e.kind;
-  op.key = std::move(e.key);
-  op.value = std::move(e.value);
-  op.to_write = std::move(e.to_write);
-  op.write_tag_chosen = e.write_tag_chosen;
-  op.rcb = std::move(e.rcb);
-  op.wcb = std::move(e.wcb);
+OpId AbdClient::resume(EjectedOp op) {
+  // A fresh attempt here: the old client's attempts and restarts were
+  // spent against another group. The chosen tag stays.
+  op.started = false;
+  op.seq = 0;
+  op.op_restarts = 0;
   return enqueue(std::move(op));
 }
 
@@ -208,13 +196,9 @@ void AbdClient::start_phase1(Op& op) {
   }
   op.phase = 1;
   ++op.seq;
-  op.phase1_replies.clear();
-  op.phase2_acks.clear();
-  op.keys_acks.clear();
+  op.replies.clear();
   op.keys_acc.clear();
-  op.snap_replies.clear();
   op.snap_all_held = true;
-  op.snap_vouched.clear();
   broadcast_phase(op);
   schedule_retry(op.id, op.seq);
   if (op.kind == OpKind::kSnapRelease && op.seq == 1) {
@@ -238,7 +222,7 @@ void AbdClient::start_phase1(Op& op) {
 void AbdClient::start_phase2(Op& op) {
   op.phase = 2;
   ++op.seq;
-  op.phase2_acks.clear();
+  op.replies.clear();
   broadcast_phase(op);
   schedule_retry(op.id, op.seq);
 }
@@ -272,8 +256,7 @@ void AbdClient::broadcast_phase(const Op& op) {
   // outside the batched-frame path (fences and collects are rare control
   // traffic, not hot ops). Installs are plain WriteReqs and batch freely.
   if (!batching() || op.kind == OpKind::kFreeze ||
-      op.kind == OpKind::kCommit || op.kind == OpKind::kCollect ||
-      op.kind == OpKind::kSnapFreeze || op.kind == OpKind::kSnapRelease) {
+      op.kind == OpKind::kCommit || snap_round(op.kind)) {
     env_.broadcast_to_group(self_, servers_, req);
     return;
   }
@@ -375,9 +358,12 @@ void AbdClient::complete(OpId id) {
       finished.kcb(keys);
       break;
     }
-    case OpKind::kSnapFreeze:
-      freeze_voters_[finished.snap_id] = finished.keys_acks;
+    case OpKind::kSnapFreeze: {
+      std::vector<ProcessId>& voters = freeze_voters_[finished.snap_id];
+      voters.clear();
+      for (const Reply& r : finished.replies) voters.push_back(r.from);
       [[fallthrough]];
+    }
     case OpKind::kCollect:
       finished.ccb(aggregate_snap(finished));
       break;
@@ -398,9 +384,9 @@ std::vector<AbdClient::CollectEntry> AbdClient::aggregate_snap(
     CollectEntry& ce = out[i];
     ce.key = op.snap_keys[i];
     bool first = true;
-    for (const auto& [pid, entries] : op.snap_replies) {
-      if (entries.size() != op.snap_keys.size()) continue;  // malformed
-      const SnapEntry& e = entries[i];
+    for (const Reply& r : op.replies) {
+      if (r.entries.size() != op.snap_keys.size()) continue;  // malformed
+      const SnapEntry& e = r.entries[i];
       if (e.flag != SnapEntry::kOk) {
         if (ce.flag == SnapEntry::kOk || e.flag == SnapEntry::kMoved) {
           ce.flag = e.flag;
@@ -452,131 +438,41 @@ bool AbdClient::merge_and_maybe_restart(ProcessId from,
 }
 
 bool AbdClient::responders_form_quorum(
-    const std::vector<ProcessId>& responders) const {
+    const std::vector<Reply>& replies) const {
   // Algorithm 5 is_quorum: responders' total weight under the client's
   // current change set must exceed W_{S,0}/2.
   Weight sum(0);
-  for (ProcessId s : responders) sum += weights_.of(s);
+  for (const Reply& r : replies) sum += weights_.of(r.from);
   return sum * Weight(2) > initial_total_;
 }
 
-bool AbdClient::responders_form_quorum(
-    const std::vector<std::pair<ProcessId, TaggedValue>>& replies) const {
-  Weight sum(0);
-  for (const auto& [s, reg] : replies) sum += weights_.of(s);
-  return sum * Weight(2) > initial_total_;
+template <typename Ack>
+bool AbdClient::answers(const Op& op) {
+  // Resolved at compile time on Ack: the per-reply test is a few
+  // compares, with no type-id lookup.
+  if constexpr (std::is_same_v<Ack, KeysAck>) {
+    return op.kind == OpKind::kListKeys;
+  } else if constexpr (std::is_same_v<Ack, SnapAck>) {
+    return snap_round(op.kind);
+  } else {
+    if (op.kind == OpKind::kListKeys || snap_round(op.kind)) return false;
+    return op.phase == (std::is_same_v<Ack, ReadAck> ? 1 : 2);
+  }
 }
 
-bool AbdClient::handle(ProcessId from, const Message& msg) {
-  if (const auto* batch = msg_cast<BatchReply>(msg)) {
-    // Demultiplex the envelope back into the per-operation state
-    // machines. A frame may restart or complete operations whose later
-    // frames are also in this envelope — the ordinary per-frame seq and
-    // liveness checks below absorb that, exactly as they absorb a
-    // reordered stream of individual replies.
-    bool any = false;
-    for (const MsgPtr& frame : batch->frames()) {
-      if (handle(from, *frame)) any = true;
-    }
-    return any;
+template <typename Ack>
+bool AbdClient::on_reply(ProcessId from, const Ack& ack) {
+  auto it = ops_.find(ack.op_id());
+  if (it == ops_.end()) return false;  // not mine (or long completed)
+  Op& op = it->second;
+  if (ack.seq() != op.seq || !answers<Ack>(op)) {
+    return true;  // stale (a restarted attempt's, or another round's)
   }
-
-  if (const auto* ack = msg_cast<ReadAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    if (op.phase != 1 || op.kind == OpKind::kListKeys ||
-        ack->seq() != op.seq) {
-      return true;  // stale reply (from a restarted phase): consumed
-    }
-    if (merge_and_maybe_restart(from, ack->changes())) return true;
-    auto slot = std::find_if(
-        op.phase1_replies.begin(), op.phase1_replies.end(),
-        [from](const auto& reply) { return reply.first == from; });
-    if (slot == op.phase1_replies.end()) {
-      op.phase1_replies.emplace_back(from, ack->reg());
-    } else {
-      slot->second = ack->reg();  // duplicate reply: last one wins
-    }
-    if (!responders_form_quorum(op.phase1_replies)) return true;
-
-    // Phase 1 complete: pick the highest tag.
-    TaggedValue maxreg;
-    for (const auto& [_, reg] : op.phase1_replies) {
-      if (maxreg.tag < reg.tag) maxreg = reg;
-    }
-    if (op.kind == OpKind::kFreeze) {
-      // The freeze IS the final read: a quorum of fence acks intersects
-      // every completed write quorum, so maxreg is the definitive replica
-      // to hand to the destination. No write-back round.
-      op.read_result = maxreg;
-      complete(op.id);
-      return true;
-    }
-    if (op.kind == OpKind::kRead) {
-      op.read_result = maxreg;
-      // A unanimous quorum already holds maxreg: no write-back (the
-      // safety argument is in abd_client.h, "One-round reads").
-      if (std::all_of(op.phase1_replies.begin(), op.phase1_replies.end(),
-                      [&maxreg](const auto& reply) {
-                        return reply.second.tag == maxreg.tag;
-                      })) {
-        env_.count_event(TrafficLedger::kReadsFastPath);
-        complete(op.id);
-        return true;
-      }
-      op.to_write = maxreg;  // write-back phase
-    } else {
-      // Choose the write's tag exactly once, even across change-set
-      // restarts: re-tagging the same value would leave "ghost" tags on
-      // servers that partially received an earlier phase 2. The original
-      // tag already dominates every write completed before this
-      // operation started (it came from a quorum read), which is all
-      // atomicity requires.
-      if (!op.write_tag_chosen) {
-        op.to_write.tag = Tag{maxreg.tag.ts + 1, self_};
-        op.write_tag_chosen = true;
-      }
-      op.to_write.value = op.value;
-    }
-    start_phase2(op);
-    return true;
-  }
-
-  if (const auto* ack = msg_cast<WriteAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    if (op.phase != 2 || ack->seq() != op.seq) {
-      return true;  // stale reply: consumed
-    }
-    if (merge_and_maybe_restart(from, ack->changes())) return true;
-    if (std::find(op.phase2_acks.begin(), op.phase2_acks.end(), from) ==
-        op.phase2_acks.end()) {
-      op.phase2_acks.push_back(from);
-    }
-    if (!responders_form_quorum(op.phase2_acks)) return true;
-    if (op.kind == OpKind::kRead) {
-      env_.count_event(TrafficLedger::kReadsWriteBack);
-    }
-    complete(op.id);
-    return true;
-  }
-
-  if (const auto* ack = msg_cast<SnapAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    bool snap_kind = op.kind == OpKind::kCollect ||
-                     op.kind == OpKind::kSnapFreeze ||
-                     op.kind == OpKind::kSnapRelease;
-    if (!snap_kind || ack->seq() != op.seq) {
-      return true;  // stale reply (from a restarted attempt): consumed
-    }
-    if (merge_and_maybe_restart(from, ack->changes())) return true;
-    bool first = std::find(op.keys_acks.begin(), op.keys_acks.end(),
-                           from) == op.keys_acks.end();
-    if (first) op.keys_acks.push_back(from);
+  if (merge_and_maybe_restart(from, ack.changes())) return true;
+  auto slot = std::find_if(op.replies.begin(), op.replies.end(),
+                           [from](const Reply& r) { return r.from == from; });
+  const bool first = slot == op.replies.end();
+  if constexpr (std::is_same_v<Ack, SnapAck>) {
     if (op.kind == OpKind::kSnapRelease) {
       // Only a server whose freeze reply went into the cut can vouch that
       // its fences stood until the release, and only its first answer
@@ -586,42 +482,96 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
                               from) == op.snap_voters.end()) {
         return true;
       }
-      if (!ack->held()) op.snap_all_held = false;
-      op.snap_vouched.push_back(from);
-      if (responders_form_quorum(op.snap_vouched)) complete(op.id);
-      return true;
+      if (!ack.held()) op.snap_all_held = false;
     }
-    auto slot = std::find_if(
-        op.snap_replies.begin(), op.snap_replies.end(),
-        [from](const auto& reply) { return reply.first == from; });
-    if (slot == op.snap_replies.end()) {
-      op.snap_replies.emplace_back(from, ack->entries());
-    } else {
-      slot->second = ack->entries();  // duplicate reply: last one wins
+  }
+  if (first) {
+    slot = op.replies.emplace(op.replies.end());
+    slot->from = from;
+  }
+  // A duplicate reply replaces the earlier one: the last one wins.
+  if constexpr (std::is_same_v<Ack, ReadAck>) {
+    slot->reg = ack.reg();
+  } else if constexpr (std::is_same_v<Ack, SnapAck>) {
+    slot->entries = ack.entries();
+  } else if constexpr (std::is_same_v<Ack, KeysAck>) {
+    for (const auto& key : ack.keys()) op.keys_acc.insert(key);
+  }
+  if (responders_form_quorum(op.replies)) round_done(op);
+  return true;
+}
+
+void AbdClient::round_done(Op& op) {
+  if (op.phase == 2 || op.kind == OpKind::kListKeys ||
+      snap_round(op.kind)) {
+    // An ack round (write, write-back, commit, install) or a one-round
+    // collect (list_keys, snapshot rounds): the quorum is the result.
+    if (op.phase == 2 && op.kind == OpKind::kRead) {
+      env_.count_event(TrafficLedger::kReadsWriteBack);
     }
-    if (!responders_form_quorum(op.keys_acks)) return true;
     complete(op.id);
-    return true;
+    return;
   }
 
-  if (const auto* ack = msg_cast<KeysAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    if (op.kind != OpKind::kListKeys || ack->seq() != op.seq) {
-      return true;  // stale
-    }
-    if (merge_and_maybe_restart(from, ack->changes())) return true;
-    if (std::find(op.keys_acks.begin(), op.keys_acks.end(), from) ==
-        op.keys_acks.end()) {
-      op.keys_acks.push_back(from);
-    }
-    for (const auto& key : ack->keys()) op.keys_acc.insert(key);
-    if (!responders_form_quorum(op.keys_acks)) return true;
-    complete(op.id);
-    return true;
+  // Phase 1 complete: pick the highest tag.
+  TaggedValue maxreg;
+  for (const Reply& r : op.replies) {
+    if (maxreg.tag < r.reg.tag) maxreg = r.reg;
   }
+  if (op.kind == OpKind::kFreeze) {
+    // The freeze IS the final read: a quorum of fence acks intersects
+    // every completed write quorum, so maxreg is the definitive replica
+    // to hand to the destination. No write-back round.
+    op.read_result = maxreg;
+    complete(op.id);
+    return;
+  }
+  if (op.kind == OpKind::kRead) {
+    op.read_result = maxreg;
+    // A unanimous quorum already holds maxreg: no write-back (the
+    // safety argument is in abd_client.h, "One-round reads").
+    if (std::all_of(op.replies.begin(), op.replies.end(),
+                    [&maxreg](const Reply& r) {
+                      return r.reg.tag == maxreg.tag;
+                    })) {
+      env_.count_event(TrafficLedger::kReadsFastPath);
+      complete(op.id);
+      return;
+    }
+    op.to_write = maxreg;  // write-back phase
+  } else {
+    // Choose the write's tag exactly once, even across change-set
+    // restarts: re-tagging the same value would leave "ghost" tags on
+    // servers that partially received an earlier phase 2. The original
+    // tag already dominates every write completed before this
+    // operation started (it came from a quorum read), which is all
+    // atomicity requires.
+    if (!op.write_tag_chosen) {
+      op.to_write.tag = Tag{maxreg.tag.ts + 1, self_};
+      op.write_tag_chosen = true;
+    }
+    op.to_write.value = op.value;
+  }
+  start_phase2(op);
+}
 
+bool AbdClient::handle(ProcessId from, const Message& msg) {
+  if (const auto* batch = msg_cast<BatchReply>(msg)) {
+    // Demultiplex the envelope back into the per-operation state
+    // machines. A frame may restart or complete operations whose later
+    // frames are also in this envelope — the ordinary per-frame seq and
+    // liveness checks in on_reply absorb that, exactly as they absorb a
+    // reordered stream of individual replies.
+    bool any = false;
+    for (const MsgPtr& frame : batch->frames()) {
+      if (handle(from, *frame)) any = true;
+    }
+    return any;
+  }
+  if (const auto* ack = msg_cast<ReadAck>(msg)) return on_reply(from, *ack);
+  if (const auto* ack = msg_cast<WriteAck>(msg)) return on_reply(from, *ack);
+  if (const auto* ack = msg_cast<SnapAck>(msg)) return on_reply(from, *ack);
+  if (const auto* ack = msg_cast<KeysAck>(msg)) return on_reply(from, *ack);
   return false;
 }
 

@@ -42,6 +42,17 @@
 // whole queue at once (eject()/resume()), so it needs no queue of its
 // own.
 //
+// One reply path: every reply, whatever its type, runs the same rule
+// (Algorithm 5's, stated once in on_reply): take it only if it echoes
+// the op's current attempt (seq) and its type answers the op's current
+// round, merge its change set and restart on news, record the responder
+// (a duplicate replaces its earlier answer), and finish the round once
+// the responders form a weighted quorum. Each round takes one reply
+// type: list_keys takes KEYS_A; collect, snap_freeze and snap_release
+// take SNAP_A; every other kind takes R_A in phase 1 and W_A in phase 2.
+// An ack of another type that echoes the op's id and seq counts for
+// nothing.
+//
 // Dynamic mode: every reply carries the server's change set C'. If C'
 // contains changes the client has not seen, the client merges them and
 // RESTARTS every started operation from phase 1 (Algorithm 5 lines
@@ -96,6 +107,8 @@
 namespace wrs {
 
 class AbdClient {
+  struct Op;  // one operation's state machine (defined below)
+
  public:
   enum class Mode { kStatic, kDynamic };
 
@@ -198,19 +211,10 @@ class AbdClient {
   OpId install(RegisterKey key, TaggedValue reg, WriteCallback cb);
 
   /// A started operation extracted for reissue at another shard after a
-  /// WrongShardAck redirect (ShardRouter). Carries exactly the state the
-  /// new shard's client needs: a write keeps its once-chosen tag — the
-  /// ghost-tag argument for change-set restarts applies unchanged to
-  /// cross-shard reissue.
-  struct EjectedOp {
-    OpKind kind = OpKind::kRead;
-    RegisterKey key;
-    Value value;
-    TaggedValue to_write;
-    bool write_tag_chosen = false;
-    ReadCallback rcb;
-    WriteCallback wcb;
-  };
+  /// WrongShardAck redirect (ShardRouter): the operation itself, moved
+  /// whole. A write keeps its once-chosen tag — the ghost-tag argument
+  /// for change-set restarts applies unchanged to cross-shard reissue.
+  using EjectedOp = Op;
 
   /// Removes operation `id` together with every operation queued behind
   /// it on its key, and returns their reissuable state in issue order:
@@ -221,8 +225,9 @@ class AbdClient {
   std::vector<EjectedOp> eject(OpId id);
 
   /// Re-enqueues an ejected operation on THIS client (the redirect
-  /// target). Runs the full two-phase protocol under a fresh OpId;
-  /// resuming an eject() result in order keeps the key's issue order.
+  /// target). Runs the full two-phase protocol under a fresh OpId, from
+  /// seq 1 with a fresh restart budget; resuming an eject() result in
+  /// order keeps the key's issue order.
   OpId resume(EjectedOp op);
 
   /// True while an operation on `key` is in flight or queued here — a
@@ -231,7 +236,8 @@ class AbdClient {
     return key_fifo_.count(key) != 0;
   }
 
-  /// Routes R_A / W_A / KEYS_A replies; true iff consumed. Replies whose
+  /// Routes R_A / W_A / KEYS_A / SNAP_A replies (and BatchReply
+  /// envelopes of them) into on_reply; true iff consumed. Replies whose
   /// OpId belongs to no in-flight operation are NOT consumed (they may
   /// target a co-located client sharing this mailbox, or be late acks of
   /// a completed operation).
@@ -288,6 +294,14 @@ class AbdClient {
   std::uint64_t batched_frames() const { return batched_frames_; }
 
  private:
+  /// One responder's answer in an op's current round (the last one it
+  /// sent; a release keeps a voter's first).
+  struct Reply {
+    ProcessId from = 0;
+    TaggedValue reg;                 ///< R_A: the server's register
+    std::vector<SnapEntry> entries;  ///< SNAP_A of a collect or freeze
+  };
+
   struct Op {
     OpId id = 0;
     OpKind kind = OpKind::kRead;
@@ -296,19 +310,16 @@ class AbdClient {
     bool started = false;  // false while waiting on the per-key FIFO
     int phase = 1;
     std::uint32_t seq = 0;  // phase-attempt counter echoed in replies
-    // Reply accounting is flat vectors, not node-based sets/maps: a
+    // Reply accounting is a flat vector, not a node-based set/map: a
     // replica group is a handful of servers, so membership checks are a
-    // short linear scan over one cache line and collection never
-    // allocates per reply.
-    std::vector<std::pair<ProcessId, TaggedValue>> phase1_replies;
-    std::vector<ProcessId> phase2_acks;
+    // short linear scan and collection never allocates per reply.
+    std::vector<Reply> replies;
     TaggedValue to_write;
     bool write_tag_chosen = false;
     ReadCallback rcb;
     WriteCallback wcb;
     KeysCallback kcb;
     TaggedValue read_result;
-    std::vector<ProcessId> keys_acks;
     std::set<RegisterKey> keys_acc;
     std::uint32_t op_restarts = 0;
     // Migration verbs (kFreeze/kCommit) only.
@@ -319,14 +330,9 @@ class AbdClient {
     std::vector<RegisterKey> snap_keys;
     SnapId snap_id = 0;
     std::vector<SnapEntry> snap_installs;
-    /// Last SnapAck entry vector per responder (dedupe by pid, last
-    /// wins — mirrors phase1_replies); keys_acks tracks the pids.
-    std::vector<std::pair<ProcessId, std::vector<SnapEntry>>> snap_replies;
     bool snap_all_held = true;
-    /// Release only: the servers whose freeze replies formed the cut, and
-    /// those of them that answered this round.
+    /// Release only: the servers whose freeze replies formed the cut.
     std::vector<ProcessId> snap_voters;
-    std::vector<ProcessId> snap_vouched;
     CollectCallback ccb;
     ReleaseCallback relcb;
   };
@@ -344,10 +350,18 @@ class AbdClient {
   /// entirely (enqueue, eject, complete all skip FIFO bookkeeping).
   /// kInstall HAS a key but is still keyless-by-policy (see install()).
   static bool keyless(OpKind kind) {
-    return kind == OpKind::kListKeys || kind == OpKind::kCollect ||
-           kind == OpKind::kInstall || kind == OpKind::kSnapFreeze ||
+    return kind == OpKind::kListKeys || kind == OpKind::kInstall ||
+           snap_round(kind);
+  }
+  /// The snapshot verbs: single rounds answered by SNAP_A.
+  static bool snap_round(OpKind kind) {
+    return kind == OpKind::kCollect || kind == OpKind::kSnapFreeze ||
            kind == OpKind::kSnapRelease;
   }
+  /// True iff a reply of type Ack answers `op`'s current round (see "One
+  /// reply path" above).
+  template <typename Ack>
+  static bool answers(const Op& op);
 
   OpId enqueue(Op op);
   std::vector<CollectEntry> aggregate_snap(const Op& op) const;
@@ -357,11 +371,12 @@ class AbdClient {
   void enqueue_frame(const Op& op, MsgPtr msg);
   void flush_batch();
   void schedule_retry(OpId id, std::uint32_t seq);
+  template <typename Ack>
+  bool on_reply(ProcessId from, const Ack& ack);
+  void round_done(Op& op);
   void complete(OpId id);
   bool merge_and_maybe_restart(ProcessId from, const ChangeSetPtr& incoming);
-  bool responders_form_quorum(const std::vector<ProcessId>& responders) const;
-  bool responders_form_quorum(
-      const std::vector<std::pair<ProcessId, TaggedValue>>& replies) const;
+  bool responders_form_quorum(const std::vector<Reply>& replies) const;
   static OpId fresh_op_id();
 
   Env& env_;

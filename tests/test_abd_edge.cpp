@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/abd_server.h"
+#include "storage/snapshot_messages.h"
 #include "test_util.h"
 
 namespace wrs {
@@ -329,6 +330,94 @@ TEST(AbdClient, MergeMemoSkipsOnlySetsAlreadyMergedFromTheSender) {
   EXPECT_EQ(client.current_weights().of(0), Weight(5, 4));
   EXPECT_EQ(base.use_count(), 3);
   EXPECT_TRUE(client.busy());
+}
+
+TEST(AbdClient, DuplicateReadAckCountsOnceAndLastRegisterWins) {
+  // Static client over 3 servers (quorum: any 2). Server 0 answers
+  // twice: the second answer must not complete the quorum on its own,
+  // and its register replaces the first one in the max-tag pick.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(3, 1);
+  ClientHolder holder;
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
+  holder.c = &client;
+  env.register_process(client_id(0), &holder);
+  env.start();
+  const TaggedValue high{Tag{5, client_id(9)}, "high"};
+  const TaggedValue low{Tag{2, client_id(9)}, "low"};
+
+  std::optional<TaggedValue> got;
+  OpId op = client.read([&](const TaggedValue& tv) { got = tv; });
+  EXPECT_TRUE(client.handle(0, ReadAck(op, high, nullptr, /*seq=*/1)));
+  EXPECT_TRUE(client.handle(0, ReadAck(op, low, nullptr, /*seq=*/1)));
+  EXPECT_FALSE(got.has_value());
+  EXPECT_TRUE(client.handle(1, ReadAck(op, low, nullptr, /*seq=*/1)));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tag, low.tag);
+  EXPECT_EQ(got->value, "low");
+  // Both recorded registers hold the max tag: a one-round read.
+  EXPECT_EQ(env.traffic().get("reads.fast_path"), 1);
+}
+
+TEST(AbdClient, OtherReplyTypesAtAReadsPhaseOneAreConsumedWithoutEffect) {
+  // Acks of the wrong type that echo a phase-1 read's op id and seq are
+  // consumed, and count nothing toward its quorum.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(3, 1);
+  ClientHolder holder;
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
+  holder.c = &client;
+  env.register_process(client_id(0), &holder);
+  env.start();
+  const TaggedValue reg{Tag{1, client_id(9)}, "x"};
+
+  bool fired = false;
+  OpId op = client.read([&](const TaggedValue&) { fired = true; });
+  for (ProcessId s = 0; s < 3; ++s) {
+    EXPECT_TRUE(client.handle(s, WriteAck(op, nullptr, /*seq=*/1)));
+    EXPECT_TRUE(client.handle(s, KeysAck(op, {"k"}, nullptr, /*seq=*/1)));
+    EXPECT_TRUE(client.handle(
+        s, SnapAck(op, {SnapEntry{"k", reg}}, nullptr, /*seq=*/1)));
+  }
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(client.busy());
+  // One ReadAck is still one responder short of a quorum.
+  EXPECT_TRUE(client.handle(0, ReadAck(op, reg, nullptr, /*seq=*/1)));
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(client.handle(1, ReadAck(op, reg, nullptr, /*seq=*/1)));
+  EXPECT_TRUE(fired);
+}
+
+TEST(AbdClient, AckOfAnotherRoundTypeCountsForNothing) {
+  // A collect round takes SnapAcks only. ReadAcks that echo its op id
+  // and seq must not be counted as a phase-1 quorum (which would move
+  // the collect to a second attempt and drop its valid SnapAcks).
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(3, 1);
+  ClientHolder holder;
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
+  holder.c = &client;
+  env.register_process(client_id(0), &holder);
+  env.start();
+  const TaggedValue reg{Tag{3, client_id(9)}, "v"};
+
+  std::optional<std::vector<AbdClient::CollectEntry>> got;
+  OpId op = client.collect(
+      {"k"}, [&](const std::vector<AbdClient::CollectEntry>& cut) { got = cut; });
+  for (ProcessId s = 0; s < 3; ++s) {
+    EXPECT_TRUE(client.handle(s, ReadAck(op, reg, nullptr, /*seq=*/1)));
+  }
+  EXPECT_FALSE(got.has_value());
+
+  for (ProcessId s = 0; s < 2; ++s) {
+    EXPECT_TRUE(client.handle(
+        s, SnapAck(op, {SnapEntry{"k", reg}}, nullptr, /*seq=*/1)));
+  }
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->size(), 1u);
+  EXPECT_EQ((*got)[0].key, "k");
+  EXPECT_EQ((*got)[0].reg.tag, reg.tag);
+  EXPECT_TRUE((*got)[0].unanimous);
 }
 
 TEST(AbdClient, LargeValuesRoundTrip) {

@@ -234,13 +234,23 @@ INSTANTIATE_TEST_SUITE_P(BothRuntimes, ShardRouterSemantics,
 // --- one per-key FIFO across redirects --------------------------------------
 
 /// A ShardRouter hand-wired over ShardMap::uniform(2, 3, 1) on a SimEnv.
-/// The six servers are sinks that record the ReadReqs they receive and
-/// never answer, so the test itself feeds every reply the router sees.
+/// The six servers are sinks that record the ReadReqs and WriteReqs they
+/// receive and never answer, so the test itself feeds every reply the
+/// router sees.
 struct RouterRig {
   struct SinkServer : Process {
     std::vector<OpId> reads;
+    std::vector<std::uint32_t> read_seqs;
+    std::vector<OpId> writes;
+    std::vector<Tag> write_tags;
     void on_message(ProcessId, const Message& m) override {
-      if (const auto* req = msg_cast<ReadReq>(m)) reads.push_back(req->op_id());
+      if (const auto* req = msg_cast<ReadReq>(m)) {
+        reads.push_back(req->op_id());
+        read_seqs.push_back(req->seq());
+      } else if (const auto* req = msg_cast<WriteReq>(m)) {
+        writes.push_back(req->op_id());
+        write_tags.push_back(req->reg().tag);
+      }
     }
   };
   struct ClientProc : Process {
@@ -300,6 +310,52 @@ TEST(ShardRedirect, RedirectMovesTheKeysWholeQueue) {
   // the old shard, and at the new owner they queue behind it again.
   EXPECT_EQ(rig.reads_at(src), 3u);
   EXPECT_EQ(rig.reads_at(dst), 3u);
+}
+
+TEST(ShardRedirect, WriteRedirectedInPhaseTwoKeepsItsTag) {
+  RouterRig rig;
+  const RegisterKey key = "k";
+  const ShardId src = rig.router.shard_of(key);
+  const ShardId dst = 1 - src;
+  Tag written;
+  rig.router.write(key, "w", [&](const Tag& t) { written = t; });
+  rig.env.run_to_quiescence();
+  const std::vector<ProcessId> src_servers = rig.router.map().servers(src);
+  const OpId op = rig.servers[src_servers.front()].reads[0];
+
+  // A quorum of phase-1 replies at the old owner: the write picks its tag
+  // and sends its phase 2 there.
+  const TaggedValue old_reg{Tag{4, client_id(9)}, "old"};
+  for (int i = 0; i < 2; ++i) {
+    rig.router.handle(src_servers[i], ReadAck(op, old_reg, nullptr, 1));
+  }
+  rig.env.run_to_quiescence();
+  const RouterRig::SinkServer& first = rig.servers[src_servers.front()];
+  ASSERT_EQ(first.write_tags.size(), 1u);
+  const Tag chosen = first.write_tags[0];
+  EXPECT_EQ(chosen, (Tag{5, client_id(0)}));
+
+  rig.redirect(src, op, key, dst);
+  EXPECT_EQ(rig.router.redirects(), 1u);
+  const std::vector<ProcessId> dst_servers = rig.router.map().servers(dst);
+  const RouterRig::SinkServer& target = rig.servers[dst_servers.front()];
+  ASSERT_EQ(target.reads.size(), 1u);
+  EXPECT_EQ(target.read_seqs[0], 1u);  // a fresh attempt at the new owner
+  const OpId moved = target.reads[0];
+
+  // A newer register at the new owner does not re-tag the write: the
+  // tag chosen at the old owner is the one written.
+  const TaggedValue newer{Tag{7, client_id(9)}, "newer"};
+  for (int i = 0; i < 2; ++i) {
+    rig.router.handle(dst_servers[i], ReadAck(moved, newer, nullptr, 1));
+  }
+  rig.env.run_to_quiescence();
+  ASSERT_EQ(target.write_tags.size(), 1u);
+  EXPECT_EQ(target.write_tags[0], chosen);
+  for (int i = 0; i < 2; ++i) {
+    rig.router.handle(dst_servers[i], WriteAck(moved, nullptr, 2));
+  }
+  EXPECT_EQ(written, chosen);
 }
 
 TEST(ShardRedirect, SameKeyOpJoinsItsHoldersQueue) {

@@ -284,6 +284,49 @@ TEST(ThreadEnv, ConcurrentSendersCountExactly) {
   EXPECT_EQ(env.traffic().get("msg.NOTE"), 3 * kPerSender);
 }
 
+TEST(ThreadEnv, ParkedWorkersNeverMissAWakeup) {
+  // One token passes round a ring of 3 processes. Only one message is
+  // ever in flight, so every hop lands on a worker whose mailbox went
+  // empty one or two hops ago: it is parked, or is just parking. A lost
+  // wakeup in the park/notify handshake strands the token, and the
+  // deadline below turns that into a failure rather than a hang.
+  constexpr int kRing = 3;
+  constexpr int kHops = 20'000;
+  struct Hop : Process {
+    ThreadEnv* env = nullptr;
+    ProcessId self = 0;
+    ProcessId next = 0;
+    std::atomic<int>* hops = nullptr;
+    void on_message(ProcessId, const Message& msg) override {
+      const auto* note = msg_cast<NoteMsg>(msg);
+      if (note == nullptr) return;
+      hops->fetch_add(1, std::memory_order_relaxed);
+      if (note->value() < kHops) {
+        env->send(self, next, std::make_shared<NoteMsg>(note->value() + 1));
+      }
+    }
+  };
+  ThreadEnv env;
+  std::atomic<int> hops{0};
+  std::vector<Hop> ring(kRing);
+  for (int i = 0; i < kRing; ++i) {
+    ring[i].env = &env;
+    ring[i].self = static_cast<ProcessId>(i);
+    ring[i].next = static_cast<ProcessId>((i + 1) % kRing);
+    ring[i].hops = &hops;
+    env.register_process(static_cast<ProcessId>(i), &ring[i]);
+  }
+  env.start();
+  env.send(kRing - 1, 0, std::make_shared<NoteMsg>(1));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (hops.load() < kHops && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  env.stop();
+  EXPECT_EQ(hops.load(), kHops) << "the token stalled: a wakeup was lost";
+}
+
 TEST(ThreadEnv, TrafficCountersAfterStop) {
   ThreadEnv env;
   CountingProcess a;
