@@ -78,8 +78,13 @@ EncodeArena::~EncodeArena() {
 std::uint8_t* EncodeArena::reserve(std::size_t min_bytes) {
   const std::size_t want = min_bytes == 0 ? kMinUsefulSpan : min_bytes;
   if (cur_ == nullptr || cur_->cap - off_ < want) {
+    // Take the next chunk while still holding this one: if every
+    // segment had drained, releasing first would hand back the same
+    // chunk, and the sender's second chunk would be made at a later
+    // rotation, in steady state.
+    ArenaChunk* next = ChunkPool::instance().acquire(want);
     if (cur_ != nullptr) cur_->release();
-    cur_ = ChunkPool::instance().acquire(want);
+    cur_ = next;
     off_ = 0;
   }
   return cur_->data() + off_;

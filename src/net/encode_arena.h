@@ -18,6 +18,9 @@
 //    final release (the pool is a leaky singleton, like MsgPool, so
 //    releases during static destruction stay safe). Oversize chunks —
 //    frames bigger than one chunk — are one-shot heap allocations.
+//  * A rotating arena takes its next chunk before letting go of the full
+//    one, so a busy sender settles on two chunks at its first rotation,
+//    however far its segments had drained by then.
 //  * `EncodeArena` is single-threaded by design: use one per sending
 //    thread (thread_local) or one owned by the loop thread.
 //

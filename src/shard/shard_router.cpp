@@ -1,6 +1,7 @@
 #include "shard/shard_router.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 
@@ -11,6 +12,12 @@ namespace {
 /// Collect rounds a snapshot tries before engaging the fenced fallback
 /// (a double collect needs at least two).
 constexpr std::uint32_t kSnapMaxCollectRounds = 6;
+
+std::vector<std::size_t> every_index(std::size_t n) {
+  std::vector<std::size_t> idxs(n);
+  std::iota(idxs.begin(), idxs.end(), std::size_t{0});
+  return idxs;
+}
 
 }  // namespace
 
@@ -85,16 +92,18 @@ OpId ShardRouter::snapshot(std::vector<RegisterKey> keys, SnapshotCallback cb) {
     return 0;
   }
   st->acc.resize(st->keys.size());
+  st->seen.resize(st->keys.size());
   return snap_collect_round(std::move(st));
 }
 
-std::vector<std::pair<ShardId, std::vector<std::size_t>>>
-ShardRouter::snap_partition(const SnapState& st) const {
-  // Group key indices by their CURRENT shard (a retried round re-reads
-  // the map, so overrides learned from moved flags take effect). The
-  // handful of involved shards makes the linear scan cheaper than a map.
-  std::vector<std::pair<ShardId, std::vector<std::size_t>>> parts;
-  for (std::size_t i = 0; i < st.keys.size(); ++i) {
+ShardRouter::Parts ShardRouter::snap_partition(
+    const SnapState& st, const std::vector<std::size_t>& idxs) const {
+  // Group key indices by their CURRENT shard (a retried round or a
+  // re-collect re-reads the map, so overrides learned from moved flags
+  // take effect). The handful of involved shards makes the linear scan
+  // cheaper than a map.
+  Parts parts;
+  for (std::size_t i : idxs) {
     ShardId g = map_.shard_of(st.keys[i]);
     auto it = std::find_if(parts.begin(), parts.end(),
                            [g](const auto& p) { return p.first == g; });
@@ -110,20 +119,33 @@ ShardRouter::snap_partition(const SnapState& st) const {
 OpId ShardRouter::snap_collect_round(SnapPtr st) {
   ++st->rounds;
   ++snapshot_rounds_;
-  auto parts = snap_partition(*st);
-  st->pending = parts.size();
+  return snap_collect(st, every_index(st->keys.size()));
+}
+
+OpId ShardRouter::snap_collect(const SnapPtr& st,
+                               const std::vector<std::size_t>& which) {
   OpId first = 0;
-  for (auto& part : parts) {
-    const std::vector<std::size_t>& idxs = part.second;
+  for (auto& part : snap_partition(*st, which)) {
+    const ShardId g = part.first;
     std::vector<RegisterKey> ks;
-    ks.reserve(idxs.size());
-    for (std::size_t i : idxs) ks.push_back(st->keys[i]);
-    OpId id = clients_[part.first]->collect(
-        std::move(ks),
-        [this, st, idxs](const std::vector<AbdClient::CollectEntry>& es) {
+    ks.reserve(part.second.size());
+    for (std::size_t i : part.second) ks.push_back(st->keys[i]);
+    ++st->pending;
+    OpId id = clients_[g]->collect(
+        std::move(ks), [this, st, g, idxs = std::move(part.second)](
+                           const std::vector<AbdClient::CollectEntry>& es) {
+          std::vector<std::size_t> moved;
           for (std::size_t j = 0; j < idxs.size(); ++j) {
-            st->acc[idxs[j]] = es[j];
+            const AbdClient::CollectEntry& ce = es[j];
+            st->acc[idxs[j]] = ce;
+            if (ce.flag != SnapEntry::kMoved) continue;
+            // A key that left this group is re-collected at its new
+            // owner within the round; a relic mark that does not move
+            // the map leaves the key flagged instead.
+            map_.apply_override(ce.key, ce.owner, ce.epoch);
+            if (map_.shard_of(ce.key) != g) moved.push_back(idxs[j]);
           }
+          if (!moved.empty()) snap_collect(st, moved);
           if (--st->pending == 0) snap_collect_done(st);
         });
     if (first == 0) first = id;
@@ -132,43 +154,21 @@ OpId ShardRouter::snap_collect_round(SnapPtr st) {
 }
 
 void ShardRouter::snap_collect_done(SnapPtr st) {
-  bool flagged = false;
-  for (const AbdClient::CollectEntry& ce : st->acc) {
-    if (ce.flag == SnapEntry::kMoved) {
-      map_.apply_override(ce.key, ce.owner, ce.epoch);
-      flagged = true;
-    } else if (ce.flag != SnapEntry::kOk) {
-      flagged = true;
-    }
-  }
-  if (flagged) {
-    // A fenced or mid-migration key poisons the round: tags observed
-    // around a fence prove nothing. Start the double collect over.
-    st->have_prev = false;
-    if (st->rounds >= kSnapMaxCollectRounds) return snap_fallback(st);
-    snap_collect_round(std::move(st));
-    return;
-  }
-  if (st->have_prev) {
-    bool same = true;
-    for (std::size_t i = 0; i < st->acc.size(); ++i) {
-      if (st->acc[i].reg.tag != st->prev_tags[i]) {
-        same = false;
-        break;
-      }
-    }
-    // Two consecutive clean rounds with identical tag vectors: no write
-    // to any key completed in between, so the vector is a consistent
-    // cut. (Quorum intersection makes a completed write visible to the
-    // confirming round's quorum — it would have bumped that key's tag.)
-    if (same) return snap_install_and_finish(std::move(st));
-  }
-  st->prev_tags.resize(st->acc.size());
+  // The round confirms when every key is clean in it and shows the tag
+  // of its latest earlier clean observation (argument in the header). A
+  // flagged key records nothing; the other keys keep their observations.
+  bool same = true;
   for (std::size_t i = 0; i < st->acc.size(); ++i) {
-    st->prev_tags[i] = st->acc[i].reg.tag;
+    const AbdClient::CollectEntry& ce = st->acc[i];
+    if (ce.flag != SnapEntry::kOk) {
+      same = false;
+      continue;
+    }
+    if (st->seen[i] != ce.reg.tag) same = false;
+    st->seen[i] = ce.reg.tag;
   }
-  st->have_prev = true;
-  if (st->rounds >= kSnapMaxCollectRounds) return snap_fallback(st);
+  if (same) return snap_install_and_finish(std::move(st));
+  if (st->rounds >= kSnapMaxCollectRounds) return snap_fallback(std::move(st));
   snap_collect_round(std::move(st));
 }
 
@@ -199,7 +199,7 @@ void ShardRouter::snap_fallback(SnapPtr st) {
   // stale fences of its own previous attempt, and servers rank it by
   // its (counter, client) pair.
   st->snap_id = make_snap_id(self_, ++snap_seq_);
-  st->frozen_parts = snap_partition(*st);
+  st->frozen_parts = snap_partition(*st, every_index(st->keys.size()));
   st->pending = st->frozen_parts.size();
   for (auto& part : st->frozen_parts) {
     const std::vector<std::size_t>& idxs = part.second;

@@ -24,20 +24,40 @@
 // snapshot(keys) returns a CONSISTENT CUT across keys on any shards: a
 // set of (key, register) pairs that all coexisted at one linearization
 // point. Fast path: repeated pipelined collect rounds (one SnapReq per
-// involved shard) until two consecutive rounds observe the same tag for
-// every key (double collect — the ABD tag is the modification counter);
-// keys whose confirming tag was not quorum-unanimous get a write-back
-// install before the cut returns. Under sustained write pressure the
-// double collect may never confirm, so after a bounded number of rounds
-// the router switches to the fenced fallback (scan embedded in update):
-// SnapFreeze fences the keys at every involved shard, SnapRelease
-// installs the frozen maxima and lifts the fences — two rounds per
-// shard. Servers rank fences (migrations first, then snapshots by
-// instance id) and park a lower-ranked freeze until the fence lifts, so
-// contending snapshotters queue instead of aborting. An attempt that
-// sees a moved key, or that lost a fence before its release, retries at
-// once with a fresh instance id; moved keys teach the router's map the
-// same way WrongShardAck redirects do.
+// involved shard) until one round observes, for every key, the same tag
+// the key showed in its latest earlier clean observation (double
+// collect — the ABD tag is the modification counter); keys whose
+// confirming tag was not quorum-unanimous get a write-back install
+// before the cut returns. A key flagged kMoved whose override moves the
+// map is re-collected at its new owner inside the same round, and the
+// round ends only when every key, re-collected ones included, has been
+// answered; each re-collect needs a strictly newer epoch for the key,
+// so the chase is bounded. A key flagged otherwise (fenced, or a relic
+// kMoved that does not move the map) records nothing for that round,
+// and the other keys keep their observations.
+//
+// Why a per-key match is a cut: take two clean observations of a key in
+// rounds a < b carrying the same tag t. The write tagged t had started
+// before round a answered. No write with a higher tag completed before
+// round b asked, or round b's quorum would have seen it. So t is the
+// key's value at any instant T between the end of round b-1 and the
+// start of round b, and the same T works for every key, since rounds
+// run one after another. Tags survive migration verbatim: the
+// destination installs the frozen (tag, value), and a redirected write
+// keeps its once-chosen tag, so an observation at the old owner
+// compares with one at the new owner by tag.
+//
+// Under sustained write pressure the double collect may never confirm,
+// so after a bounded number of rounds the router switches to the fenced
+// fallback (scan embedded in update): SnapFreeze fences the keys at
+// every involved shard, SnapRelease installs the frozen maxima and
+// lifts the fences — two rounds per shard. Servers rank fences
+// (migrations first, then snapshots by instance id) and park a
+// lower-ranked freeze until the fence lifts, so contending snapshotters
+// queue instead of aborting. An attempt that sees a moved key, or that
+// lost a fence before its release, retries at once with a fresh
+// instance id; moved keys teach the router's map the same way
+// WrongShardAck redirects do.
 //
 // Replies route back by SENDER: a server's global id names its shard, so
 // handle() dispatches to exactly one inner client (no per-client probing
@@ -45,6 +65,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "shard/shard_map.h"
@@ -130,6 +151,9 @@ class ShardRouter {
   void set_batching(std::size_t max_ops, TimeNs max_delay);
 
  private:
+  /// Key indices grouped by shard: (shard, indices into SnapState::keys).
+  using Parts = std::vector<std::pair<ShardId, std::vector<std::size_t>>>;
+
   /// One in-flight snapshot's state machine, shared by the per-shard
   /// fan-out callbacks of its current round.
   struct SnapState {
@@ -137,24 +161,29 @@ class ShardRouter {
     SnapshotCallback cb;
     std::uint32_t rounds = 0;
     bool used_fallback = false;
-    /// Double-collect memory: the previous clean round's tag vector.
-    bool have_prev = false;
-    std::vector<Tag> prev_tags;
+    /// Double-collect memory: each key's latest clean tag, index-aligned
+    /// with `keys` (empty until the key is first seen clean).
+    std::vector<std::optional<Tag>> seen;
     /// Current round's per-key aggregates, index-aligned with `keys`.
     std::vector<AbdClient::CollectEntry> acc;
-    std::size_t pending = 0;  ///< shards (or installs) still outstanding
+    /// Per-shard collects of this round (or freezes, releases, installs)
+    /// still outstanding.
+    std::size_t pending = 0;
     bool all_held = true;
     SnapId snap_id = 0;
     /// Fallback freeze partition (shard, key indices): the release round
     /// targets the SAME groups that were frozen, even if the map learns
     /// new overrides in between.
-    std::vector<std::pair<ShardId, std::vector<std::size_t>>> frozen_parts;
+    Parts frozen_parts;
   };
   using SnapPtr = std::shared_ptr<SnapState>;
 
-  std::vector<std::pair<ShardId, std::vector<std::size_t>>> snap_partition(
-      const SnapState& st) const;
+  Parts snap_partition(const SnapState& st,
+                       const std::vector<std::size_t>& idxs) const;
   OpId snap_collect_round(SnapPtr st);
+  /// Collects keys `which` of `st` at their current owners, as part of
+  /// the current round (each shard's reply counts down `pending`).
+  OpId snap_collect(const SnapPtr& st, const std::vector<std::size_t>& which);
   void snap_collect_done(SnapPtr st);
   void snap_install_and_finish(SnapPtr st);
   void snap_fallback(SnapPtr st);

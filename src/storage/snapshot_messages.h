@@ -6,14 +6,15 @@
 //   Fast path — double collect. One SnapReq per involved shard asks a
 //   quorum for the (tag, value) of every requested key in a single
 //   round (the multi-key analogue of the one-round read fast path); the
-//   client keeps the per-key max tag plus a unanimity bit. Two
-//   consecutive collects observing the SAME tag for every key form a
-//   consistent cut (any interfering write would have bumped a tag —
-//   the ABD tag plays the modification-counter role of the classic
-//   double-collect snapshot). Keys whose max tag was NOT unanimous in
-//   the confirming collect get a phase-2-style write-back (an ordinary
-//   WriteReq with the same tag) before the cut is returned, so no
-//   uncommitted tag can leak into the cut.
+//   client keeps the per-key max tag plus a unanimity bit. A collect
+//   in which every key shows the SAME tag as its latest earlier clean
+//   collect forms a consistent cut (any interfering write would have
+//   bumped a tag — the ABD tag plays the modification-counter role of
+//   the classic double-collect snapshot; argument in shard_router.h).
+//   Keys whose max tag was NOT unanimous in the confirming collect get
+//   a phase-2-style write-back (an ordinary WriteReq with the same tag)
+//   before the cut is returned, so no uncommitted tag can leak into the
+//   cut.
 //
 //   Fallback — fenced snapshot (the scan-embedded-in-update adaptation).
 //   After a bounded number of failed collect rounds under write

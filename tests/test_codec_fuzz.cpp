@@ -14,6 +14,7 @@
 //    turns any aliasing into an ASan report or a byte mismatch.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -447,6 +448,21 @@ TEST(CodecFuzz, ArenaSegmentsSurviveArenaReuse) {
   EXPECT_EQ(copy.size(), first.size());
   EXPECT_EQ(std::memcmp(first.data(), pinned.data(), pinned.size()), 0);
   EXPECT_EQ(std::memcmp(copy.data(), pinned.data(), pinned.size()), 0);
+}
+
+TEST(CodecFuzz, ArenaRotationNeverTakesBackTheChunkItLeaves) {
+  // Every segment of the full chunk has drained when the arena rotates.
+  // It must still move to another chunk: refilling the same one would
+  // leave a steady-state sender one chunk short, so its pool would make
+  // the second chunk later, at a rotation that has segments in flight.
+  net::EncodeArena arena;
+  const auto full = reinterpret_cast<std::uintptr_t>(
+      arena.reserve(kArenaChunkBytes));
+  ASSERT_EQ(arena.writable(), kArenaChunkBytes);
+  { net::Segment all = arena.commit(kArenaChunkBytes); }
+  const auto next = reinterpret_cast<std::uintptr_t>(arena.reserve(0));
+  EXPECT_TRUE(next < full || next >= full + kArenaChunkBytes)
+      << "the arena refilled the chunk it rotated away from";
 }
 
 TEST(CodecFuzz, WireTypeTagsAreStable) {

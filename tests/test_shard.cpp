@@ -233,65 +233,8 @@ INSTANTIATE_TEST_SUITE_P(BothRuntimes, ShardRouterSemantics,
 
 // --- one per-key FIFO across redirects --------------------------------------
 
-/// A ShardRouter hand-wired over ShardMap::uniform(2, 3, 1) on a SimEnv.
-/// The six servers are sinks that record the ReadReqs and WriteReqs they
-/// receive and never answer, so the test itself feeds every reply the
-/// router sees.
-struct RouterRig {
-  struct SinkServer : Process {
-    std::vector<OpId> reads;
-    std::vector<std::uint32_t> read_seqs;
-    std::vector<OpId> writes;
-    std::vector<Tag> write_tags;
-    void on_message(ProcessId, const Message& m) override {
-      if (const auto* req = msg_cast<ReadReq>(m)) {
-        reads.push_back(req->op_id());
-        read_seqs.push_back(req->seq());
-      } else if (const auto* req = msg_cast<WriteReq>(m)) {
-        writes.push_back(req->op_id());
-        write_tags.push_back(req->reg().tag);
-      }
-    }
-  };
-  struct ClientProc : Process {
-    ShardRouter* router = nullptr;
-    void on_message(ProcessId from, const Message& m) override {
-      router->handle(from, m);
-    }
-  };
-
-  SimEnv env{std::make_shared<ConstantLatency>(ms(1)), 1};
-  ShardRouter router{env, client_id(0), ShardMap::uniform(2, 3, 1),
-                     AbdClient::Mode::kStatic};
-  std::vector<SinkServer> servers = std::vector<SinkServer>(6);
-  ClientProc client;
-
-  RouterRig() {
-    client.router = &router;
-    env.register_process(client_id(0), &client);
-    for (ProcessId s = 0; s < servers.size(); ++s) {
-      env.register_process(s, &servers[s]);
-    }
-    env.start();
-  }
-
-  /// ReadReqs the servers of shard `g` received so far.
-  std::size_t reads_at(ShardId g) const {
-    std::size_t n = 0;
-    for (ProcessId s : router.map().servers(g)) n += servers[s].reads.size();
-    return n;
-  }
-
-  /// A redirect for `op` on `key`, as a server of shard `from` sends it.
-  void redirect(ShardId from, OpId op, const RegisterKey& key, ShardId owner) {
-    ProcessId sender = router.map().servers(from).front();
-    router.handle(sender, WrongShardAck(op, key, owner, /*epoch=*/1));
-    env.run_to_quiescence();
-  }
-};
-
 TEST(ShardRedirect, RedirectMovesTheKeysWholeQueue) {
-  RouterRig rig;
+  test::RouterRig rig;
   const RegisterKey key = "k";
   const ShardId src = rig.router.shard_of(key);
   const ShardId dst = 1 - src;
@@ -313,7 +256,7 @@ TEST(ShardRedirect, RedirectMovesTheKeysWholeQueue) {
 }
 
 TEST(ShardRedirect, WriteRedirectedInPhaseTwoKeepsItsTag) {
-  RouterRig rig;
+  test::RouterRig rig;
   const RegisterKey key = "k";
   const ShardId src = rig.router.shard_of(key);
   const ShardId dst = 1 - src;
@@ -330,7 +273,7 @@ TEST(ShardRedirect, WriteRedirectedInPhaseTwoKeepsItsTag) {
     rig.router.handle(src_servers[i], ReadAck(op, old_reg, nullptr, 1));
   }
   rig.env.run_to_quiescence();
-  const RouterRig::SinkServer& first = rig.servers[src_servers.front()];
+  const test::RouterRig::SinkServer& first = rig.servers[src_servers.front()];
   ASSERT_EQ(first.write_tags.size(), 1u);
   const Tag chosen = first.write_tags[0];
   EXPECT_EQ(chosen, (Tag{5, client_id(0)}));
@@ -338,7 +281,7 @@ TEST(ShardRedirect, WriteRedirectedInPhaseTwoKeepsItsTag) {
   rig.redirect(src, op, key, dst);
   EXPECT_EQ(rig.router.redirects(), 1u);
   const std::vector<ProcessId> dst_servers = rig.router.map().servers(dst);
-  const RouterRig::SinkServer& target = rig.servers[dst_servers.front()];
+  const test::RouterRig::SinkServer& target = rig.servers[dst_servers.front()];
   ASSERT_EQ(target.reads.size(), 1u);
   EXPECT_EQ(target.read_seqs[0], 1u);  // a fresh attempt at the new owner
   const OpId moved = target.reads[0];
@@ -359,7 +302,7 @@ TEST(ShardRedirect, WriteRedirectedInPhaseTwoKeepsItsTag) {
 }
 
 TEST(ShardRedirect, SameKeyOpJoinsItsHoldersQueue) {
-  RouterRig rig;
+  test::RouterRig rig;
   const RegisterKey key = "k";
   const ShardId src = rig.router.shard_of(key);
   const ShardId dst = 1 - src;

@@ -6,6 +6,9 @@
 //   * input hygiene: empty key list, duplicate keys, unwritten keys;
 //   * cuts race concurrent writers and stay consistent (the history
 //     checker's S1/S2 cut conditions over recorded snapshots);
+//   * collect rounds fed by hand: a moved key is re-collected at its
+//     new owner inside its round, and a flagged key leaves the other
+//     keys' observations standing;
 //   * the fenced fallback engages under relentless same-key write
 //     pressure once the collect budget is exhausted — and its cut is
 //     still consistent;
@@ -14,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +30,7 @@
 #include "runtime/sim_env.h"
 #include "storage/abd_server.h"
 #include "storage/history.h"
+#include "test_util.h"
 #include "testing/nemesis.h"
 
 namespace wrs {
@@ -602,6 +608,153 @@ TEST(SnapshotFence, ParkQueueOverflowIsShedAndCounted) {
   EXPECT_EQ(s0.parked_dropped(), 1u);
 }
 
+// --- collect rounds fed by hand ----------------------------------------------
+
+/// The shared router rig, driven through snapshot(): the test answers
+/// every collect by hand.
+struct CollectRig : test::RouterRig {
+  std::optional<ShardRouter::SnapshotResult> result;
+
+  /// Two keys that both hash to shard 0.
+  static std::pair<RegisterKey, RegisterKey> two_keys_at_shard0() {
+    const ShardMap map = ShardMap::uniform(2, 3, 1);
+    std::vector<RegisterKey> found;
+    for (int i = 0; found.size() < 2; ++i) {
+      RegisterKey key = "k" + std::to_string(i);
+      if (map.shard_of(key) == 0) found.push_back(key);
+    }
+    return {found[0], found[1]};
+  }
+
+  void snapshot(std::vector<RegisterKey> keys) {
+    router.snapshot(std::move(keys), [this](const auto& r) { result = r; });
+    env.run_to_quiescence();
+  }
+
+  /// Answers shard `g`'s latest collect from a quorum (two of its three
+  /// servers), giving each requested key the entry `entries` maps it to.
+  void answer(ShardId g, const std::map<RegisterKey, SnapEntry>& entries) {
+    ASSERT_FALSE(collects_at(g).empty());
+    const Collect req = collects_at(g).back();
+    std::vector<SnapEntry> es;
+    for (const RegisterKey& key : req.keys) {
+      ASSERT_TRUE(entries.count(key)) << "no entry for " << key;
+      es.push_back(entries.at(key));
+    }
+    for (int i = 0; i < 2; ++i) {
+      router.handle(router.map().servers(g)[i],
+                    SnapAck(req.op, es, nullptr, req.seq));
+    }
+    env.run_to_quiescence();
+  }
+};
+
+SnapEntry moved_to(RegisterKey key, ShardId owner, std::uint64_t epoch) {
+  SnapEntry e;
+  e.key = std::move(key);
+  e.flag = SnapEntry::kMoved;
+  e.owner = owner;
+  e.epoch = epoch;
+  return e;
+}
+
+const TaggedValue kT1{Tag{1, client_id(5)}, "t1"};
+const TaggedValue kT2{Tag{2, client_id(5)}, "t2"};
+const TaggedValue kU{Tag{3, client_id(6)}, "u"};
+
+TEST(SnapshotCollect, MovedKeyIsRecollectedInsideItsRound) {
+  CollectRig rig;
+  const auto [k, x] = CollectRig::two_keys_at_shard0();
+  rig.snapshot({k, x});
+  ASSERT_EQ(rig.collects_at(0).size(), 1u);
+
+  // Round 1: k moved to shard 1. The router asks shard 1 for k before
+  // the round ends, and round 2 does not start until it answers.
+  rig.answer(0, {{k, moved_to(k, 1, 1)}, {x, install(x, kU)}});
+  ASSERT_EQ(rig.collects_at(1).size(), 1u);
+  EXPECT_EQ(rig.collects_at(1).back().keys, std::vector<RegisterKey>{k});
+  EXPECT_EQ(rig.collects_at(0).size(), 1u) << "round 2 began too early";
+  rig.answer(1, {{k, install(k, kT1)}});
+
+  // Round 2 confirms both keys.
+  ASSERT_EQ(rig.collects_at(0).size(), 2u);
+  ASSERT_EQ(rig.collects_at(1).size(), 2u);
+  EXPECT_FALSE(rig.result.has_value());
+  rig.answer(0, {{x, install(x, kU)}});
+  rig.answer(1, {{k, install(k, kT1)}});
+  ASSERT_TRUE(rig.result.has_value());
+  EXPECT_EQ(rig.result->rounds, 2u);
+  EXPECT_FALSE(rig.result->used_fallback);
+  EXPECT_EQ(rig.result->cut[0].second.tag, kT1.tag);
+  EXPECT_EQ(rig.router.shard_of(k), 1u);
+}
+
+TEST(SnapshotCollect, ObservationSurvivesTheKeysMove) {
+  CollectRig rig;
+  const auto [k, x] = CollectRig::two_keys_at_shard0();
+  rig.snapshot({k, x});
+  rig.answer(0, {{k, install(k, kT1)}, {x, install(x, kU)}});
+
+  // Round 2 meets the move; the new owner shows the tag round 1 saw at
+  // the old owner, so round 2 confirms the cut.
+  rig.answer(0, {{k, moved_to(k, 1, 1)}, {x, install(x, kU)}});
+  rig.answer(1, {{k, install(k, kT1)}});
+  ASSERT_TRUE(rig.result.has_value());
+  EXPECT_EQ(rig.result->rounds, 2u);
+  EXPECT_EQ(rig.result->cut[0].second.tag, kT1.tag);
+  EXPECT_EQ(rig.result->cut[1].second.tag, kU.tag);
+}
+
+TEST(SnapshotCollect, FlaggedKeyKeepsTheOtherKeysObservations) {
+  const auto [k, x] = CollectRig::two_keys_at_shard0();
+  auto flag_k_in_round2 = [&](CollectRig& rig) {
+    rig.snapshot({k, x});
+    rig.answer(0, {{k, install(k, kT1)}, {x, install(x, kU)}});
+    rig.answer(0, {{k, lift_only(k)}, {x, install(x, kU)}});
+    EXPECT_FALSE(rig.result.has_value()) << "a flagged key confirmed nothing";
+  };
+
+  // Round 3 shows k's round-1 tag: with x's rounds 1-2 it is a cut.
+  CollectRig same;
+  flag_k_in_round2(same);
+  same.answer(0, {{k, install(k, kT1)}, {x, install(x, kU)}});
+  ASSERT_TRUE(same.result.has_value());
+  EXPECT_EQ(same.result->rounds, 3u);
+  EXPECT_EQ(same.result->cut[0].second.tag, kT1.tag);
+
+  // Round 3 shows a newer tag instead: it was seen once, so no cut yet.
+  CollectRig newer;
+  flag_k_in_round2(newer);
+  newer.answer(0, {{k, install(k, kT2)}, {x, install(x, kU)}});
+  EXPECT_FALSE(newer.result.has_value()) << "k's newer tag was seen once";
+  newer.answer(0, {{k, install(k, kT2)}, {x, install(x, kU)}});
+  ASSERT_TRUE(newer.result.has_value());
+  EXPECT_EQ(newer.result->rounds, 4u);
+  EXPECT_EQ(newer.result->cut[0].second.tag, kT2.tag);
+}
+
+TEST(SnapshotCollect, RelicMoveFlagsTheRoundWithoutAChase) {
+  CollectRig rig;
+  const auto [k, x] = CollectRig::two_keys_at_shard0();
+  rig.snapshot({k, x});
+  rig.answer(0, {{k, moved_to(k, 1, 2)}, {x, install(x, kU)}});
+  // The new owner still carries a relic mark from an older migration:
+  // it does not move the map back, so k is flagged, not chased again.
+  rig.answer(1, {{k, moved_to(k, 0, 1)}});
+  EXPECT_EQ(rig.router.shard_of(k), 1u);
+  ASSERT_EQ(rig.collects_at(0).size(), 2u);  // round 2: x only
+  ASSERT_EQ(rig.collects_at(1).size(), 2u);  // round 2: k
+  EXPECT_EQ(rig.collects_at(0).back().keys, std::vector<RegisterKey>{x});
+
+  rig.answer(0, {{x, install(x, kU)}});
+  rig.answer(1, {{k, install(k, kT1)}});
+  EXPECT_FALSE(rig.result.has_value()) << "k has one clean observation";
+  rig.answer(0, {{x, install(x, kU)}});
+  rig.answer(1, {{k, install(k, kT1)}});
+  ASSERT_TRUE(rig.result.has_value());
+  EXPECT_EQ(rig.result->rounds, 3u);
+}
+
 // --- chaos: snapshots vs migrations vs link faults --------------------------
 
 void expect_snapshot_chaos_consistent(Runtime rt, std::uint64_t seed) {
@@ -681,8 +834,30 @@ void expect_snapshot_chaos_consistent(Runtime rt, std::uint64_t seed) {
       << ": " << *err;
 }
 
+/// Seeds of the simulated storm: 101, 202 and 303, or the inclusive
+/// range WRS_SNAPSHOT_CHAOS_SEEDS=<first>-<last> names (a manual sweep;
+/// a stalled seed fails as "snapshots stuck (liveness)").
+std::vector<std::uint64_t> snapshot_chaos_seeds() {
+  const char* env = std::getenv("WRS_SNAPSHOT_CHAOS_SEEDS");
+  if (env == nullptr || *env == '\0') return {101, 202, 303};
+  unsigned long long first = 0;
+  unsigned long long last = 0;
+  char tail = 0;
+  if (std::sscanf(env, "%llu-%llu%c", &first, &last, &tail) != 2 ||
+      first > last) {
+    ADD_FAILURE() << "WRS_SNAPSHOT_CHAOS_SEEDS=" << env
+                  << ": expected <first>-<last>";
+    return {};
+  }
+  std::vector<std::uint64_t> seeds;
+  for (unsigned long long seed = first; seed <= last; ++seed) {
+    seeds.push_back(seed);
+  }
+  return seeds;
+}
+
 TEST(SnapshotChaos, SimCutsSurviveMigrationStorm) {
-  for (std::uint64_t seed : {101u, 202u, 303u}) {
+  for (std::uint64_t seed : snapshot_chaos_seeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     expect_snapshot_chaos_consistent(Runtime::kSim, seed);
   }
