@@ -2,7 +2,9 @@
 //
 //  * Round trip: random instances of EVERY wire message type must
 //    survive serialize -> deserialize -> serialize byte-identically.
-//  * Golden bytes: hand-built frames pin the exact encoding.
+//  * Golden bytes: one hand-built frame per wire type pins its exact
+//    encoding, so a field written in the wrong order fails here even
+//    when the decoder reads it back in the same wrong order.
 //  * Truncation: every strict prefix of a valid frame body is rejected.
 //  * Corruption: seeded random byte flips either decode to a
 //    re-encodable message or are rejected — never a crash (run under
@@ -416,7 +418,116 @@ TEST(CodecFuzz, GoldenFramesArePinned) {
        "3f00000001180000000003000100150000000000000006000000010100000001"
        "00000073080000000000000001000000010000007a0203000000020000000000"
        "000000"},
+      {"WriteAck",
+       std::make_shared<WriteAck>(14, std::make_shared<const ChangeSet>(cs), 7),
+       3, client_id(1),
+       "5b000000010403000000010001000e0000000000000007000000010200000001"
+       "000000020000000000000002000000ffffffffffffffff040000000000000003"
+       "00000003000000000000000000000001000000000000000400000000000000"},
+      {"KeysReq", std::make_shared<KeysReq>(15, 8, 3), client_id(4), 1,
+       "1a000000010504000100010000000f000000000000000800000003000000"},
+      {"KeysAck",
+       std::make_shared<KeysAck>(16, std::vector<RegisterKey>{"k1", "k22"},
+                                 std::make_shared<const ChangeSet>(cs), 9),
+       1, client_id(4),
+       "6c00000001060100000004000100100000000000000009000000020000000200"
+       "00006b31030000006b3232010200000001000000020000000000000002000000"
+       "ffffffffffffffff040000000000000003000000030000000000000000000000"
+       "01000000000000000400000000000000"},
+      {"BatchReply",
+       std::make_shared<BatchReply>(std::vector<MsgPtr>{
+           std::make_shared<WriteAck>(17, nullptr, 1),
+           std::make_shared<ReadAck>(18, TaggedValue{Tag{3, 2}, "w"}, nullptr,
+                                     2)}),
+       2, client_id(2),
+       "430000000108020000000200010002000000040d000000110000000000000001"
+       "00000000021e0000001200000000000000020000000300000000000000020000"
+       "00010000007700"},
+      {"RcReq", std::make_shared<RcReq>(19, 2, 1), 0, 1,
+       "1a0000000109000000000100000013000000000000000200000001000000"},
+      {"RcAck", std::make_shared<RcAck>(20, cs), 1, 0,
+       "56000000010a0100000000000000140000000000000002000000010000000200"
+       "00000000000002000000ffffffffffffffff0400000000000000030000000300"
+       "0000000000000000000001000000000000000400000000000000"},
+      {"WcReq", std::make_shared<WcReq>(22, cs, 2), 2, 3,
+       "5a000000010b0200000003000000160000000000000002000000020000000100"
+       "0000020000000000000002000000ffffffffffffffff04000000000000000300"
+       "000003000000000000000000000001000000000000000400000000000000"},
+      {"WcAck", std::make_shared<WcAck>(23), 3, 2,
+       "12000000010c03000000020000001700000000000000"},
+      {"Transfer",
+       std::make_shared<TransferMsg>(Change(1, kFirstCounter + 4, 1,
+                                            Weight(-1, 8)),
+                                     Change(1, kFirstCounter + 4, 3,
+                                            Weight(1, 8)),
+                                     1),
+       1, 3,
+       "4e000000010d010000000300000001000000060000000000000001000000ffff"
+       "ffffffffffff0800000000000000010000000600000000000000030000000100"
+       "000000000000080000000000000001000000"},
+      {"TAck", std::make_shared<TAck>(kFirstCounter + 4, 1), 3, 1,
+       "16000000010e0300000001000000060000000000000001000000"},
+      {"Sync", std::make_shared<SyncMsg>(cs, std::uint64_t{5}, 2), 0, 2,
+       "5b000000010f0000000002000000010500000000000000020000000200000001"
+       "000000020000000000000002000000ffffffffffffffff040000000000000003"
+       "00000003000000000000000000000001000000000000000400000000000000"},
+      {"Rb",
+       std::make_shared<RbMsg>(
+           2, 24,
+           std::make_shared<TransferMsg>(
+               Change(2, kFirstCounter, 2, Weight(-1, 2)),
+               Change(2, kFirstCounter, 0, Weight(1, 2)))),
+       2, 1,
+       "5f000000011002000000010000000200000018000000000000000d4400000002"
+       "000000020000000000000002000000ffffffffffffffff020000000000000002"
+       "0000000200000000000000000000000100000000000000020000000000000000"
+       "000000"},
+      {"Ping", std::make_shared<PingMsg>(-25), 0, 1,
+       "1200000001110000000001000000e7ffffffffffffff"},
+      {"Pong", std::make_shared<PongMsg>(26'000'000), 1, 0,
+       "120000000112010000000000000080ba8c0100000000"},
+      {"RttReport",
+       std::make_shared<RttReportMsg>(
+           std::map<ProcessId, double>{{0, 1.5}, {2, 0.25}}),
+       1, 2,
+       "26000000011301000000020000000200000000000000000000000000f83f0200"
+       "0000000000000000d03f"},
+      {"MigFreeze", std::make_shared<MigFreeze>(27, "mk", 3, 1, 10, 2),
+       client_id(5), 0,
+       "2c000000011405000100000000001b000000000000000a000000020000000300"
+       "00000000000001000000020000006d6b"},
+      {"MigCommit",
+       std::make_shared<MigCommit>(28, "mk", 1, 3,
+                                   TaggedValue{Tag{9, 4}, "mv"}, 11, 1),
+       client_id(5), 3,
+       "3f000000011505000100030000001c000000000000000b000000010000000300"
+       "00000000000001000000020000006d6b01090000000000000004000000020000"
+       "006d76"},
+      {"WrongShard", std::make_shared<WrongShardAck>(29, "wk", 2, 4, 12), 1,
+       client_id(6),
+       "28000000011601000000060001001d000000000000000c000000040000000000"
+       "00000200000002000000776b"},
+      {"SnapReq",
+       std::make_shared<SnapReq>(30, std::vector<RegisterKey>{"a", "bc"}, 13,
+                                 2),
+       client_id(7), 2,
+       "29000000011707000100020000001e000000000000000d000000020000000200"
+       "00000100000061020000006263"},
+      {"SnapFreeze",
+       std::make_shared<SnapFreeze>(31, make_snap_id(7, 3),
+                                    std::vector<RegisterKey>{"a"}, 14, 1),
+       client_id(7), 0,
+       "2b000000011907000100000000001f000000000000000e000000010000000300"
+       "000007000000010000000100000061"},
+      {"SnapRelease",
+       std::make_shared<SnapRelease>(32, make_snap_id(7, 3),
+                                     std::vector<SnapEntry>{entry}, 15, 1),
+       client_id(7), 1,
+       "49000000011a070001000100000020000000000000000f000000010000000300"
+       "000007000000010000000100000073080000000000000001000000010000007a"
+       "02030000000200000000000000"},
   };
+  ASSERT_EQ(goldens.size(), 26u) << "one golden frame per wire type";
   for (const Golden& g : goldens) {
     std::vector<std::uint8_t> bytes =
         WireCodec::encode_frame(g.from, g.to, *g.msg);
