@@ -78,7 +78,6 @@ class EpochReassignNode : public Process {
 
   const WeightMap& weights() const { return weights_; }
   Weight total_weight() const { return weights_.total(); }
-  std::uint64_t current_epoch() const { return epoch_; }
   std::uint64_t dropped_increases() const { return dropped_increases_; }
 
  private:

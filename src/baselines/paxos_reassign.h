@@ -42,7 +42,6 @@ class PaxosReassignNode : public Process {
   void on_message(ProcessId from, const Message& msg) override;
 
   const WeightMap& weights() const { return weights_; }
-  InstanceId applied_up_to() const { return next_apply_; }
 
  private:
   struct PendingSubmit {

@@ -44,7 +44,6 @@ class ReductionServerBase : public Process {
   /// The paper's propose(v_i).
   void propose(std::string value, DecideCallback cb);
 
-  bool has_decided() const { return decided_.has_value(); }
   const std::optional<std::string>& decision() const { return decided_; }
 
   void on_message(ProcessId from, const Message& msg) override;

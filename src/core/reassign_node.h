@@ -89,7 +89,6 @@ class ReassignNode : public Process {
   /// — even when the fault plane dropped T / T_Ack / RB traffic.
   /// `period` <= 0 disables (any scheduled round becomes a no-op).
   void enable_sync(TimeNs period);
-  TimeNs sync_period() const { return sync_period_; }
 
   /// One immediate anti-entropy round (chaos drivers use this to force
   /// convergence after healing without waiting out the period).

@@ -55,15 +55,6 @@ class LatencyMonitor {
     return best;
   }
 
-  double median_estimate() const {
-    std::vector<double> v;
-    v.reserve(ewma_.size());
-    for (const auto& [_, e] : ewma_) v.push_back(e);
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  }
-
   const std::map<ProcessId, double>& estimates() const { return ewma_; }
 
  private:

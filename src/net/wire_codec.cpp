@@ -1,10 +1,12 @@
 #include "net/wire_codec.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -119,524 +121,583 @@ class CountingWriter {
   std::size_t n_ = 0;
 };
 
-// --- shared composite encodings --------------------------------------------
+// --- field codecs ----------------------------------------------------------
 
 template <typename W>
-void put_weight(W& w, const Weight& v) {
-  w.i64(v.num());
-  w.i64(v.den());
-}
+void put_message(W& w, const Message& msg, int depth);
+MsgPtr get_message(Reader& r, int depth);
 
-Weight get_weight(Reader& r) {
-  std::int64_t num = r.i64();
-  std::int64_t den = r.i64();
-  // Rational(num, den) throws on den == 0; a NON-normalized pair decodes
-  // fine but would re-encode differently, so reject it explicitly — valid
-  // encoders only ever emit normalized weights.
-  Weight v(num, den);
-  if (v.num() != num || v.den() != den) {
-    throw CodecError("wire: denormalized weight");
+/// Field<T> writes and reads one message field of C++ type T. A layout's
+/// decoder parameters name the type, and so the codec, of each field;
+/// `depth` is the nesting level already consumed (only nested messages
+/// use it). A type without a specialization has no wire encoding.
+template <typename T>
+struct Field;
+
+template <>
+struct Field<std::uint32_t> {
+  static void put(auto& w, std::uint32_t v, int) { w.u32(v); }
+  static std::uint32_t get(Reader& r, int) { return r.u32(); }
+};
+
+template <>
+struct Field<std::uint64_t> {
+  static void put(auto& w, std::uint64_t v, int) { w.u64(v); }
+  static std::uint64_t get(Reader& r, int) { return r.u64(); }
+};
+
+template <>
+struct Field<std::int64_t> {
+  static void put(auto& w, std::int64_t v, int) { w.i64(v); }
+  static std::int64_t get(Reader& r, int) { return r.i64(); }
+};
+
+/// u8 0 or 1; also the presence marker of optional fields.
+template <>
+struct Field<bool> {
+  static void put(auto& w, bool v, int) { w.u8(v ? 1 : 0); }
+  static bool get(Reader& r, int) {
+    std::uint8_t v = r.u8();
+    if (v > 1) throw CodecError("wire: bad marker byte");
+    return v == 1;
   }
-  return v;
-}
+};
 
-template <typename W>
-void put_change(W& w, const ChangeId& id, const Weight& delta) {
-  w.u32(id.issuer);
-  w.u64(id.counter);
-  w.u32(id.target);
-  put_weight(w, delta);
-}
+template <>
+struct Field<std::string> {
+  static constexpr std::size_t kMinBytes = 4;
+  static void put(auto& w, const std::string& v, int) { w.str(v); }
+  static std::string get(Reader& r, int) { return r.str(); }
+};
 
-constexpr std::size_t kChangeBytes = 4 + 8 + 4 + 16;
-
-Change get_change(Reader& r) {
-  ProcessId issuer = r.u32();
-  std::uint64_t counter = r.u64();
-  ProcessId target = r.u32();
-  Weight delta = get_weight(r);
-  return Change(issuer, counter, target, std::move(delta));
-}
-
-template <typename W>
-void put_change_set(W& w, const ChangeSet& cs) {
-  w.u32(static_cast<std::uint32_t>(cs.size()));
-  if constexpr (std::is_same_v<W, CountingWriter>) {
-    // Every change is fixed-width: counting needs no walk of the set,
-    // which piggybacks on every storage reply and grows with transfers.
-    w.skip(cs.size() * kChangeBytes);
-  } else {
-    // for_each walks the underlying ordered map in place — deterministic
-    // order (so round trips are byte-identical) and no copy of the set.
-    cs.for_each([&w](const ChangeId& id, const Weight& delta) {
-      put_change(w, id, delta);
-    });
+template <>
+struct Field<Weight> {
+  static void put(auto& w, const Weight& v, int) {
+    w.i64(v.num());
+    w.i64(v.den());
   }
-}
-
-ChangeSet get_change_set(Reader& r) {
-  std::uint32_t n = r.u32();
-  r.check_count(n, kChangeBytes);
-  ChangeSet cs;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    // add() throws on a duplicate id with a different delta — malformed.
-    cs.add(get_change(r));
+  static Weight get(Reader& r, int) {
+    std::int64_t num = r.i64();
+    std::int64_t den = r.i64();
+    // Rational(num, den) throws on den == 0; a NON-normalized pair
+    // decodes fine but would re-encode differently, so reject it
+    // explicitly — valid encoders only ever emit normalized weights.
+    Weight v(num, den);
+    if (v.num() != num || v.den() != den) {
+      throw CodecError("wire: denormalized weight");
+    }
+    return v;
   }
-  return cs;
-}
+};
 
-template <typename W>
-void put_changes_ptr(W& w, const ChangeSetPtr& cs) {
-  w.u8(cs ? 1 : 0);
-  if (cs) put_change_set(w, *cs);
-}
+template <>
+struct Field<Change> {
+  static constexpr std::size_t kBytes = 4 + 8 + 4 + 16;
+  static void put(auto& w, const Change& c, int) {
+    put_id_delta(w, c.id, c.delta);
+  }
+  static void put_id_delta(auto& w, const ChangeId& id, const Weight& delta) {
+    w.u32(id.issuer);
+    w.u64(id.counter);
+    w.u32(id.target);
+    Field<Weight>::put(w, delta, 0);
+  }
+  static Change get(Reader& r, int) {
+    ProcessId issuer = r.u32();
+    std::uint64_t counter = r.u64();
+    ProcessId target = r.u32();
+    Weight delta = Field<Weight>::get(r, 0);
+    return Change(issuer, counter, target, std::move(delta));
+  }
+};
 
-ChangeSetPtr get_changes_ptr(Reader& r) {
-  std::uint8_t present = r.u8();
-  if (present > 1) throw CodecError("wire: bad optional marker");
-  if (!present) return nullptr;
-  return make_pooled<const ChangeSet>(get_change_set(r));
-}
+template <>
+struct Field<ChangeSet> {
+  template <typename W>
+  static void put(W& w, const ChangeSet& cs, int) {
+    w.u32(static_cast<std::uint32_t>(cs.size()));
+    if constexpr (std::is_same_v<W, CountingWriter>) {
+      // Every change is fixed-width: counting needs no walk of the set,
+      // which piggybacks on every storage reply and grows with transfers.
+      w.skip(cs.size() * Field<Change>::kBytes);
+    } else {
+      // for_each walks the underlying ordered map in place — deterministic
+      // order (so round trips are byte-identical) and no copy of the set.
+      cs.for_each([&w](const ChangeId& id, const Weight& delta) {
+        Field<Change>::put_id_delta(w, id, delta);
+      });
+    }
+  }
+  static ChangeSet get(Reader& r, int) {
+    std::uint32_t n = r.u32();
+    r.check_count(n, Field<Change>::kBytes);
+    ChangeSet cs;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      // add() throws on a duplicate id with a different delta — malformed.
+      cs.add(Field<Change>::get(r, 0));
+    }
+    return cs;
+  }
+};
 
-template <typename W>
-void put_tagged_value(W& w, const TaggedValue& tv) {
-  w.i64(tv.tag.ts);
-  w.u32(tv.tag.pid);
-  w.str(tv.value);
-}
+/// Present marker + the change set (present only).
+template <>
+struct Field<ChangeSetPtr> {
+  static void put(auto& w, const ChangeSetPtr& cs, int) {
+    Field<bool>::put(w, cs != nullptr, 0);
+    if (cs) Field<ChangeSet>::put(w, *cs, 0);
+  }
+  static ChangeSetPtr get(Reader& r, int) {
+    if (!Field<bool>::get(r, 0)) return nullptr;
+    return make_pooled<const ChangeSet>(Field<ChangeSet>::get(r, 0));
+  }
+};
 
-TaggedValue get_tagged_value(Reader& r) {
-  TaggedValue tv;
-  tv.tag.ts = r.i64();
-  tv.tag.pid = r.u32();
-  tv.value = r.str();
-  return tv;
-}
+/// Present marker + the value (present only).
+template <typename T>
+struct Field<std::optional<T>> {
+  static void put(auto& w, const std::optional<T>& v, int depth) {
+    Field<bool>::put(w, v.has_value(), 0);
+    if (v) Field<T>::put(w, *v, depth);
+  }
+  static std::optional<T> get(Reader& r, int depth) {
+    if (!Field<bool>::get(r, 0)) return std::nullopt;
+    return Field<T>::get(r, depth);
+  }
+};
 
-template <typename W>
-void put_snap_entries(W& w, const std::vector<SnapEntry>& entries) {
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const SnapEntry& e : entries) {
+template <>
+struct Field<TaggedValue> {
+  static void put(auto& w, const TaggedValue& tv, int) {
+    w.i64(tv.tag.ts);
+    w.u32(tv.tag.pid);
+    w.str(tv.value);
+  }
+  static TaggedValue get(Reader& r, int) {
+    TaggedValue tv;
+    tv.tag.ts = r.i64();
+    tv.tag.pid = r.u32();
+    tv.value = r.str();
+    return tv;
+  }
+};
+
+template <>
+struct Field<SnapEntry> {
+  // Empty key (4) + tag (12) + empty value (4) + flag/owner/epoch (13).
+  static constexpr std::size_t kMinBytes = 33;
+  static void put(auto& w, const SnapEntry& e, int) {
     w.str(e.key);
-    put_tagged_value(w, e.reg);
+    Field<TaggedValue>::put(w, e.reg, 0);
     w.u8(e.flag);
     w.u32(e.owner);
     w.u64(e.epoch);
   }
-}
-
-std::vector<SnapEntry> get_snap_entries(Reader& r) {
-  std::uint32_t n = r.u32();
-  // Minimum entry: empty key (4) + tag (12) + empty value (4) + flag/
-  // owner/epoch (13).
-  r.check_count(n, 33);
-  std::vector<SnapEntry> entries;
-  entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  static SnapEntry get(Reader& r, int) {
     SnapEntry e;
     e.key = r.str();
-    e.reg = get_tagged_value(r);
+    e.reg = Field<TaggedValue>::get(r, 0);
     e.flag = r.u8();
     if (e.flag > SnapEntry::kMoved) throw CodecError("wire: bad snap flag");
     e.owner = r.u32();
     e.epoch = r.u64();
-    entries.push_back(std::move(e));
+    return e;
   }
-  return entries;
+};
+
+/// A nested message: u8 tag + u32 body length + body (see put_message).
+template <>
+struct Field<MsgPtr> {
+  static constexpr std::size_t kMinBytes = 5;
+  static void put(auto& w, const MsgPtr& m, int depth) {
+    put_message(w, *m, depth);
+  }
+  static MsgPtr get(Reader& r, int depth) { return get_message(r, depth); }
+};
+
+/// u32 count + the elements in order.
+template <typename T>
+struct Field<std::vector<T>> {
+  static void put(auto& w, const std::vector<T>& v, int depth) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& e : v) Field<T>::put(w, e, depth);
+  }
+  static std::vector<T> get(Reader& r, int depth) {
+    std::uint32_t n = r.u32();
+    // Rejects absurd counts before reserving anything.
+    r.check_count(n, Field<T>::kMinBytes);
+    std::vector<T> v;
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) v.push_back(Field<T>::get(r, depth));
+    return v;
+  }
+};
+
+/// RTT gossip: u32 count + (u32 pid, f64 rtt) in ascending pid order.
+template <>
+struct Field<std::map<ProcessId, double>> {
+  static void put(auto& w, const std::map<ProcessId, double>& rtts, int) {
+    w.u32(static_cast<std::uint32_t>(rtts.size()));
+    for (const auto& [pid, rtt] : rtts) {
+      w.u32(pid);
+      w.f64(rtt);
+    }
+  }
+  static std::map<ProcessId, double> get(Reader& r, int) {
+    std::uint32_t n = r.u32();
+    r.check_count(n, 12);
+    std::map<ProcessId, double> rtts;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ProcessId pid = r.u32();
+      double rtt = r.f64();
+      if (!rtts.emplace(pid, rtt).second) {
+        throw CodecError("wire: duplicate rtt key");
+      }
+    }
+    return rtts;
+  }
+};
+
+// --- layouts ----------------------------------------------------------------
+
+/// An encoder's field list, in wire order: values the accessors return by
+/// value are held by value, the rest by reference into the message.
+template <typename... A>
+std::tuple<A...> fields(A&&... a) {
+  return std::tuple<A...>(std::forward<A>(a)...);
 }
 
-template <typename W>
-void put_key_list(W& w, const std::vector<RegisterKey>& keys) {
-  w.u32(static_cast<std::uint32_t>(keys.size()));
-  for (const RegisterKey& k : keys) w.str(k);
-}
+// Type-level only: a lambda's parameter types, and a field list's types,
+// without references or const.
+template <typename F, typename R, typename... A>
+std::tuple<std::remove_cvref_t<A>...> params(R (F::*)(A...) const);
+template <typename... A>
+std::tuple<std::remove_cvref_t<A>...> decayed(std::tuple<A...>);
 
-std::vector<RegisterKey> get_key_list(Reader& r) {
-  std::uint32_t n = r.u32();
-  r.check_count(n, 4);
-  std::vector<RegisterKey> keys;
-  keys.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) keys.push_back(r.str());
-  return keys;
-}
+/// One wire type's layout: its tag, an encoder that lists the message's
+/// fields in wire order, and a decoder whose parameters are those fields
+/// (their types pick each field's codec) and whose body rebuilds the
+/// message. The two halves are checked against each other at compile
+/// time, so a field the encoder adds, drops or retypes fails the build.
+template <typename Encode, typename Decode>
+struct Layout {
+  using Msg = std::tuple_element_t<0, decltype(params(&Encode::operator()))>;
+  using Fields = decltype(params(&Decode::operator()));
+  static_assert(std::is_same_v<decltype(decayed(Encode{}(std::declval<Msg>()))),
+                               Fields>,
+                "a layout's encoder must list its decoder's parameter types");
+  static_assert(std::is_same_v<decltype(std::apply(std::declval<Decode>(),
+                                                   std::declval<Fields>())),
+                               std::shared_ptr<Msg>>,
+                "a layout's decoder must build the type its encoder reads");
 
-// --- per-type payloads ------------------------------------------------------
+  WireType type;
+  Encode encode;  // captureless: put() and get() default-construct
+  Decode decode;  // these two, so a layout needs no instance
+
+  template <typename W>
+  static void put(W& w, const Message& msg, int depth) {
+    std::apply(
+        [&w, depth](const auto&... f) {
+          (Field<std::remove_cvref_t<decltype(f)>>::put(w, f, depth), ...);
+        },
+        Encode{}(static_cast<const Msg&>(msg)));
+  }
+
+  // Flattened: each decoder inlines its field reads and the message's
+  // construction. Without it gcc -O2 keeps them as calls, and string
+  // moves among them, which costs 5-10% per decoded frame.
+  [[gnu::flatten]] static MsgPtr get(Reader& r, int depth) {
+    return Build<Fields>::get(r, depth);
+  }
+
+ private:
+  // Takes the fields as its constructor's arguments: a braced initializer
+  // evaluates them left to right, in wire order.
+  template <typename Tuple>
+  struct Build;
+  template <typename... F>
+  struct Build<std::tuple<F...>> {
+    MsgPtr msg;
+    explicit Build(F... f) : msg(Decode{}(std::move(f)...)) {}
+    static MsgPtr get(Reader& r, int depth) {
+      return Build{Field<F>::get(r, depth)...}.msg;
+    }
+  };
+};
+
+template <typename Encode, typename Decode>
+Layout(WireType, Encode, Decode) -> Layout<Encode, Decode>;
+
+// Every wire type, in tag order. Adding one: a WireType value and its
+// static_assert pin (net/wire_format.h), an entry here, and a golden
+// frame in CodecFuzz.GoldenFramesArePinned.
+constexpr std::tuple kLayouts{
+    // ABD register protocol (storage/abd_messages.h).
+    Layout{WireType::kReadReq,
+           [](const ReadReq& m) {
+             return fields(m.op_id(), m.seq(), m.shard(), m.key());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard, RegisterKey key) {
+             return make_msg<ReadReq>(op, std::move(key), seq, shard);
+           }},
+    Layout{WireType::kReadAck,
+           [](const ReadAck& m) {
+             return fields(m.op_id(), m.seq(), m.reg(), m.changes());
+           },
+           [](OpId op, std::uint32_t seq, TaggedValue reg, ChangeSetPtr cs) {
+             return make_msg<ReadAck>(op, std::move(reg), std::move(cs), seq);
+           }},
+    Layout{WireType::kWriteReq,
+           [](const WriteReq& m) {
+             return fields(m.op_id(), m.seq(), m.shard(), m.reg(), m.key());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard, TaggedValue reg,
+              RegisterKey key) {
+             return make_msg<WriteReq>(op, std::move(reg), std::move(key), seq,
+                                       shard);
+           }},
+    Layout{WireType::kWriteAck,
+           [](const WriteAck& m) {
+             return fields(m.op_id(), m.seq(), m.changes());
+           },
+           [](OpId op, std::uint32_t seq, ChangeSetPtr cs) {
+             return make_msg<WriteAck>(op, std::move(cs), seq);
+           }},
+    Layout{WireType::kKeysReq,
+           [](const KeysReq& m) {
+             return fields(m.op_id(), m.seq(), m.shard());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard) {
+             return make_msg<KeysReq>(op, seq, shard);
+           }},
+    Layout{WireType::kKeysAck,
+           [](const KeysAck& m) {
+             return fields(m.op_id(), m.seq(), m.keys(), m.changes());
+           },
+           [](OpId op, std::uint32_t seq, std::vector<RegisterKey> keys,
+              ChangeSetPtr cs) {
+             return make_msg<KeysAck>(op, std::move(keys), std::move(cs), seq);
+           }},
+    Layout{WireType::kBatchRequest,
+           [](const BatchRequest& m) { return fields(m.shard(), m.frames()); },
+           [](ShardId shard, std::vector<MsgPtr> frames) {
+             return make_msg<BatchRequest>(shard, std::move(frames));
+           }},
+    Layout{WireType::kBatchReply,
+           [](const BatchReply& m) { return fields(m.frames()); },
+           [](std::vector<MsgPtr> frames) {
+             return make_msg<BatchReply>(std::move(frames));
+           }},
+    // Pairwise weight reassignment (core/reassign_messages.h).
+    Layout{WireType::kRcReq,
+           [](const RcReq& m) {
+             return fields(m.op_id(), m.target(), m.shard());
+           },
+           [](std::uint64_t op, ProcessId target, ShardId shard) {
+             return make_msg<RcReq>(op, target, shard);
+           }},
+    Layout{WireType::kRcAck,
+           [](const RcAck& m) { return fields(m.op_id(), m.changes()); },
+           [](std::uint64_t op, ChangeSet cs) {
+             return make_msg<RcAck>(op, std::move(cs));
+           }},
+    Layout{WireType::kWcReq,
+           [](const WcReq& m) {
+             return fields(m.op_id(), m.shard(), m.changes());
+           },
+           [](std::uint64_t op, ShardId shard, ChangeSet cs) {
+             return make_msg<WcReq>(op, std::move(cs), shard);
+           }},
+    Layout{WireType::kWcAck,
+           [](const WcAck& m) { return fields(m.op_id()); },
+           [](std::uint64_t op) { return make_msg<WcAck>(op); }},
+    Layout{WireType::kTransfer,
+           [](const TransferMsg& m) {
+             return fields(m.neg(), m.pos(), m.shard());
+           },
+           [](Change neg, Change pos, ShardId shard) {
+             return make_msg<TransferMsg>(std::move(neg), std::move(pos),
+                                          shard);
+           }},
+    Layout{WireType::kTAck,
+           [](const TAck& m) { return fields(m.counter(), m.shard()); },
+           [](std::uint64_t counter, ShardId shard) {
+             return make_msg<TAck>(counter, shard);
+           }},
+    Layout{WireType::kSync,
+           [](const SyncMsg& m) {
+             return fields(m.pending_counter(), m.shard(), m.changes());
+           },
+           [](std::optional<std::uint64_t> pending, ShardId shard,
+              ChangeSet cs) {
+             return make_msg<SyncMsg>(std::move(cs), pending, shard);
+           }},
+    // Reliable broadcast wrapper (broadcast/reliable_broadcast.h).
+    Layout{WireType::kRb,
+           [](const RbMsg& m) {
+             return fields(m.origin(), m.seq(), m.payload());
+           },
+           [](ProcessId origin, std::uint64_t seq, MsgPtr payload) {
+             return make_msg<RbMsg>(origin, seq, std::move(payload));
+           }},
+    // Adaptive-weights gossip (monitor/adaptive_node.h).
+    Layout{WireType::kPing,
+           [](const PingMsg& m) { return fields(m.sent_at()); },
+           [](TimeNs sent_at) { return make_msg<PingMsg>(sent_at); }},
+    Layout{WireType::kPong,
+           [](const PongMsg& m) { return fields(m.sent_at()); },
+           [](TimeNs sent_at) { return make_msg<PongMsg>(sent_at); }},
+    Layout{WireType::kRttReport,
+           [](const RttReportMsg& m) { return fields(m.rtts()); },
+           [](std::map<ProcessId, double> rtts) {
+             return make_msg<RttReportMsg>(std::move(rtts));
+           }},
+    // Elastic resharding (storage/migration_messages.h).
+    Layout{WireType::kMigFreeze,
+           [](const MigFreeze& m) {
+             return fields(m.op_id(), m.seq(), m.shard(), m.epoch(), m.dest(),
+                           m.key());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard, std::uint64_t epoch,
+              ShardId dest, RegisterKey key) {
+             return make_msg<MigFreeze>(op, std::move(key), epoch, dest, seq,
+                                        shard);
+           }},
+    Layout{WireType::kMigCommit,
+           [](const MigCommit& m) {
+             return fields(m.op_id(), m.seq(), m.shard(), m.epoch(),
+                           m.owner(), m.key(), m.install());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard, std::uint64_t epoch,
+              ShardId owner, RegisterKey key,
+              std::optional<TaggedValue> install) {
+             return make_msg<MigCommit>(op, std::move(key), owner, epoch,
+                                        std::move(install), seq, shard);
+           }},
+    Layout{WireType::kWrongShard,
+           [](const WrongShardAck& m) {
+             return fields(m.op_id(), m.seq(), m.epoch(), m.owner(), m.key());
+           },
+           [](OpId op, std::uint32_t seq, std::uint64_t epoch, ShardId owner,
+              RegisterKey key) {
+             return make_msg<WrongShardAck>(op, std::move(key), owner, epoch,
+                                            seq);
+           }},
+    // Cross-shard atomic snapshots (storage/snapshot_messages.h).
+    Layout{WireType::kSnapReq,
+           [](const SnapReq& m) {
+             return fields(m.op_id(), m.seq(), m.shard(), m.keys());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard,
+              std::vector<RegisterKey> keys) {
+             return make_msg<SnapReq>(op, std::move(keys), seq, shard);
+           }},
+    Layout{WireType::kSnapAck,
+           [](const SnapAck& m) {
+             return fields(m.op_id(), m.seq(), m.held(), m.entries(),
+                           m.changes());
+           },
+           [](OpId op, std::uint32_t seq, bool held,
+              std::vector<SnapEntry> entries, ChangeSetPtr cs) {
+             return make_msg<SnapAck>(op, std::move(entries), std::move(cs),
+                                      seq, held);
+           }},
+    Layout{WireType::kSnapFreeze,
+           [](const SnapFreeze& m) {
+             return fields(m.op_id(), m.seq(), m.shard(), m.snap_id(),
+                           m.keys());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard, SnapId snap,
+              std::vector<RegisterKey> keys) {
+             return make_msg<SnapFreeze>(op, snap, std::move(keys), seq, shard);
+           }},
+    Layout{WireType::kSnapRelease,
+           [](const SnapRelease& m) {
+             return fields(m.op_id(), m.seq(), m.shard(), m.snap_id(),
+                           m.installs());
+           },
+           [](OpId op, std::uint32_t seq, ShardId shard, SnapId snap,
+              std::vector<SnapEntry> installs) {
+             return make_msg<SnapRelease>(op, snap, std::move(installs), seq,
+                                          shard);
+           }},
+};
+
+// --- dispatch ---------------------------------------------------------------
 
 [[noreturn]] void throw_unmapped(const Message& msg) {
   throw std::invalid_argument("WireCodec: no wire mapping for message type " +
                               msg.type_name());
 }
 
-template <typename W>
-void put_message(W& w, const Message& msg, int depth);
-MsgPtr get_message(Reader& r, int depth);
+/// A mapped type's tag and its layout's encoder, instantiated for the
+/// frame writer and for the counting writer.
+struct Encoder {
+  WireType type{};
+  void (*put)(SpanWriter&, const Message&, int) = nullptr;
+  void (*count)(CountingWriter&, const Message&, int) = nullptr;
 
-template <typename W>
-void put_frames(W& w, const std::vector<MsgPtr>& frames, int depth) {
-  w.u32(static_cast<std::uint32_t>(frames.size()));
-  for (const MsgPtr& f : frames) put_message(w, *f, depth);
-}
-
-std::vector<MsgPtr> get_frames(Reader& r, int depth) {
-  std::uint32_t n = r.u32();
-  r.check_count(n, 5);  // nested prelude: u8 tag + u32 length
-  std::vector<MsgPtr> frames;
-  frames.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) frames.push_back(get_message(r, depth));
-  return frames;
-}
-
-/// Writes one payload body (no tag, no length). `depth` is the nesting
-/// level already consumed; nested messages bump it.
-template <typename W>
-void put_body(W& w, const Message& msg, int depth) {
-  if (const auto* m = msg_cast<ReadReq>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-    w.str(m->key());
-  } else if (const auto* m = msg_cast<ReadAck>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    put_tagged_value(w, m->reg());
-    put_changes_ptr(w, m->changes());
-  } else if (const auto* m = msg_cast<WriteReq>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-    put_tagged_value(w, m->reg());
-    w.str(m->key());
-  } else if (const auto* m = msg_cast<WriteAck>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    put_changes_ptr(w, m->changes());
-  } else if (const auto* m = msg_cast<KeysReq>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-  } else if (const auto* m = msg_cast<KeysAck>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    put_key_list(w, m->keys());
-    put_changes_ptr(w, m->changes());
-  } else if (const auto* m = msg_cast<BatchRequest>(msg)) {
-    w.u32(m->shard());
-    put_frames(w, m->frames(), depth);
-  } else if (const auto* m = msg_cast<BatchReply>(msg)) {
-    put_frames(w, m->frames(), depth);
-  } else if (const auto* m = msg_cast<RcReq>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->target());
-    w.u32(m->shard());
-  } else if (const auto* m = msg_cast<RcAck>(msg)) {
-    w.u64(m->op_id());
-    put_change_set(w, m->changes());
-  } else if (const auto* m = msg_cast<WcReq>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->shard());
-    put_change_set(w, m->changes());
-  } else if (const auto* m = msg_cast<WcAck>(msg)) {
-    w.u64(m->op_id());
-  } else if (const auto* m = msg_cast<TransferMsg>(msg)) {
-    put_change(w, m->neg().id, m->neg().delta);
-    put_change(w, m->pos().id, m->pos().delta);
-    w.u32(m->shard());
-  } else if (const auto* m = msg_cast<TAck>(msg)) {
-    w.u64(m->counter());
-    w.u32(m->shard());
-  } else if (const auto* m = msg_cast<SyncMsg>(msg)) {
-    w.u8(m->pending_counter() ? 1 : 0);
-    if (m->pending_counter()) w.u64(*m->pending_counter());
-    w.u32(m->shard());
-    put_change_set(w, m->changes());
-  } else if (const auto* m = msg_cast<RbMsg>(msg)) {
-    w.u32(m->origin());
-    w.u64(m->seq());
-    put_message(w, *m->payload(), depth);
-  } else if (const auto* m = msg_cast<PingMsg>(msg)) {
-    w.i64(m->sent_at());
-  } else if (const auto* m = msg_cast<PongMsg>(msg)) {
-    w.i64(m->sent_at());
-  } else if (const auto* m = msg_cast<RttReportMsg>(msg)) {
-    w.u32(static_cast<std::uint32_t>(m->rtts().size()));
-    for (const auto& [pid, rtt] : m->rtts()) {  // std::map: ordered
-      w.u32(pid);
-      w.f64(rtt);
-    }
-  } else if (const auto* m = msg_cast<MigFreeze>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-    w.u64(m->epoch());
-    w.u32(m->dest());
-    w.str(m->key());
-  } else if (const auto* m = msg_cast<MigCommit>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-    w.u64(m->epoch());
-    w.u32(m->owner());
-    w.str(m->key());
-    w.u8(m->install() ? 1 : 0);
-    if (m->install()) put_tagged_value(w, *m->install());
-  } else if (const auto* m = msg_cast<WrongShardAck>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u64(m->epoch());
-    w.u32(m->owner());
-    w.str(m->key());
-  } else if (const auto* m = msg_cast<SnapReq>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-    put_key_list(w, m->keys());
-  } else if (const auto* m = msg_cast<SnapAck>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u8(m->held() ? 1 : 0);
-    put_snap_entries(w, m->entries());
-    put_changes_ptr(w, m->changes());
-  } else if (const auto* m = msg_cast<SnapFreeze>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-    w.u64(m->snap_id());
-    put_key_list(w, m->keys());
-  } else if (const auto* m = msg_cast<SnapRelease>(msg)) {
-    w.u64(m->op_id());
-    w.u32(m->seq());
-    w.u32(m->shard());
-    w.u64(m->snap_id());
-    put_snap_entries(w, m->installs());
-  } else {
-    throw_unmapped(msg);
+  void write(SpanWriter& w, const Message& msg, int depth) const {
+    put(w, msg, depth);
   }
-}
-
-/// Reads one payload body of type `type`; the reader is scoped to exactly
-/// the body bytes, and leftovers are malformed (checked by the caller).
-MsgPtr get_body(Reader& r, WireType type, int depth) {
-  switch (type) {
-    case WireType::kReadReq: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      RegisterKey key = r.str();
-      return make_msg<ReadReq>(op, std::move(key), seq, shard);
-    }
-    case WireType::kReadAck: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      TaggedValue tv = get_tagged_value(r);
-      ChangeSetPtr cs = get_changes_ptr(r);
-      return make_msg<ReadAck>(op, std::move(tv), std::move(cs), seq);
-    }
-    case WireType::kWriteReq: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      TaggedValue tv = get_tagged_value(r);
-      RegisterKey key = r.str();
-      return make_msg<WriteReq>(op, std::move(tv), std::move(key), seq,
-                                        shard);
-    }
-    case WireType::kWriteAck: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ChangeSetPtr cs = get_changes_ptr(r);
-      return make_msg<WriteAck>(op, std::move(cs), seq);
-    }
-    case WireType::kKeysReq: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      return make_msg<KeysReq>(op, seq, shard);
-    }
-    case WireType::kKeysAck: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      std::vector<RegisterKey> keys = get_key_list(r);
-      ChangeSetPtr cs = get_changes_ptr(r);
-      return make_msg<KeysAck>(op, std::move(keys), std::move(cs), seq);
-    }
-    case WireType::kBatchRequest: {
-      ShardId shard = r.u32();
-      return make_msg<BatchRequest>(shard, get_frames(r, depth));
-    }
-    case WireType::kBatchReply:
-      return make_msg<BatchReply>(get_frames(r, depth));
-    case WireType::kRcReq: {
-      std::uint64_t op = r.u64();
-      ProcessId target = r.u32();
-      ShardId shard = r.u32();
-      return make_msg<RcReq>(op, target, shard);
-    }
-    case WireType::kRcAck: {
-      std::uint64_t op = r.u64();
-      return make_msg<RcAck>(op, get_change_set(r));
-    }
-    case WireType::kWcReq: {
-      std::uint64_t op = r.u64();
-      ShardId shard = r.u32();
-      return make_msg<WcReq>(op, get_change_set(r), shard);
-    }
-    case WireType::kWcAck:
-      return make_msg<WcAck>(r.u64());
-    case WireType::kTransfer: {
-      Change neg = get_change(r);
-      Change pos = get_change(r);
-      ShardId shard = r.u32();
-      return make_msg<TransferMsg>(std::move(neg), std::move(pos),
-                                           shard);
-    }
-    case WireType::kTAck: {
-      std::uint64_t counter = r.u64();
-      ShardId shard = r.u32();
-      return make_msg<TAck>(counter, shard);
-    }
-    case WireType::kSync: {
-      std::uint8_t present = r.u8();
-      if (present > 1) throw CodecError("wire: bad optional marker");
-      std::optional<std::uint64_t> pending;
-      if (present) pending = r.u64();
-      ShardId shard = r.u32();
-      return make_msg<SyncMsg>(get_change_set(r), pending, shard);
-    }
-    case WireType::kRb: {
-      ProcessId origin = r.u32();
-      std::uint64_t seq = r.u64();
-      return make_msg<RbMsg>(origin, seq, get_message(r, depth));
-    }
-    case WireType::kPing:
-      return make_msg<PingMsg>(r.i64());
-    case WireType::kPong:
-      return make_msg<PongMsg>(r.i64());
-    case WireType::kRttReport: {
-      std::uint32_t n = r.u32();
-      r.check_count(n, 12);
-      std::map<ProcessId, double> rtts;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        ProcessId pid = r.u32();
-        double rtt = r.f64();
-        if (!rtts.emplace(pid, rtt).second) {
-          throw CodecError("wire: duplicate rtt key");
-        }
-      }
-      return make_msg<RttReportMsg>(std::move(rtts));
-    }
-    case WireType::kMigFreeze: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      std::uint64_t epoch = r.u64();
-      ShardId dest = r.u32();
-      RegisterKey key = r.str();
-      return make_msg<MigFreeze>(op, std::move(key), epoch, dest, seq,
-                                         shard);
-    }
-    case WireType::kMigCommit: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      std::uint64_t epoch = r.u64();
-      ShardId owner = r.u32();
-      RegisterKey key = r.str();
-      std::uint8_t present = r.u8();
-      if (present > 1) throw CodecError("wire: bad optional marker");
-      std::optional<TaggedValue> install;
-      if (present) install = get_tagged_value(r);
-      return make_msg<MigCommit>(op, std::move(key), owner, epoch,
-                                         std::move(install), seq, shard);
-    }
-    case WireType::kWrongShard: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      std::uint64_t epoch = r.u64();
-      ShardId owner = r.u32();
-      RegisterKey key = r.str();
-      return make_msg<WrongShardAck>(op, std::move(key), owner, epoch,
-                                             seq);
-    }
-    case WireType::kSnapReq: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      return make_msg<SnapReq>(op, get_key_list(r), seq, shard);
-    }
-    case WireType::kSnapAck: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      std::uint8_t held = r.u8();
-      if (held > 1) throw CodecError("wire: bad held marker");
-      std::vector<SnapEntry> entries = get_snap_entries(r);
-      ChangeSetPtr cs = get_changes_ptr(r);
-      return make_msg<SnapAck>(op, std::move(entries), std::move(cs), seq,
-                               held == 1);
-    }
-    case WireType::kSnapFreeze: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      SnapId snap = r.u64();
-      return make_msg<SnapFreeze>(op, snap, get_key_list(r), seq, shard);
-    }
-    case WireType::kSnapRelease: {
-      OpId op = r.u64();
-      std::uint32_t seq = r.u32();
-      ShardId shard = r.u32();
-      SnapId snap = r.u64();
-      return make_msg<SnapRelease>(op, snap, get_snap_entries(r), seq, shard);
-    }
+  void write(CountingWriter& w, const Message& msg, int depth) const {
+    count(w, msg, depth);
   }
-  throw CodecError("wire: unknown type tag");
+};
+
+template <typename L>
+void add_encoder(std::vector<Encoder>& table, const L& layout) {
+  const Message::TypeId id = message_type_id<typename L::Msg>();
+  if (id >= table.size()) table.resize(id + 1);
+  table[id] = {layout.type, &L::template put<SpanWriter>,
+               &L::template put<CountingWriter>};
 }
 
-template <typename T>
-std::pair<Message::TypeId, WireType> wire_entry(WireType type) {
-  return {message_type_id<T>(), type};
-}
-
-/// The wire tag of `msg`'s type: one lookup in a Message::TypeId-indexed
-/// table built on first use. Building it allocates the TypeIds of every
-/// wire-mapped type, so an id past its end has no mapping.
-std::optional<WireType> type_tag(const Message& msg) {
-  static const std::vector<std::uint8_t> by_id = [] {
-    std::vector<std::uint8_t> table;  // 0: no mapping (tags start at 1)
-    for (auto [id, type] : {
-             wire_entry<ReadReq>(WireType::kReadReq),
-             wire_entry<ReadAck>(WireType::kReadAck),
-             wire_entry<WriteReq>(WireType::kWriteReq),
-             wire_entry<WriteAck>(WireType::kWriteAck),
-             wire_entry<KeysReq>(WireType::kKeysReq),
-             wire_entry<KeysAck>(WireType::kKeysAck),
-             wire_entry<BatchRequest>(WireType::kBatchRequest),
-             wire_entry<BatchReply>(WireType::kBatchReply),
-             wire_entry<RcReq>(WireType::kRcReq),
-             wire_entry<RcAck>(WireType::kRcAck),
-             wire_entry<WcReq>(WireType::kWcReq),
-             wire_entry<WcAck>(WireType::kWcAck),
-             wire_entry<TransferMsg>(WireType::kTransfer),
-             wire_entry<TAck>(WireType::kTAck),
-             wire_entry<SyncMsg>(WireType::kSync),
-             wire_entry<RbMsg>(WireType::kRb),
-             wire_entry<PingMsg>(WireType::kPing),
-             wire_entry<PongMsg>(WireType::kPong),
-             wire_entry<RttReportMsg>(WireType::kRttReport),
-             wire_entry<MigFreeze>(WireType::kMigFreeze),
-             wire_entry<MigCommit>(WireType::kMigCommit),
-             wire_entry<WrongShardAck>(WireType::kWrongShard),
-             wire_entry<SnapReq>(WireType::kSnapReq),
-             wire_entry<SnapAck>(WireType::kSnapAck),
-             wire_entry<SnapFreeze>(WireType::kSnapFreeze),
-             wire_entry<SnapRelease>(WireType::kSnapRelease)}) {
-      if (id >= table.size()) table.resize(id + 1, 0);
-      table[id] = static_cast<std::uint8_t>(type);
-    }
-    return table;
-  }();
+/// The encoder of `msg`'s type, or null if it has no layout: one lookup in
+/// a Message::TypeId-indexed table built on first use. Building it
+/// allocates the TypeId of every laid-out type, so an id past its end has
+/// no layout.
+const Encoder* encoder_of(const Message& msg) {
+  static const std::vector<Encoder> by_id = std::apply(
+      [](const auto&... layout) {
+        std::vector<Encoder> table;
+        (add_encoder(table, layout), ...);
+        return table;
+      },
+      kLayouts);
   const Message::TypeId id = msg.type_id();
-  if (id >= by_id.size() || by_id[id] == 0) return std::nullopt;
-  return static_cast<WireType>(by_id[id]);
+  if (id >= by_id.size() || by_id[id].put == nullptr) return nullptr;
+  return &by_id[id];
+}
+
+/// The decoder of each wire tag (null: unknown tag), indexed by the u8 tag.
+constexpr auto kDecoders = std::apply(
+    [](const auto&... layout) {
+      std::array<MsgPtr (*)(Reader&, int), 256> table{};
+      ((table[static_cast<std::uint8_t>(layout.type)] =
+            &std::remove_cvref_t<decltype(layout)>::get),
+       ...);
+      return table;
+    },
+    kLayouts);
+static_assert(std::apply(
+                  [](const auto&... layout) {
+                    std::array<bool, 256> used{};
+                    return (!std::exchange(
+                                used[static_cast<std::uint8_t>(layout.type)],
+                                true) &&
+                            ...);
+                  },
+                  kLayouts),
+              "two layouts share a WireType");
+
+/// Reads one payload body with wire tag `tag`; the reader is scoped to
+/// exactly the body bytes, and leftovers are malformed (checked by the
+/// caller).
+MsgPtr decode_payload(Reader& r, std::uint8_t tag, int depth) {
+  if (kDecoders[tag] == nullptr) throw CodecError("wire: unknown type tag");
+  return kDecoders[tag](r, depth);
 }
 
 /// Nested encoding: u8 tag + u32 body length + body. Counting an
@@ -648,15 +709,15 @@ void put_message(W& w, const Message& msg, int depth) {
   if (depth + 1 > kMaxNestingDepth) {
     throw std::invalid_argument("WireCodec: message nesting too deep");
   }
-  std::optional<WireType> type = type_tag(msg);
+  const Encoder* enc = encoder_of(msg);
   if constexpr (!std::is_same_v<W, CountingWriter>) {
-    if (!type) throw_unmapped(msg);
+    if (!enc) throw_unmapped(msg);
   }
-  w.u8(type ? static_cast<std::uint8_t>(*type) : 0);
+  w.u8(enc ? static_cast<std::uint8_t>(enc->type) : 0);
   std::size_t len_at = w.size();
   w.u32(0);  // backfilled
   std::size_t body_at = w.size();
-  if (type) put_body(w, msg, depth + 1);
+  if (enc) enc->write(w, msg, depth + 1);
   w.patch_u32(len_at, static_cast<std::uint32_t>(w.size() - body_at));
 }
 
@@ -667,7 +728,7 @@ MsgPtr get_message(Reader& r, int depth) {
   std::uint8_t tag = r.u8();
   std::uint32_t len = r.u32();
   Reader body = r.slice(len);
-  MsgPtr msg = get_body(body, static_cast<WireType>(tag), depth + 1);
+  MsgPtr msg = decode_payload(body, tag, depth + 1);
   if (!body.done()) throw CodecError("wire: trailing bytes in nested message");
   return msg;
 }
@@ -682,17 +743,17 @@ std::vector<std::uint8_t> WireCodec::encode_frame(ProcessId from, ProcessId to,
 }
 
 std::size_t WireCodec::frame_size(const Message& msg) {
-  std::optional<WireType> type = type_tag(msg);
-  if (!type) return kFramePreludeBytes;
+  const Encoder* enc = encoder_of(msg);
+  if (!enc) return kFramePreludeBytes;
   CountingWriter w;
-  put_body(w, msg, /*depth=*/0);
+  enc->write(w, msg, /*depth=*/0);
   return kFramePreludeBytes + w.size();
 }
 
 Segment WireCodec::encode_frame_arena(EncodeArena& arena, ProcessId from,
                                       ProcessId to, const Message& msg) {
-  std::optional<WireType> type = type_tag(msg);
-  if (!type) throw_unmapped(msg);
+  const Encoder* enc = encoder_of(msg);
+  if (!enc) throw_unmapped(msg);
   // First attempt encodes into whatever the current chunk has left
   // (plenty for any protocol frame); an overflow escalates the
   // reservation geometrically until the frame fits. The retry re-runs
@@ -705,10 +766,10 @@ Segment WireCodec::encode_frame_arena(EncodeArena& arena, ProcessId from,
     try {
       w.u32(0);  // body length, backfilled
       w.u8(kWireVersion);
-      w.u8(static_cast<std::uint8_t>(*type));
+      w.u8(static_cast<std::uint8_t>(enc->type));
       w.u32(from);
       w.u32(to);
-      put_body(w, msg, /*depth=*/0);
+      enc->write(w, msg, /*depth=*/0);
       w.patch_u32(0, static_cast<std::uint32_t>(w.size() - 4));
       return arena.commit(w.size());
     } catch (const ArenaFull&) {
@@ -727,7 +788,7 @@ std::optional<DecodedFrame> WireCodec::decode_frame(const std::uint8_t* body,
     DecodedFrame frame;
     frame.from = r.u32();
     frame.to = r.u32();
-    frame.msg = get_body(r, static_cast<WireType>(tag), /*depth=*/0);
+    frame.msg = decode_payload(r, tag, /*depth=*/0);
     if (!r.done()) return std::nullopt;  // trailing garbage
     return frame;
   } catch (const std::exception&) {
@@ -738,11 +799,13 @@ std::optional<DecodedFrame> WireCodec::decode_frame(const std::uint8_t* body,
 }
 
 bool WireCodec::encodable(const Message& msg) {
-  return type_tag(msg).has_value();
+  return encoder_of(msg) != nullptr;
 }
 
 std::optional<WireType> WireCodec::wire_type_of(const Message& msg) {
-  return type_tag(msg);
+  const Encoder* enc = encoder_of(msg);
+  if (!enc) return std::nullopt;
+  return enc->type;
 }
 
 }  // namespace wrs::net

@@ -24,9 +24,22 @@
 // Type tags: the in-process runtime dispatches on CRTP type ids
 // (Message::type_id()), but those are allocated lazily in first-use
 // order and therefore differ between OS processes. WireType pins ONE
-// stable on-the-wire tag per message type; the codec maps runtime ids to
-// wire tags when serializing and switches on the wire tag when
-// deserializing, so the lazy in-process tags never leak onto the wire.
+// stable on-the-wire tag per message type, so the lazy in-process tags
+// never leak onto the wire. Every payload layout lives in one list,
+// `kLayouts` in net/wire_codec.cpp: one entry per wire type holds its
+// tag, its fields in wire order, and a decoder whose parameter types
+// name each field's encoding and whose body rebuilds the message. The
+// codec serializes through a table indexed by Message::type_id() and
+// deserializes through one indexed by the wire tag, both built from
+// that list; an entry whose field list disagrees with its decoder's
+// parameters fails to compile.
+//
+// Adding a wire type:
+//   1. append a WireType value below (never renumber one);
+//   2. pin it with a static_assert next to the others;
+//   3. add its entry to kLayouts in net/wire_codec.cpp;
+//   4. add its golden frame to CodecFuzz.GoldenFramesArePinned (and a
+//      generator to the round-trip corpus in tests/test_codec_fuzz.cpp).
 //
 // Nested messages (the frames of a BatchRequest/BatchReply envelope, the
 // payload of a reliable-broadcast RbMsg) are encoded recursively as

@@ -111,7 +111,6 @@ class Env {
   void enable_shard_traffic(std::size_t shards, ShardOfMessage shard_of);
 
   bool shard_traffic_enabled() const { return !shard_traffic_.empty(); }
-  std::size_t shard_traffic_shards() const { return shard_traffic_.size(); }
 
   /// Message counters of shard `g`; throws std::out_of_range naming the
   /// offender and valid range. The returned reference is a snapshot

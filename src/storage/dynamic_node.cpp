@@ -7,17 +7,15 @@ namespace wrs {
 
 DynamicStorageNode::DynamicStorageNode(Env& env, ProcessId self,
                                        const SystemConfig& config)
-    : env_(env),
-      self_(self),
+    : self_(self),
       reassign_(env, self, config),
       refresh_client_(env, self, config, AbdClient::Mode::kDynamic),
       server_(env, self, [this] { return changes_snapshot(); },
               config.shard) {
   reassign_.set_on_changes_grown([this] { ++snapshot_version_; });
   // Algorithm 4 line 9: before a weight gain is applied, refresh the
-  // register by performing a full atomic read. Gains arriving while the
-  // private client is busy (an earlier refresh or a test using client())
-  // queue up and drain in order.
+  // register by performing a full atomic read. Gains arriving while an
+  // earlier refresh runs queue up; each finished refresh starts the next.
   reassign_.set_refresh_hook([this](std::function<void()> done) {
     pending_refreshes_.push_back(std::move(done));
     drain_pending_refreshes();
@@ -25,13 +23,8 @@ DynamicStorageNode::DynamicStorageNode(Env& env, ProcessId self,
 }
 
 void DynamicStorageNode::drain_pending_refreshes() {
-  if (pending_refreshes_.empty()) return;
-  if (refresh_client_.busy()) {
-    // Poll until the in-flight operation finishes; cheap and avoids
-    // entangling completion paths.
-    env_.schedule(self_, us(200), [this] { drain_pending_refreshes(); });
-    return;
-  }
+  if (pending_refreshes_.empty() || refreshing_) return;
+  refreshing_ = true;
   auto done = std::move(pending_refreshes_.front());
   pending_refreshes_.erase(pending_refreshes_.begin());
   // Multi-register refresh: a weight gain changes which sets of servers
@@ -47,6 +40,7 @@ void DynamicStorageNode::drain_pending_refreshes() {
 void DynamicStorageNode::refresh_keys(std::vector<RegisterKey> keys,
                                       std::function<void()> done) {
   if (keys.empty()) {
+    refreshing_ = false;
     done();
     drain_pending_refreshes();
     return;
@@ -64,6 +58,7 @@ void DynamicStorageNode::refresh_keys(std::vector<RegisterKey> keys,
       // current too).
       if (server_.reg(key).tag < tv.tag) server_.set_reg(tv, key);
       if (--*remaining == 0) {
+        refreshing_ = false;
         (*when_done)();
         drain_pending_refreshes();
       }

@@ -48,12 +48,12 @@ class DynamicStorageNode : public Process {
   void refresh_keys(std::vector<RegisterKey> keys,
                     std::function<void()> done);
 
-  Env& env_;
   ProcessId self_;
   ReassignNode reassign_;
   AbdClient refresh_client_;
   AbdServer server_;
   std::vector<std::function<void()>> pending_refreshes_;
+  bool refreshing_ = false;  // a refresh runs on refresh_client_
 
   std::uint64_t snapshot_version_ = 0;   // bumped on every change-set growth
   std::uint64_t cached_version_ = ~0ull;

@@ -92,8 +92,6 @@ class Nemesis {
   /// seed's episode can be read without replaying it.
   const std::vector<std::string>& timeline() const { return timeline_; }
 
-  std::uint32_t crashes_scheduled() const { return crashes_scheduled_; }
-
  private:
   enum class Kind {
     kSymPartition,
