@@ -20,6 +20,7 @@
 #include <set>
 #include <utility>
 
+#include "common/flat_map.h"
 #include "runtime/env.h"
 #include "runtime/msg_pool.h"
 
@@ -70,8 +71,7 @@ class ReliableBroadcast {
   bool handle(ProcessId /*from*/, const Message& msg) {
     const auto* rb = msg_cast<RbMsg>(msg);
     if (rb == nullptr) return false;
-    auto key = std::make_pair(rb->origin(), rb->seq());
-    if (!delivered_.insert(key).second) return true;  // duplicate
+    if (!first_copy(rb->origin(), rb->seq())) return true;  // duplicate
     // Forward before delivering so Agreement holds even if the local
     // deliver callback crashes this process.
     if (rb->origin() != self_) {
@@ -82,9 +82,49 @@ class ReliableBroadcast {
     return true;
   }
 
-  std::size_t delivered_count() const { return delivered_.size(); }
+  /// Payloads delivered so far, over every origin.
+  std::size_t delivered_count() const {
+    std::size_t n = 0;
+    for (const auto& [origin, seen] : delivered_) {
+      n += seen.below + seen.above.size();
+    }
+    return n;
+  }
+
+  /// Delivered seqs held above their origin's watermark: zero once every
+  /// origin's deliveries are contiguous.
+  std::size_t above_watermark() const {
+    std::size_t n = 0;
+    for (const auto& [origin, seen] : delivered_) n += seen.above.size();
+    return n;
+  }
 
  private:
+  /// One origin's delivered seqs: all of [0, below), plus `above`.
+  /// Origins number their broadcasts 0, 1, 2, ... so on a loss-free link
+  /// the watermark advances and `above` drains: the state per origin is
+  /// O(1) however many broadcasts it made. Under loss it can still grow:
+  /// a seq that never arrives here (every copy dropped, or the origin
+  /// crashed mid-send and no forward carried it) leaves a gap the
+  /// watermark never passes, and `above` keeps every later seq.
+  struct Delivered {
+    std::uint64_t below = 0;
+    std::set<std::uint64_t> above;
+  };
+
+  /// Records (origin, seq); true iff it had not been delivered before.
+  bool first_copy(ProcessId origin, std::uint64_t seq) {
+    Delivered& seen = delivered_[origin];
+    if (seq < seen.below) return false;
+    if (seq > seen.below) return seen.above.insert(seq).second;
+    ++seen.below;
+    while (!seen.above.empty() && *seen.above.begin() == seen.below) {
+      seen.above.erase(seen.above.begin());
+      ++seen.below;
+    }
+    return true;
+  }
+
   void send_all(const MsgPtr& wrapped) {
     env_.broadcast_to_group(self_, group_, wrapped);
   }
@@ -94,7 +134,7 @@ class ReliableBroadcast {
   DeliverFn deliver_;
   std::vector<ProcessId> group_;
   std::uint64_t next_seq_ = 0;
-  std::set<std::pair<ProcessId, std::uint64_t>> delivered_;
+  FlatMap<ProcessId, Delivered> delivered_;
 };
 
 }  // namespace wrs

@@ -71,9 +71,14 @@ ChangeSet ChangeSet::subset_for(ProcessId target) const {
 
 std::size_t ChangeSet::count_pair(ProcessId issuer,
                                   std::uint64_t counter) const {
+  // ChangeIds order by (issuer, counter, target): a pair's changes are
+  // one contiguous range starting at target 0.
   std::size_t count = 0;
-  for (const auto& [id, _] : map_) {
-    if (id.issuer == issuer && id.counter == counter) ++count;
+  for (auto it = map_.lower_bound(ChangeId{issuer, counter, 0});
+       it != map_.end() && it->first.issuer == issuer &&
+       it->first.counter == counter;
+       ++it) {
+    ++count;
   }
   return count;
 }

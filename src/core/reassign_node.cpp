@@ -1,5 +1,6 @@
 #include "core/reassign_node.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <stdexcept>
@@ -197,37 +198,52 @@ void ReassignNode::on_rb_deliver(ProcessId /*origin*/,
 void ReassignNode::write_changes(const ChangeSet& incoming,
                                  std::function<void()> done) {
   std::vector<Change> missing = changes_.missing_from(incoming);
-  // Drop the ones already being applied (refresh hook in flight).
-  std::erase_if(missing, [this](const Change& c) {
-    return applying_.count(c.id) != 0;
-  });
-  if (missing.empty()) {
+  // Algorithm 4 lines 8-9: refresh the local register (via the hook)
+  // before a gain becomes visible. Both halves of a pair carrying a gain
+  // for this node wait for the refresh and then apply together, and all
+  // of this call's such pairs share one refresh (safety argument in the
+  // header). A half whose pair already waits on an earlier refresh joins
+  // that batch.
+  auto fresh = std::make_shared<HeldBatch>();
+  for (const Change& c : missing) {
+    if (c.target() == self_ && c.issuer() != self_ && c.delta.is_positive()) {
+      held_.try_emplace(PairId{c.issuer(), c.counter()}, fresh);
+    }
+  }
+  std::vector<std::shared_ptr<HeldBatch>> waits;
+  for (const Change& c : missing) {
+    auto it = held_.find(PairId{c.issuer(), c.counter()});
+    if (it == held_.end()) {
+      apply_change(c);
+      continue;
+    }
+    std::vector<Change>& batch = it->second->changes;
+    if (std::find(batch.begin(), batch.end(), c) == batch.end()) {
+      batch.push_back(c);
+    }
+    if (std::find(waits.begin(), waits.end(), it->second) == waits.end()) {
+      waits.push_back(it->second);
+    }
+  }
+  if (waits.empty()) {
     done();
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(missing.size());
+  auto remaining = std::make_shared<std::size_t>(waits.size());
   auto all_done = std::make_shared<std::function<void()>>(std::move(done));
-  for (const Change& c : missing) {
-    auto finish_one = [this, remaining, all_done] {
+  for (const std::shared_ptr<HeldBatch>& batch : waits) {
+    batch->waiters.push_back([remaining, all_done] {
       if (--*remaining == 0) (*all_done)();
-    };
-    const bool is_gain_for_self =
-        c.target() == self_ && c.issuer() != self_ && c.delta.is_positive();
-    if (is_gain_for_self) {
-      // Algorithm 4 lines 8-9: refresh the local register (via the hook)
-      // before the gain becomes visible.
-      applying_.insert(c.id);
-      Change copy = c;
-      refresh_hook_([this, copy, finish_one] {
-        applying_.erase(copy.id);
-        apply_change(copy);
-        finish_one();
-      });
-    } else {
-      apply_change(c);
-      finish_one();
-    }
+    });
   }
+  if (fresh->changes.empty()) return;  // everything waits on earlier ones
+  refresh_hook_([this, fresh] {
+    for (const Change& c : fresh->changes) {
+      held_.erase(PairId{c.issuer(), c.counter()});
+    }
+    for (const Change& c : fresh->changes) apply_change(c);
+    for (const std::function<void()>& waiter : fresh->waiters) waiter();
+  });
 }
 
 void ReassignNode::apply_change(const Change& c) {
@@ -239,9 +255,9 @@ void ReassignNode::apply_change(const Change& c) {
 void ReassignNode::maybe_ack_issuer(ProcessId issuer, std::uint64_t counter) {
   if (issuer == self_) return;  // the issuer does not ack itself
   if (counter == kInitialChangeCounter) return;  // initial changes
+  // Called only after an add that grew the set, and a pair's count
+  // reaches 2 at exactly one add: each pair is acked once.
   if (changes_.count_pair(issuer, counter) < 2) return;  // wait for pair
-  auto key = std::make_pair(issuer, counter);
-  if (!acked_pairs_.insert(key).second) return;  // already acked
   env_.send(self_, issuer, make_msg<TAck>(counter, config_.shard));
 }
 

@@ -16,13 +16,27 @@
 //    refresh hook (Algorithm 4 line 9: "register <- read()"); the dynamic
 //    storage layer uses this to complete a read before its quorum power
 //    grows. Standalone deployments leave the default no-op hook.
+//  * The gain target stores a transfer pair whole: both halves of every
+//    (issuer, counter) pair carrying a gain for this node wait for the
+//    refresh, and all such changes of one write_changes call share one
+//    refresh. A half that arrives while its pair waits joins the
+//    waiting batch. Safety: holding the loss half back is
+//    indistinguishable from the T message reaching the target later,
+//    which asynchrony allows, and the refresh is an ordinary read by a
+//    co-located client. T_Ack still needs both halves, so transfer
+//    completion and read_changes Validity II are unchanged. Applying the
+//    halves together means every client learns a transfer in one merge,
+//    and restarts its operations once per transfer instead of twice.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "broadcast/reliable_broadcast.h"
 #include "core/config.h"
@@ -116,9 +130,18 @@ class ReassignNode : public Process {
   };
 
   /// Algorithm 4 write_changes: stores every missing change from `incoming`
-  /// (running the refresh hook before gains) and T_Acks issuers whose pair
-  /// completed. `done` fires when all changes are applied locally.
+  /// (running the refresh hook before the pairs that carry a gain for this
+  /// node) and T_Acks issuers whose pair completed. `done` fires when all
+  /// changes are applied locally.
   void write_changes(const ChangeSet& incoming, std::function<void()> done);
+
+  /// Changes waiting on one refresh_hook_ call, applied together when
+  /// it finishes; `waiters` are the write_changes calls it holds up.
+  struct HeldBatch {
+    std::vector<Change> changes;
+    std::vector<std::function<void()>> waiters;
+  };
+  using PairId = std::pair<ProcessId, std::uint64_t>;
 
   void apply_change(const Change& c);
   void maybe_ack_issuer(ProcessId issuer, std::uint64_t counter);
@@ -145,8 +168,8 @@ class ReassignNode : public Process {
   ReadChangesEngine read_engine_;
 
   std::optional<PendingTransfer> pending_transfer_;
-  std::set<std::pair<ProcessId, std::uint64_t>> acked_pairs_;
-  std::set<ChangeId> applying_;  // gains waiting on the refresh hook
+  /// Pairs carrying a gain for this node whose refresh is in flight.
+  std::map<PairId, std::shared_ptr<HeldBatch>> held_;
   RefreshHook refresh_hook_;
   std::function<void()> on_changes_grown_;
   TimeNs sync_period_ = 0;

@@ -422,8 +422,10 @@ bool AbdClient::merge_and_maybe_restart(ProcessId from,
   weights_ = changes_.to_weight_map(servers_);
   // Learned of newer completed changes: the change set is client-level
   // state, so EVERY started operation's quorum accounting predates the
-  // merge — restart them all from phase 1 under the new weights
-  // (Algorithm 5 "restart the operation").
+  // merge — restart them all under the new weights (Algorithm 5 "restart
+  // the operation"). An op in phase 2 re-runs only its ack round: its
+  // tagged value came from a valid phase-1 quorum (safety argument in
+  // abd_client.h, "Dynamic mode").
   for (auto& [id, op] : ops_) {
     if (!op.started) continue;
     ++restarts_;
@@ -432,7 +434,11 @@ bool AbdClient::merge_and_maybe_restart(ProcessId from,
           "AbdClient: restart budget exhausted — unbounded concurrent "
           "transfers?");
     }
-    start_phase1(op);
+    if (op.phase == 2) {
+      start_phase2(op);
+    } else {
+      start_phase1(op);
+    }
   }
   return true;
 }

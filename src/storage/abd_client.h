@@ -55,12 +55,24 @@
 //
 // Dynamic mode: every reply carries the server's change set C'. If C'
 // contains changes the client has not seen, the client merges them and
-// RESTARTS every started operation from phase 1 (Algorithm 5 lines
-// 14-16/30-32 — the change set is client-level state, so all in-flight
-// quorum accounting predates the merge, not just the op whose reply
-// carried the news). Deviations from the paper's literal pseudocode:
-// newer sets are MERGED rather than adopted verbatim, and a write keeps
-// its once-chosen tag across restarts. The client caches the weight map
+// RESTARTS every started operation (Algorithm 5 lines 14-16/30-32 — the
+// change set is client-level state, so all in-flight quorum accounting
+// predates the merge, not just the op whose reply carried the news). An
+// op in phase 1 restarts from phase 1; an op in phase 2 (a write whose
+// tag is chosen, or a read's write-back of maxreg) re-runs only its ack
+// round. That is safe because the value it writes is already fixed by a
+// valid phase-1 quorum: every reply of that quorum was merged before the
+// quorum check, so the responders formed a weighted quorum under the
+// client's change set with no newer set reported, and the tag dominates
+// every write completed before the op started. A re-run phase 1 could
+// only produce the same value again (a write keeps its tag, a read
+// writes back what it will return). The restarted ack round then
+// completes only at a weighted quorum under the merged set, which is
+// what makes the value visible to later operations. kCommit and kInstall
+// follow the same rule from their first round. Deviations from the
+// paper's literal pseudocode: newer sets are MERGED rather than adopted
+// verbatim, a write keeps its once-chosen tag across restarts, and a
+// phase-2 restart skips phase 1. The client caches the weight map
 // derived from its set, recomputing it only when a merge grows the set,
 // and skips the merge outright when a reply carries the very set object
 // it last merged from that server: a reply's ChangeSetPtr points to an

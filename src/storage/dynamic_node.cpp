@@ -15,7 +15,8 @@ DynamicStorageNode::DynamicStorageNode(Env& env, ProcessId self,
   reassign_.set_on_changes_grown([this] { ++snapshot_version_; });
   // Algorithm 4 line 9: before a weight gain is applied, refresh the
   // register by performing a full atomic read. Gains arriving while an
-  // earlier refresh runs queue up; each finished refresh starts the next.
+  // earlier refresh runs queue up; each finished refresh starts one more
+  // for everything queued behind it.
   reassign_.set_refresh_hook([this](std::function<void()> done) {
     pending_refreshes_.push_back(std::move(done));
     drain_pending_refreshes();
@@ -25,8 +26,12 @@ DynamicStorageNode::DynamicStorageNode(Env& env, ProcessId self,
 void DynamicStorageNode::drain_pending_refreshes() {
   if (pending_refreshes_.empty() || refreshing_) return;
   refreshing_ = true;
-  auto done = std::move(pending_refreshes_.front());
-  pending_refreshes_.erase(pending_refreshes_.begin());
+  // Every gain queued so far arrived before this refresh begins, so this
+  // one refresh is as fresh as a refresh of its own would be for each.
+  std::function<void()> done = [waiting = std::move(pending_refreshes_)] {
+    for (const std::function<void()>& fn : waiting) fn();
+  };
+  pending_refreshes_.clear();
   // Multi-register refresh: a weight gain changes which sets of servers
   // form quorums, so EVERY register this node serves must be as fresh as
   // a pre-gain quorum before the gain applies. Key discovery itself goes

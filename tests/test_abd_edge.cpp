@@ -265,6 +265,45 @@ TEST(AbdClient, NewerChangeSetOnUnanimousQuorumRestartsTheRead) {
   EXPECT_EQ(env.traffic().get("reads.fast_path"), 1);
 }
 
+TEST(AbdClient, NewerChangeSetInPhaseTwoReRunsOnlyTheAckRound) {
+  // A write whose tag is chosen learns of a newer change set from a
+  // WriteAck: it restarts under the new weights by re-sending its
+  // WriteReq with the same tag, not by re-reading.
+  test::RouterRig rig(AbdClient::Mode::kDynamic);
+  const RegisterKey key = "k";
+  const std::vector<ProcessId> servers =
+      rig.router.map().servers(rig.router.shard_of(key));
+  const test::RouterRig::SinkServer& first = rig.servers[servers.front()];
+  Tag written;
+  rig.router.write(key, "w", [&](const Tag& t) { written = t; });
+  rig.env.run_to_quiescence();
+  ASSERT_EQ(first.reads.size(), 1u);
+  const OpId op = first.reads[0];
+
+  const TaggedValue old_reg{Tag{4, client_id(9)}, "old"};
+  for (int i = 0; i < 2; ++i) {
+    rig.router.handle(servers[i], ReadAck(op, old_reg, nullptr, 1));
+  }
+  rig.env.run_to_quiescence();
+  ASSERT_EQ(first.write_tags.size(), 1u);
+  const Tag chosen = first.write_tags[0];
+
+  // A null transfer pair: weights unchanged, but the set is new.
+  auto newer = std::make_shared<ChangeSet>();
+  newer->add(Change(servers[2], 2, servers[2], Weight(0)));
+  newer->add(Change(servers[2], 2, servers[1], Weight(0)));
+  rig.router.handle(servers[0], WriteAck(op, newer, /*seq=*/2));
+  rig.env.run_to_quiescence();
+  EXPECT_EQ(rig.router.restarts(), 1u);
+  EXPECT_EQ(first.reads.size(), 1u) << "a phase-2 restart re-read";
+  EXPECT_EQ(first.write_tags, (std::vector<Tag>{chosen, chosen}));
+
+  for (int i = 0; i < 2; ++i) {
+    rig.router.handle(servers[i], WriteAck(op, newer, /*seq=*/3));
+  }
+  EXPECT_EQ(written, chosen);
+}
+
 TEST(AbdClient, MergeMemoSkipsOnlySetsAlreadyMergedFromTheSender) {
   // Drive a dynamic client over 5 servers (quorum: any 3) with one read
   // that never completes: every ReadAck below is the reply path. After

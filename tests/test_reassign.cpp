@@ -3,6 +3,10 @@
 // schedule-sweep property tests.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <vector>
+
 #include "core/reassign_client.h"
 #include "test_util.h"
 
@@ -135,6 +139,83 @@ TEST(Transfer, GainEnablesLargerOutgoingTransfer) {
   c.env->run_to_quiescence();
   EXPECT_EQ(c.node(3).weight_of(1), Weight(3, 4));
   EXPECT_EQ(c.node(3).weight_of(2), Weight(3, 2));
+}
+
+// --- the gain target stores a transfer pair whole ---------------------------
+
+TEST(GainRefresh, TargetStoresNeitherHalfUntilItsRefreshIsDone) {
+  ReassignCluster c(3, 1, /*seed=*/5);
+  std::vector<std::function<void()>> held;
+  c.node(2).set_refresh_hook(
+      [&](std::function<void()> done) { held.push_back(std::move(done)); });
+  bool completed = false;
+  c.node(0).transfer(2, Weight(1, 8),
+                     [&](const TransferOutcome&) { completed = true; });
+  c.env->run_to_quiescence();
+  // s1's T_Ack completes the transfer (n-f-1 = 1); s2 still refreshes.
+  EXPECT_TRUE(completed);
+  ASSERT_EQ(held.size(), 1u);
+  const ChangeId neg{0, kFirstCounter, 0};
+  const ChangeId pos{0, kFirstCounter, 2};
+  EXPECT_FALSE(c.node(2).changes().contains(neg));
+  EXPECT_FALSE(c.node(2).changes().contains(pos));
+  EXPECT_EQ(c.node(2).weight_of(0), Weight(1));
+  const std::int64_t acks = c.env->traffic().get("msg.T_ACK");
+
+  held[0]();
+  EXPECT_TRUE(c.node(2).changes().contains(neg));
+  EXPECT_TRUE(c.node(2).changes().contains(pos));
+  c.env->run_to_quiescence();
+  EXPECT_EQ(c.env->traffic().get("msg.T_ACK"), acks + 1);
+  EXPECT_EQ(c.node(2).weight_of(2), Weight(9, 8));
+}
+
+TEST(GainRefresh, LossHalfArrivingLaterJoinsTheWaitingGain) {
+  // A read_changes write-back carries one target's changes, so a gain can
+  // arrive alone and its loss half later: the loss waits with the gain,
+  // and the write-back that carried it is acked once both are stored.
+  ReassignCluster c(3, 1, /*seed=*/5);
+  std::vector<std::function<void()>> held;
+  c.node(2).set_refresh_hook(
+      [&](std::function<void()> done) { held.push_back(std::move(done)); });
+  const Change neg(0, kFirstCounter, 0, -Weight(1, 8));
+  const Change pos(0, kFirstCounter, 2, Weight(1, 8));
+  ChangeSet gain;
+  gain.add(pos);
+  ChangeSet loss;
+  loss.add(neg);
+  c.node(2).handle(client_id(0), WcReq(/*op_id=*/1, gain, c.config.shard));
+  ASSERT_EQ(held.size(), 1u);
+  c.node(2).handle(client_id(0), WcReq(/*op_id=*/2, loss, c.config.shard));
+  EXPECT_EQ(held.size(), 1u) << "the loss half started a refresh of its own";
+  EXPECT_FALSE(c.node(2).changes().contains(neg.id));
+  EXPECT_EQ(c.env->traffic().get("msg.WC_ACK"), 0);
+
+  held[0]();
+  EXPECT_TRUE(c.node(2).changes().contains(neg.id));
+  EXPECT_TRUE(c.node(2).changes().contains(pos.id));
+  EXPECT_EQ(c.env->traffic().get("msg.WC_ACK"), 2);
+  EXPECT_EQ(c.env->traffic().get("msg.T_ACK"), 1);
+}
+
+TEST(GainRefresh, OneSyncWithTwoGainsRunsOneRefresh) {
+  ReassignCluster c(3, 1, /*seed=*/5);
+  int refreshes = 0;
+  c.node(2).set_refresh_hook([&](std::function<void()> done) {
+    ++refreshes;
+    done();
+  });
+  ChangeSet sent = c.node(2).changes();
+  sent.add(Change(0, kFirstCounter, 0, -Weight(1, 4)));
+  sent.add(Change(0, kFirstCounter, 2, Weight(1, 4)));
+  sent.add(Change(1, kFirstCounter, 1, -Weight(1, 8)));
+  sent.add(Change(1, kFirstCounter, 2, Weight(1, 8)));
+  c.node(2).handle(0, SyncMsg(sent, std::nullopt, c.config.shard));
+  EXPECT_EQ(refreshes, 1);
+  EXPECT_EQ(c.node(2).changes(), sent);
+  c.env->run_to_quiescence();
+  // Both issuers got their T_Ack.
+  EXPECT_EQ(c.env->traffic().get("msg.T_ACK"), 2);
 }
 
 TEST(ReadChanges, ReturnsInitialWeights) {

@@ -83,6 +83,40 @@ TEST(ReliableBroadcast, NoDuplicateDeliveries) {
   }
 }
 
+TEST(ReliableBroadcast, ManyBroadcastsLeaveConstantState) {
+  RbCluster c(3);
+  constexpr int kCount = 10'000;
+  for (int i = 0; i < kCount; ++i) {
+    c.servers[i % 3]->rb().broadcast(std::make_shared<NoteMsg>(i));
+  }
+  c.env->run_to_quiescence();
+  for (const auto& s : c.servers) {
+    std::set<std::pair<ProcessId, int>> distinct(s->delivered.begin(),
+                                                 s->delivered.end());
+    EXPECT_EQ(s->delivered.size(), static_cast<std::size_t>(kCount));
+    EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kCount));
+    EXPECT_EQ(s->rb().delivered_count(), static_cast<std::size_t>(kCount));
+    // Every origin's seqs are contiguous: only the watermarks remain.
+    EXPECT_EQ(s->rb().above_watermark(), 0u);
+  }
+}
+
+TEST(ReliableBroadcast, OutOfOrderAndDuplicateCopiesDeliverOnce) {
+  RbCluster c(3);
+  RbServer& s = *c.servers[1];
+  auto copy = [](std::uint64_t seq) {
+    return RbMsg(0, seq, std::make_shared<NoteMsg>(static_cast<int>(seq)));
+  };
+  for (std::uint64_t seq : {2, 0, 2, 4}) s.rb().handle(0, copy(seq));
+  EXPECT_EQ(s.rb().above_watermark(), 2u);  // 2 and 4, above 0
+  for (std::uint64_t seq : {0, 4, 3, 1, 3, 1, 2}) s.rb().handle(0, copy(seq));
+  const std::vector<std::pair<ProcessId, int>> expected = {
+      {0, 2}, {0, 0}, {0, 4}, {0, 3}, {0, 1}};
+  EXPECT_EQ(s.delivered, expected);
+  EXPECT_EQ(s.rb().delivered_count(), 5u);
+  EXPECT_EQ(s.rb().above_watermark(), 0u);
+}
+
 TEST(ReliableBroadcast, OrderPreservedPerOriginIsNotGuaranteed) {
   // Sanity: with random latencies, deliveries happen but any order; we
   // only require the *set* of delivered values to match.

@@ -194,6 +194,30 @@ TEST(DynamicAbd, RegisterRefreshOnGainPreservesFreshness) {
   EXPECT_EQ(c.node(1).server().reg().tag, *wrote);
 }
 
+TEST(DynamicAbd, GainsQueuedBehindARefreshShareTheNextOne) {
+  // Three gains reach s3 in a row: the first starts a refresh, the other
+  // two queue behind it and share one more refresh.
+  StorageCluster c(4, 1, 9);
+  ReassignNode& target = c.node(3).reassign();
+  auto sync_gain = [&](ProcessId from) {
+    ChangeSet sent = target.changes();
+    sent.add(Change(from, kFirstCounter, from, -Weight(1, 8)));
+    sent.add(Change(from, kFirstCounter, 3, Weight(1, 8)));
+    target.handle(from, SyncMsg(sent, std::nullopt, c.config.shard));
+  };
+  sync_gain(0);
+  sync_gain(1);
+  sync_gain(2);
+  c.env->run_to_quiescence();
+  // Each refresh starts with one KEYS broadcast to the four servers, and
+  // each restart of its list_keys (s3's own replies carry the gains it
+  // applied) sends one more.
+  const auto restarts =
+      static_cast<std::int64_t>(c.node(3).client().restarts());
+  EXPECT_EQ(c.env->traffic().get("msg.KEYS"), (2 + restarts) * 4);
+  EXPECT_EQ(target.weight(), Weight(11, 8));
+}
+
 TEST(DynamicAbd, QuorumShrinksAfterReweighting) {
   // After concentrating weight on two servers, a client's phase can
   // complete with fewer responders. Verify via the weight map the client

@@ -99,12 +99,12 @@ struct RouterRig {
   };
 
   SimEnv env{std::make_shared<ConstantLatency>(ms(1)), 1};
-  ShardRouter router{env, client_id(0), ShardMap::uniform(2, 3, 1),
-                     AbdClient::Mode::kStatic};
+  ShardRouter router;
   std::vector<SinkServer> servers = std::vector<SinkServer>(6);
   ClientProc client;
 
-  RouterRig() {
+  explicit RouterRig(AbdClient::Mode mode = AbdClient::Mode::kStatic)
+      : router(env, client_id(0), ShardMap::uniform(2, 3, 1), mode) {
     client.router = &router;
     env.register_process(client_id(0), &client);
     for (ProcessId s = 0; s < servers.size(); ++s) {
