@@ -69,7 +69,7 @@ void BM_ClientReadAckReply(benchmark::State& state) {
   // each iteration is the whole reply path and nothing else.
   SystemConfig cfg = SystemConfig::uniform(5, 2);
   SimEnv env(std::make_shared<ConstantLatency>(us(10)), 3);
-  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  AbdClient client(env, client_id(0), cfg);
   const auto size = static_cast<std::size_t>(state.range(0));
   ChangeSet cs = client.changes();
   for (std::uint64_t c = 2; cs.size() < size; ++c) {

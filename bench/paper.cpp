@@ -530,8 +530,6 @@ Latencies closed_loop(const WanProfile& profile, const std::string& mode,
           .wan(profile, /*client_site=*/0)
           .seed(seed)
           .clients(1)
-          .client_mode(dynamic ? AbdClient::Mode::kDynamic
-                               : AbdClient::Mode::kStatic)
           .workload(wp);
   if (dynamic) {
     AdaptiveParams params;
@@ -883,8 +881,7 @@ Churn run_churn(TimeNs transfer_interval, std::uint64_t seed) {
   wp.think_time = ms(10);
   wp.value_size = 32;
   wp.seed = seed;
-  auto client = std::make_unique<WorkloadClient>(
-      env, client_id(0), cfg, AbdClient::Mode::kDynamic, wp);
+  auto client = std::make_unique<WorkloadClient>(env, client_id(0), cfg, wp);
   env.register_process(client_id(0), client.get());
   env.start();
 

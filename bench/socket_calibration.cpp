@@ -134,8 +134,7 @@ PhaseResult run_sockets(std::size_t batch_window,
   std::vector<std::unique_ptr<WorkloadClient>> clients;
   std::vector<Await<bool>> done;
   for (std::uint32_t k = 0; k < kClients; ++k) {
-    auto c = std::make_unique<WorkloadClient>(env, client_id(k), map,
-                                              AbdClient::Mode::kDynamic, wp);
+    auto c = std::make_unique<WorkloadClient>(env, client_id(k), map, wp);
     c->router().set_retry_interval(ms(100));
     if (batch_window > 1) c->router().set_batching(batch_window, ms(1));
     Await<bool> aw;

@@ -8,11 +8,12 @@
 //   4. transfer voting weight from s3 to s0 with Algorithm 4;
 //   5. observe the new weights and the shrunken quorum.
 //
-// The SAME source runs on the deterministic simulator (default) or the
-// thread-per-process runtime: pass "threads" as the first argument.
+// The SAME source runs on the deterministic simulator (default), the
+// thread-per-process runtime ("threads" as the first argument) or real
+// loopback TCP sockets ("sockets", Linux only).
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build
-//               ./build/examples/quickstart [threads]
+//               ./build/examples/quickstart [threads|sockets]
 #include <cstring>
 #include <iostream>
 
@@ -21,9 +22,12 @@
 using namespace wrs;
 
 int main(int argc, char** argv) {
-  Runtime runtime = (argc > 1 && std::strcmp(argv[1], "threads") == 0)
-                        ? Runtime::kThread
-                        : Runtime::kSim;
+  Runtime runtime = Runtime::kSim;
+  if (argc > 1 && std::strcmp(argv[1], "threads") == 0) {
+    runtime = Runtime::kThread;
+  } else if (argc > 1 && std::strcmp(argv[1], "sockets") == 0) {
+    runtime = Runtime::kSocket;
+  }
 
   // A 4-server system tolerating f=1 crash, uniform initial weights.
   // The RP-Integrity floor is W_{S,0}/(2(n-f)) = 4/6 = 2/3.

@@ -75,8 +75,7 @@ int main() {
   std::vector<std::unique_ptr<WorkloadClient>> clients;
   std::vector<Await<bool>> done;
   for (std::uint32_t k = 0; k < kClients; ++k) {
-    auto c = std::make_unique<WorkloadClient>(env, client_id(k), map,
-                                              AbdClient::Mode::kDynamic, wp,
+    auto c = std::make_unique<WorkloadClient>(env, client_id(k), map, wp,
                                               history);
     c->router().set_retry_interval(ms(100));
     Await<bool> aw;

@@ -105,12 +105,10 @@ ShardMap Cluster::build_shard_map(const ClusterBuilder& spec) {
 
 Cluster::Cluster(const ClusterBuilder& spec)
     : runtime_(spec.runtime_),
-      transport_(spec.transport_),
       shard_map_(build_shard_map(spec)),
       config_(shard_map_.config(0)),
       service_time_(spec.service_time_),
       kind_(spec.kind_),
-      mode_(spec.mode_),
       history_(spec.history_),
       retry_(spec.retry_),
       batch_ops_(spec.batch_ops_),
@@ -129,19 +127,11 @@ Cluster::Cluster(const ClusterBuilder& spec)
         "adaptive()/reassign_only()/server_factory()");
   }
 
-  if (transport_ == Transport::kSocket) {
-    if (spec.has_runtime_ && spec.runtime_ == Runtime::kSim) {
-      throw std::invalid_argument(
-          "Cluster: Transport::kSocket runs on wall-clock time — "
-          "incompatible with runtime(Runtime::kSim)");
-    }
-    if (kind_ == ClusterBuilder::Kind::kCustom || !spec.extras_.empty()) {
-      throw std::invalid_argument(
-          "Cluster: Transport::kSocket cannot ship custom process types "
-          "(the wire codec only knows the library's protocol messages)");
-    }
-    // The socket substrate is in the wall-clock family.
-    runtime_ = Runtime::kThread;
+  if (runtime_ == Runtime::kSocket &&
+      (kind_ == ClusterBuilder::Kind::kCustom || !spec.extras_.empty())) {
+    throw std::invalid_argument(
+        "Cluster: Runtime::kSocket cannot ship custom process types "
+        "(the wire codec only knows the library's protocol messages)");
   }
 
   std::shared_ptr<LatencyModel> base = spec.latency_;
@@ -152,29 +142,36 @@ Cluster::Cluster(const ClusterBuilder& spec)
   }
   if (base) degradable_ = std::make_shared<DegradableLatency>(std::move(base));
 
-  if (transport_ == Transport::kSocket) {
+  switch (runtime_) {
+    case Runtime::kSim: {
+      auto sim = std::make_unique<SimEnv>(degradable_, spec.seed_);
+      sim_ = sim.get();
+      pump_ = std::make_shared<SimPump>(sim_);
+      env_ = std::move(sim);
+      break;
+    }
+    case Runtime::kThread:
+      env_ = std::make_unique<ThreadEnv>(degradable_, spec.seed_);
+      break;
+    case Runtime::kSocket: {
 #ifdef __linux__
-    SocketEnv::Options opts;
-    opts.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
-    // Every message — even between processes of this one OS process —
-    // goes out through our own listener and back through the kernel, so
-    // the single-process deployment exercises the real wire path.
-    opts.loopback_self = true;
-    opts.latency = degradable_;
-    opts.seed = spec.seed_;
-    socket_ = std::make_shared<SocketEnv>(opts);
-    socket_env_ = socket_.get();
+      SocketEnv::Options opts;
+      opts.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
+      // Every message — even between processes of this one OS process —
+      // goes out through our own listener and back through the kernel,
+      // so the single-process deployment exercises the real wire path.
+      opts.loopback_self = true;
+      opts.latency = degradable_;
+      opts.seed = spec.seed_;
+      env_ = std::make_unique<SocketEnv>(opts);
+      break;
 #else
-    throw std::runtime_error(
-        "Cluster: Transport::kSocket requires Linux (epoll)");
+      throw std::runtime_error(
+          "Cluster: Runtime::kSocket requires Linux (epoll)");
 #endif
-  } else if (runtime_ == Runtime::kSim) {
-    sim_ = std::make_unique<SimEnv>(degradable_, spec.seed_);
-    pump_ = std::make_shared<SimPump>(sim_.get());
-  } else {
-    thread_ = std::make_unique<ThreadEnv>(degradable_, spec.seed_);
+    }
   }
-  Env& e = env();
+  Env& e = *env_;
 
   // Per-shard message accounting rides the send hot path, so it is only
   // installed when the deployment was built with shards().
@@ -260,7 +257,7 @@ Cluster::Cluster(const ClusterBuilder& spec)
   if (shard_map_.num_shards() > 1 &&
       kind_ == ClusterBuilder::Kind::kStorage) {
     engine_ = std::make_unique<MigrationEngine>(e, kMigrationEnginePid,
-                                                shard_map_, mode_);
+                                                shard_map_);
     if (retry_ > 0) engine_->set_retry_interval(retry_);
     e.register_process(engine_->pid(), engine_.get());
     if (spec.rebalance_.has_value()) {
@@ -299,36 +296,22 @@ Cluster::Cluster(const ClusterBuilder& spec)
     extra_[pid] = std::move(p);
   }
 
-  if (sim_) {
-    sim_->start();
-  } else if (thread_) {
-    thread_->start();
-  } else {
-#ifdef __linux__
-    socket_->start();
-#endif
-  }
+  e.start();
   if (rebalancer_) rebalancer_->start();
 }
 
 Cluster::~Cluster() {
   // Workers must stop before the processes they drive are destroyed.
-  if (thread_) thread_->stop();
+  env_->stop();
+}
+
+SocketEnv* Cluster::sockets() {
 #ifdef __linux__
-  if (socket_) socket_->stop();
+  if (runtime_ == Runtime::kSocket) {
+    return static_cast<SocketEnv*>(env_.get());
+  }
 #endif
-}
-
-Env& Cluster::env() {
-  if (sim_) return *sim_;
-  if (socket_env_ != nullptr) return *socket_env_;
-  return *thread_;
-}
-
-const Env& Cluster::env() const {
-  if (sim_) return *sim_;
-  if (socket_env_ != nullptr) return *socket_env_;
-  return *thread_;
+  return nullptr;
 }
 
 Cluster::ServerSlot& Cluster::server_slot(ProcessId s) {
@@ -358,7 +341,7 @@ std::size_t Cluster::make_client_slot(const WorkloadParams* wp) {
   ClientSlot slot;
   ProcessId pid = client_id(static_cast<std::uint32_t>(clients_.size()));
   if (wp != nullptr) {
-    auto c = std::make_unique<WorkloadClient>(e, pid, shard_map_, mode_, *wp,
+    auto c = std::make_unique<WorkloadClient>(e, pid, shard_map_, *wp,
                                               history_);
     slot.workload = c.get();
     slot.router = &c->router();
@@ -367,7 +350,7 @@ std::size_t Cluster::make_client_slot(const WorkloadParams* wp) {
     c->set_on_done([done] { done.fulfill(true); });
     slot.process = std::move(c);
   } else {
-    auto c = std::make_unique<StorageClient>(e, pid, shard_map_, mode_);
+    auto c = std::make_unique<StorageClient>(e, pid, shard_map_);
     slot.router = &c->router();
     slot.process = std::move(c);
   }
@@ -823,7 +806,7 @@ Await<ChangeSet> ReassignHandle::read_changes(ProcessId target) const {
 Await<WeightMap> ReassignHandle::weights_snapshot() const {
   auto aw = cluster_->make_await<WeightMap>();
   ReassignNode* node = node_;
-  std::vector<ProcessId> servers = cluster_->config().servers();
+  std::vector<ProcessId> servers = node->config().servers();
   cluster_->post(id_, [node, servers = std::move(servers), aw] {
     aw.fulfill(node->changes().to_weight_map(servers));
   });
@@ -831,7 +814,7 @@ Await<WeightMap> ReassignHandle::weights_snapshot() const {
 }
 
 WeightMap ReassignHandle::weights() const {
-  return node_->changes().to_weight_map(cluster_->config().servers());
+  return node_->changes().to_weight_map(node_->config().servers());
 }
 
 Await<ChangeSet> ReassignClientHandle::read_changes(ProcessId target) const {

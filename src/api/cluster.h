@@ -9,7 +9,7 @@
 //                   .servers(4)
 //                   .faults(1)
 //                   .uniform_latency(ms(1), ms(10))
-//                   .runtime(Runtime::kSim)      // or Runtime::kThread
+//                   .runtime(Runtime::kSim)  // or kThread, kSocket
 //                   .build();
 //   Tag t = c.client().write("hello").get();
 //   TaggedValue tv = c.client().read().get();
@@ -22,11 +22,12 @@
 //                   .get();
 //   auto ab = when_all(c.client().read("a"), c.client().read("b")).get();
 //
-// The SAME driver source runs on the deterministic simulator or the
-// thread-per-process runtime by flipping the builder's Runtime enum:
-// Await<T>::get pumps the simulator's event loop or blocks on a condition
-// variable as appropriate (see api/await.h), and operations are always
-// issued from the owning process's execution context.
+// The SAME driver source runs on the deterministic simulator, the
+// thread-per-process runtime, or real loopback sockets by flipping the
+// builder's Runtime enum: Await<T>::get pumps the simulator's event loop
+// or blocks on a condition variable as appropriate (see api/await.h), and
+// operations are always issued from the owning process's execution
+// context.
 //
 // Scenario injection is first-class: crash(s), slow(s, factor) /
 // clear_slow(s), and set_latency(...) reshape the deployment mid-run, so
@@ -113,16 +114,14 @@
 namespace wrs {
 
 /// Which substrate the deployment runs on. Protocols cannot tell the
-/// difference; drivers should not have to either.
-enum class Runtime { kSim, kThread };
-
-/// How messages move. kInProcess hands shared_ptrs between in-process
-/// mailboxes (SimEnv/ThreadEnv); kSocket WireCodec-serializes every
-/// message and routes it through this process's own TCP listener via a
-/// SocketEnv (src/runtime/socket_env.h) — a real kernel round trip per
-/// message, wall-clock time, Linux only. With kSocket the runtime is
-/// implicitly the wall-clock family; asking for Runtime::kSim throws.
-enum class Transport { kInProcess, kSocket };
+/// difference; drivers should not have to either. kSim is the seeded
+/// discrete-event simulator (SimEnv). kThread runs each process on its
+/// own worker thread and hands messages between in-process mailboxes
+/// (ThreadEnv). kSocket WireCodec-serializes every message and routes it
+/// through this process's own TCP listener via a SocketEnv
+/// (src/runtime/socket_env.h): a real kernel round trip per message,
+/// wall-clock time, Linux only.
+enum class Runtime { kSim, kThread, kSocket };
 
 class SocketEnv;
 class Cluster;
@@ -288,16 +287,11 @@ class ClusterBuilder {
   }
 
   /// --- substrate ---------------------------------------------------------
-  ClusterBuilder& runtime(Runtime r) {
-    runtime_ = r;
-    has_runtime_ = true;
-    return *this;
-  }
-  /// Transport::kSocket deploys everything in this process over real
+  /// Runtime::kSocket deploys everything in this process over real
   /// loopback sockets (storage/adaptive/reassign roles only; custom
   /// factories and add_process would need wire types the codec does not
-  /// know). Incompatible with runtime(Runtime::kSim).
-  ClusterBuilder& transport(Transport t) { transport_ = t; return *this; }
+  /// know).
+  ClusterBuilder& runtime(Runtime r) { runtime_ = r; return *this; }
   /// Seed for every seeded decision in the deployment (latency draws,
   /// fault-plane coin flips): same seed, same run on the simulator.
   ClusterBuilder& seed(std::uint64_t s) { seed_ = s; return *this; }
@@ -336,8 +330,9 @@ class ClusterBuilder {
   ClusterBuilder& server_factory(ServerFactory factory);
 
   /// --- clients -----------------------------------------------------------
+  /// Every client follows the change set; a deployment without
+  /// transfers is the classical static-weight ABD baseline.
   ClusterBuilder& clients(std::uint32_t k) { clients_ = k; return *this; }
-  ClusterBuilder& client_mode(AbdClient::Mode mode) { mode_ = mode; return *this; }
   /// Clients run a read/write workload instead of waiting for explicit
   /// operations; completion is awaitable via workload_done(). Closed loop
   /// by default; set WorkloadParams::target_ops_per_sec for an open loop
@@ -378,14 +373,11 @@ class ClusterBuilder {
   TimeNs service_time_ = 0;
   std::optional<WeightMap> weights_;
   Runtime runtime_ = Runtime::kSim;
-  bool has_runtime_ = false;
-  Transport transport_ = Transport::kInProcess;
   std::shared_ptr<LatencyModel> latency_;
   Kind kind_ = Kind::kStorage;
   AdaptiveParams adaptive_params_;
   ServerFactory server_factory_;
   std::uint32_t clients_ = 1;
-  AbdClient::Mode mode_ = AbdClient::Mode::kDynamic;
   std::optional<WorkloadParams> workload_;
   std::shared_ptr<HistoryRecorder> history_;
   std::vector<std::pair<ProcessId, ProcessFactory>> extras_;
@@ -419,7 +411,6 @@ class Cluster {
     return clients_.size();
   }
   Runtime runtime() const { return runtime_; }
-  Transport transport() const { return transport_; }
 
   // --- sharding ------------------------------------------------------------
   std::uint32_t num_shards() const { return shard_map_.num_shards(); }
@@ -584,11 +575,11 @@ class Cluster {
   TimeNs now() const;
 
   /// Advances the deployment by `d`: simulated time on the simulator,
-  /// wall-clock sleep on the thread runtime.
+  /// wall-clock sleep on the thread and socket runtimes.
   void run_for(TimeNs d);
 
   /// Lets in-flight protocol traffic drain (simulator: run every pending
-  /// event; threads: a bounded wall-clock grace period).
+  /// event; threads and sockets: a bounded wall-clock grace period).
   void quiesce(TimeNs deadline = seconds(3600));
 
   /// Message traffic counters. On the thread runtime only stable once the
@@ -596,13 +587,16 @@ class Cluster {
   const Counters& traffic() const;
 
   // --- substrate escape hatches -------------------------------------------
-  Env& env();
-  const Env& env() const;
-  /// Null when the deployment runs on the other substrate.
-  SimEnv* sim() { return sim_.get(); }
-  ThreadEnv* threads() { return thread_.get(); }
-  /// Non-null only for Transport::kSocket deployments.
-  SocketEnv* sockets() { return socket_.get(); }
+  Env& env() { return *env_; }
+  const Env& env() const { return *env_; }
+  /// The runtime-specific env; null when the deployment runs on another
+  /// runtime.
+  SimEnv* sim() { return sim_; }
+  ThreadEnv* threads() {
+    return runtime_ == Runtime::kThread ? static_cast<ThreadEnv*>(env_.get())
+                                        : nullptr;
+  }
+  SocketEnv* sockets();
 
  private:
   friend class ClientHandle;
@@ -633,13 +627,11 @@ class Cluster {
   void check_process(ProcessId pid) const;
 
   Runtime runtime_;
-  Transport transport_;
   /// Declared before config_: config_ aliases shard 0's config.
   ShardMap shard_map_;
   SystemConfig config_;
   TimeNs service_time_ = 0;
   ClusterBuilder::Kind kind_;
-  AbdClient::Mode mode_ = AbdClient::Mode::kDynamic;
   std::shared_ptr<HistoryRecorder> history_;
   /// Client tuning, applied to every client slot — including clients
   /// added mid-run.
@@ -647,15 +639,12 @@ class Cluster {
   std::size_t batch_ops_ = 1;
   TimeNs batch_delay_ = 0;
 
-  // env_ members are declared before the process slots so workers are
-  // stopped (dtor body) and envs destroyed only after all processes died.
-  std::unique_ptr<SimEnv> sim_;
-  std::unique_ptr<ThreadEnv> thread_;
-  /// shared_ptr so non-Linux translation units can hold the (incomplete,
-  /// #ifdef'd-out) type; only ever non-null on Linux. socket_env_ is the
-  /// same object as an Env* for dispatch without the complete type.
-  std::shared_ptr<SocketEnv> socket_;
-  Env* socket_env_ = nullptr;
+  // env_ is declared before the process slots so workers are stopped
+  // (dtor body) and the env destroyed only after all processes died.
+  std::unique_ptr<Env> env_;
+  /// env_ on Runtime::kSim (the await pump, run_for and quiesce drive
+  /// it); null on the wall-clock runtimes.
+  SimEnv* sim_ = nullptr;
   std::shared_ptr<DegradableLatency> degradable_;
   std::shared_ptr<AwaitPump> pump_;
 

@@ -2,13 +2,12 @@
 
 namespace wrs {
 
-MigrationEngine::MigrationEngine(Env& env, ProcessId self, ShardMap map,
-                                 AbdClient::Mode mode)
+MigrationEngine::MigrationEngine(Env& env, ProcessId self, ShardMap map)
     : env_(env), self_(self), map_(std::move(map)) {
   clients_.reserve(map_.num_shards());
   for (ShardId g = 0; g < map_.num_shards(); ++g) {
     clients_.push_back(
-        std::make_unique<AbdClient>(env_, self_, map_.config(g), mode));
+        std::make_unique<AbdClient>(env_, self_, map_.config(g)));
   }
 }
 

@@ -55,8 +55,7 @@ class MigrationEngine : public Process {
   /// or already there), false when the attempt was refused.
   using DoneCb = std::function<void(bool ok)>;
 
-  MigrationEngine(Env& env, ProcessId self, ShardMap map,
-                  AbdClient::Mode mode);
+  MigrationEngine(Env& env, ProcessId self, ShardMap map);
 
   /// Moves `key` to shard `to`. MUST run in the engine's execution
   /// context (Cluster::migrate_key posts it there). Asynchronous: cb

@@ -73,6 +73,13 @@ class Env {
 
   virtual bool is_crashed(ProcessId pid) const = 0;
 
+  /// Delivers on_start to every registered process; the wall-clock
+  /// runtimes also launch their threads here.
+  virtual void start() = 0;
+
+  /// Stops and joins the runtime's threads. The simulator has none.
+  virtual void stop() {}
+
   /// The fault-injection plane: partitions, message loss, duplication,
   /// reordering (see runtime/link_faults.h). Faults apply to messages
   /// SENT while active; healing does not resurrect dropped messages, so

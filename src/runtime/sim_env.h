@@ -41,7 +41,7 @@ class SimEnv : public Env {
 
   // --- Simulation control -------------------------------------------------
   /// Delivers `on_start` to all registered processes (idempotent).
-  void start();
+  void start() override;
 
   /// Runs events until the queue drains or `deadline` passes.
   /// Returns the number of events executed.

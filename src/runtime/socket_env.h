@@ -96,10 +96,10 @@ class SocketEnv : public Env {
 
   /// Binds the listener, starts the loop thread, delivers on_start to
   /// everything registered so far.
-  void start();
+  void start() override;
   /// Abrupt stop: closes every socket with no goodbye (kill -9 semantics
   /// for the peers). Idempotent; the destructor stops too.
-  void stop();
+  void stop() override;
   bool started() const { return started_; }
 
   /// Actual listen address (resolves port 0). Only valid after start().

@@ -93,10 +93,10 @@ class ThreadEnv : public Env {
 
   // --- Lifecycle ----------------------------------------------------------
   /// Launches worker and timer threads and delivers on_start.
-  void start();
+  void start() override;
 
   /// Drains nothing; signals all threads to finish and joins them.
-  void stop();
+  void stop() override;
 
   bool started() const { return started_; }
 

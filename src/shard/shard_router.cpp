@@ -21,13 +21,11 @@ std::vector<std::size_t> every_index(std::size_t n) {
 
 }  // namespace
 
-ShardRouter::ShardRouter(Env& env, ProcessId self, ShardMap map,
-                         AbdClient::Mode mode)
+ShardRouter::ShardRouter(Env& env, ProcessId self, ShardMap map)
     : map_(std::move(map)), self_(self) {
   clients_.reserve(map_.num_shards());
   for (ShardId g = 0; g < map_.num_shards(); ++g) {
-    clients_.push_back(
-        std::make_unique<AbdClient>(env, self, map_.config(g), mode));
+    clients_.push_back(std::make_unique<AbdClient>(env, self, map_.config(g)));
   }
 }
 

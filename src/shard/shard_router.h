@@ -75,7 +75,7 @@ namespace wrs {
 
 class ShardRouter {
  public:
-  ShardRouter(Env& env, ProcessId self, ShardMap map, AbdClient::Mode mode);
+  ShardRouter(Env& env, ProcessId self, ShardMap map);
 
   /// Routed atomic operations (see AbdClient for the callback contracts).
   OpId read(RegisterKey key, AbdClient::ReadCallback cb);

@@ -17,17 +17,14 @@ namespace {
 std::atomic<std::uint64_t> g_next_op_id{1};
 }  // namespace
 
-AbdClient::AbdClient(Env& env, ProcessId self, const SystemConfig& config,
-                     Mode mode)
+AbdClient::AbdClient(Env& env, ProcessId self, const SystemConfig& config)
     : env_(env),
       self_(self),
       config_(config),
       servers_(config.servers()),
-      mode_(mode),
       initial_total_(config.initial_total()),
       changes_(ChangeSet::initial(config.initial_weights)),
-      weights_(mode == Mode::kStatic ? config.initial_weights
-                                     : changes_.to_weight_map(servers_)) {}
+      weights_(changes_.to_weight_map(servers_)) {}
 
 OpId AbdClient::fresh_op_id() {
   return g_next_op_id.fetch_add(1, std::memory_order_relaxed);
@@ -411,7 +408,7 @@ std::vector<AbdClient::CollectEntry> AbdClient::aggregate_snap(
 
 bool AbdClient::merge_and_maybe_restart(ProcessId from,
                                         const ChangeSetPtr& incoming) {
-  if (mode_ == Mode::kStatic || !incoming) return false;
+  if (!incoming) return false;
   // The set `from` sent last time, already merged and immutable: a join
   // would add nothing.
   ChangeSetPtr& last = merged_from_[from];
@@ -425,7 +422,7 @@ bool AbdClient::merge_and_maybe_restart(ProcessId from,
   // merge — restart them all under the new weights (Algorithm 5 "restart
   // the operation"). An op in phase 2 re-runs only its ack round: its
   // tagged value came from a valid phase-1 quorum (safety argument in
-  // abd_client.h, "Dynamic mode").
+  // abd_client.h, "Change sets").
   for (auto& [id, op] : ops_) {
     if (!op.started) continue;
     ++restarts_;

@@ -53,7 +53,7 @@
 // An ack of another type that echoes the op's id and seq counts for
 // nothing.
 //
-// Dynamic mode: every reply carries the server's change set C'. If C'
+// Change sets: every reply carries the server's change set C'. If C'
 // contains changes the client has not seen, the client merges them and
 // RESTARTS every started operation (Algorithm 5 lines 14-16/30-32 — the
 // change set is client-level state, so all in-flight quorum accounting
@@ -96,8 +96,8 @@
 // are all untouched; only the per-operation message constant shrinks.
 // set_batching(1, ...) IS the unbatched path, byte for byte.
 //
-// Static mode ignores change sets entirely and uses the fixed initial
-// weights — this is the classical weighted/unweighted ABD baseline.
+// A deployment without transfers is the classical static-weight ABD
+// baseline.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +122,6 @@ class AbdClient {
   struct Op;  // one operation's state machine (defined below)
 
  public:
-  enum class Mode { kStatic, kDynamic };
-
   using ReadCallback = std::function<void(const TaggedValue&)>;
   using WriteCallback = std::function<void(const Tag&)>;
   using KeysCallback = std::function<void(const std::vector<RegisterKey>&)>;
@@ -156,7 +154,7 @@ class AbdClient {
     kSnapRelease,  ///< fenced-fallback round 2 (SnapRelease)
   };
 
-  AbdClient(Env& env, ProcessId self, const SystemConfig& config, Mode mode);
+  AbdClient(Env& env, ProcessId self, const SystemConfig& config);
 
   /// Atomic read of register `key`; cb fires once with the (tag, value)
   /// read. Pipelined: any number of operations may be in flight;
@@ -264,11 +262,11 @@ class AbdClient {
   /// lets tests assert that pipelining actually overlapped work.
   std::size_t max_in_flight() const { return max_started_; }
 
-  /// The client's current change set (dynamic mode).
+  /// The client's current change set.
   const ChangeSet& changes() const { return changes_; }
 
-  /// Weight map the client currently derives quorums from (cached; in
-  /// dynamic mode always equal to changes().to_weight_map(servers)).
+  /// Weight map the client currently derives quorums from (cached;
+  /// always equal to changes().to_weight_map(servers)).
   const WeightMap& current_weights() const { return weights_; }
 
   /// Total operation restarts caused by newer change sets (EXP-S1).
@@ -398,13 +396,12 @@ class AbdClient {
   /// (one replica group of a possibly sharded deployment), never to
   /// every server registered in the Env.
   std::vector<ProcessId> servers_;
-  Mode mode_;
   Weight initial_total_;
 
   ChangeSet changes_;
-  /// The weights quorums are checked against: the initial weights in
-  /// static mode, changes_.to_weight_map(servers_) in dynamic mode —
-  /// refreshed exactly where changes_ grows.
+  /// The weights quorums are checked against,
+  /// changes_.to_weight_map(servers_), refreshed exactly where changes_
+  /// grows.
   WeightMap weights_;
   /// Per server, the last change set merged from its replies. A reply
   /// carrying that same pointer holds nothing new: its join is skipped.

@@ -21,7 +21,7 @@
 namespace wrs {
 
 /// Shared immutable change-set payload. Replies from servers carry the
-/// server's current set; null in static deployments. Immutability rule:
+/// server's current set; null from a bare test server. Immutability rule:
 /// the set behind a ChangeSetPtr is never modified once the pointer is
 /// handed to a reply. Every producer keeps it: DynamicStorageNode
 /// publishes a fresh object per change-set version, the wire codec

@@ -2,8 +2,8 @@
 //
 // Differences from classical ABD:
 //  * every reply carries the server's current set of changes (supplied
-//    by a provider callback wired to the co-located ReassignNode; null
-//    in static deployments);
+//    by a provider callback wired to the co-located ReassignNode; only
+//    tests that drive a bare server pass a null provider);
 //  * registers are NAMED: the paper's single register is key "". The
 //    multi-register ("key-value") mode is an extension of the paper —
 //    see DynamicStorageNode for the gain-refresh implications.
@@ -69,7 +69,8 @@ namespace wrs {
 class AbdServer {
  public:
   /// `changes_provider` returns the server's current change set snapshot
-  /// for piggybacking, or null in static deployments.
+  /// for piggybacking. A null provider (tests driving a bare server)
+  /// makes every reply carry no set.
   using ChangesProvider = std::function<ChangeSetPtr()>;
 
   AbdServer(Env& env, ProcessId self, ChangesProvider changes_provider,

@@ -9,7 +9,7 @@ DynamicStorageNode::DynamicStorageNode(Env& env, ProcessId self,
                                        const SystemConfig& config)
     : self_(self),
       reassign_(env, self, config),
-      refresh_client_(env, self, config, AbdClient::Mode::kDynamic),
+      refresh_client_(env, self, config),
       server_(env, self, [this] { return changes_snapshot(); },
               config.shard) {
   reassign_.set_on_changes_grown([this] { ++snapshot_version_; });

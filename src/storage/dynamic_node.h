@@ -65,12 +65,11 @@ class DynamicStorageNode : public Process {
 /// sharded map routes every operation by key.
 class StorageClient : public Process {
  public:
-  StorageClient(Env& env, ProcessId self, const SystemConfig& config,
-                AbdClient::Mode mode)
-      : StorageClient(env, self, ShardMap::single(config), mode) {}
+  StorageClient(Env& env, ProcessId self, const SystemConfig& config)
+      : StorageClient(env, self, ShardMap::single(config)) {}
 
-  StorageClient(Env& env, ProcessId self, ShardMap map, AbdClient::Mode mode)
-      : self_(self), router_(env, self, std::move(map), mode) {}
+  StorageClient(Env& env, ProcessId self, ShardMap map)
+      : self_(self), router_(env, self, std::move(map)) {}
 
   /// The raw single-group client (throws on sharded deployments).
   AbdClient& abd() { return router_.only_client(); }

@@ -73,18 +73,17 @@ class WorkloadClient : public Process {
  public:
   /// Single-group client (the paper's deployment).
   WorkloadClient(Env& env, ProcessId self, const SystemConfig& config,
-                 AbdClient::Mode mode, WorkloadParams params,
+                 WorkloadParams params,
                  std::shared_ptr<HistoryRecorder> history = nullptr)
-      : WorkloadClient(env, self, ShardMap::single(config), mode,
-                       std::move(params), std::move(history)) {}
+      : WorkloadClient(env, self, ShardMap::single(config), std::move(params),
+                       std::move(history)) {}
 
   /// Sharded client: operations route by key over `map`.
-  WorkloadClient(Env& env, ProcessId self, ShardMap map,
-                 AbdClient::Mode mode, WorkloadParams params,
+  WorkloadClient(Env& env, ProcessId self, ShardMap map, WorkloadParams params,
                  std::shared_ptr<HistoryRecorder> history = nullptr)
       : env_(env),
         self_(self),
-        router_(env, self, std::move(map), mode),
+        router_(env, self, std::move(map)),
         params_(params),
         rng_(params.seed ^ (std::uint64_t{self} << 20)),
         history_(std::move(history)),

@@ -6,6 +6,7 @@
 #include "storage/abd_server.h"
 #include "storage/snapshot_messages.h"
 #include "test_util.h"
+#include "workload/workload.h"
 
 namespace wrs {
 namespace {
@@ -27,7 +28,7 @@ std::vector<std::unique_ptr<StorageClient>> add_clients(StorageCluster& c,
   std::vector<std::unique_ptr<StorageClient>> clients;
   for (int k = 0; k < count; ++k) {
     clients.push_back(std::make_unique<StorageClient>(
-        *c.env, client_id(k), c.config, AbdClient::Mode::kDynamic));
+        *c.env, client_id(k), c.config));
     c.env->register_process(client_id(k), clients.back().get());
   }
   return clients;
@@ -109,7 +110,7 @@ TEST(AbdClient, ForeignAndStaleAcksIgnored) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   SystemConfig cfg = SystemConfig::uniform(3, 1);
   ClientHolder holder;
-  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
+  AbdClient client(env, client_id(0), cfg);
   holder.c = &client;
   env.register_process(client_id(0), &holder);
   env.start();
@@ -147,18 +148,32 @@ TEST(AbdClient, RestartBudgetThrowsWhenExhausted) {
   EXPECT_THROW(c.env->run_to_quiescence(), std::logic_error);
 }
 
-TEST(AbdClient, CurrentWeightsStaticVsDynamic) {
-  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+TEST(AbdClient, WeightedDeploymentWithoutTransfersIsStaticAbd) {
+  // The classical static-weight baseline is a deployment that never
+  // transfers weight: the client follows its change set, the set never
+  // grows, so no operation restarts and every quorum is checked against
+  // the configured weights (EXP-L1's oracle-tuned WMQS assignment).
   WeightMap wm;
-  wm.set(0, Weight(2));
-  wm.set(1, Weight(1));
+  wm.set(0, Weight(3, 2));
+  wm.set(1, Weight(3, 2));
   wm.set(2, Weight(1));
-  SystemConfig cfg = SystemConfig::make(3, 0, wm);
-  AbdClient stat(env, client_id(0), cfg, AbdClient::Mode::kStatic);
-  AbdClient dyn(env, client_id(1), cfg, AbdClient::Mode::kDynamic);
-  EXPECT_EQ(stat.current_weights().of(0), Weight(2));
-  EXPECT_EQ(dyn.current_weights().of(0), Weight(2));  // initial set
-  EXPECT_EQ(dyn.changes().size(), 3u);
+  wm.set(3, Weight(1, 2));
+  wm.set(4, Weight(1, 2));
+  StorageCluster c(5, 1, 44, wm);
+  WorkloadParams wp;
+  wp.num_ops = 60;
+  wp.read_ratio = 0.5;
+  wp.think_time = ms(5);
+  wp.seed = 44;
+  WorkloadClient client(*c.env, client_id(0), c.config, wp);
+  c.env->register_process(client_id(0), &client);
+  run_until(*c.env, [&] { return client.done(); });
+
+  EXPECT_EQ(client.completed(), wp.num_ops);
+  const AbdClient& abd = client.router().only_client();
+  EXPECT_EQ(abd.restarts(), 0u);
+  EXPECT_EQ(abd.current_weights(), wm) << abd.current_weights().str();
+  EXPECT_EQ(abd.changes().size(), 5u);  // the initial set only
 }
 
 TEST(AbdClient, SecondReadNeverReturnsOlderTag) {
@@ -236,7 +251,7 @@ TEST(AbdClient, NewerChangeSetOnUnanimousQuorumRestartsTheRead) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   SystemConfig cfg = SystemConfig::uniform(3, 1);
   ClientHolder holder;
-  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  AbdClient client(env, client_id(0), cfg);
   holder.c = &client;
   env.register_process(client_id(0), &holder);
   env.start();
@@ -269,7 +284,7 @@ TEST(AbdClient, NewerChangeSetInPhaseTwoReRunsOnlyTheAckRound) {
   // A write whose tag is chosen learns of a newer change set from a
   // WriteAck: it restarts under the new weights by re-sending its
   // WriteReq with the same tag, not by re-reading.
-  test::RouterRig rig(AbdClient::Mode::kDynamic);
+  test::RouterRig rig;
   const RegisterKey key = "k";
   const std::vector<ProcessId> servers =
       rig.router.map().servers(rig.router.shard_of(key));
@@ -313,7 +328,7 @@ TEST(AbdClient, MergeMemoSkipsOnlySetsAlreadyMergedFromTheSender) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   SystemConfig cfg = SystemConfig::uniform(5, 2);
   ClientHolder holder;
-  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  AbdClient client(env, client_id(0), cfg);
   holder.c = &client;
   env.register_process(client_id(0), &holder);
   env.start();
@@ -378,7 +393,7 @@ TEST(AbdClient, DuplicateReadAckCountsOnceAndLastRegisterWins) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   SystemConfig cfg = SystemConfig::uniform(3, 1);
   ClientHolder holder;
-  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
+  AbdClient client(env, client_id(0), cfg);
   holder.c = &client;
   env.register_process(client_id(0), &holder);
   env.start();
@@ -404,7 +419,7 @@ TEST(AbdClient, OtherReplyTypesAtAReadsPhaseOneAreConsumedWithoutEffect) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   SystemConfig cfg = SystemConfig::uniform(3, 1);
   ClientHolder holder;
-  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
+  AbdClient client(env, client_id(0), cfg);
   holder.c = &client;
   env.register_process(client_id(0), &holder);
   env.start();
@@ -434,7 +449,7 @@ TEST(AbdClient, AckOfAnotherRoundTypeCountsForNothing) {
   SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
   SystemConfig cfg = SystemConfig::uniform(3, 1);
   ClientHolder holder;
-  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kStatic);
+  AbdClient client(env, client_id(0), cfg);
   holder.c = &client;
   env.register_process(client_id(0), &holder);
   env.start();

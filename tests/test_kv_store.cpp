@@ -16,7 +16,7 @@ TEST(KvStore, IndependentKeys) {
   StorageCluster c(4, 1, 61);
   std::vector<std::unique_ptr<StorageClient>> clients;
   clients.push_back(std::make_unique<StorageClient>(
-      *c.env, client_id(0), c.config, AbdClient::Mode::kDynamic));
+      *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
   auto& abd = clients[0]->abd();
 
@@ -44,7 +44,7 @@ TEST(KvStore, KeysDoNotInterfereWithDefaultRegister) {
   StorageCluster c(4, 1, 62);
   std::vector<std::unique_ptr<StorageClient>> clients;
   clients.push_back(std::make_unique<StorageClient>(
-      *c.env, client_id(0), c.config, AbdClient::Mode::kDynamic));
+      *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
   auto& abd = clients[0]->abd();
 
@@ -64,7 +64,7 @@ TEST(KvStore, ListKeysDiscoversAllWrittenKeys) {
   StorageCluster c(5, 2, 63);
   std::vector<std::unique_ptr<StorageClient>> clients;
   clients.push_back(std::make_unique<StorageClient>(
-      *c.env, client_id(0), c.config, AbdClient::Mode::kDynamic));
+      *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
   auto& abd = clients[0]->abd();
 
@@ -88,7 +88,7 @@ TEST(KvStore, PerWriterTagsSpanKeysSafely) {
   StorageCluster c(4, 1, 64);
   std::vector<std::unique_ptr<StorageClient>> clients;
   clients.push_back(std::make_unique<StorageClient>(
-      *c.env, client_id(0), c.config, AbdClient::Mode::kDynamic));
+      *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
   auto& abd = clients[0]->abd();
 
@@ -113,7 +113,7 @@ TEST(KvStore, GainRefreshCoversAllKeys) {
   StorageCluster c(4, 1, 65);
   std::vector<std::unique_ptr<StorageClient>> clients;
   clients.push_back(std::make_unique<StorageClient>(
-      *c.env, client_id(0), c.config, AbdClient::Mode::kDynamic));
+      *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
   auto& abd = clients[0]->abd();
 
@@ -142,7 +142,7 @@ TEST(KvStore, AtomicPerKeyUnderTransferChurn) {
   std::vector<std::unique_ptr<StorageClient>> clients;
   for (int k = 0; k < 2; ++k) {
     clients.push_back(std::make_unique<StorageClient>(
-        *c.env, client_id(k), c.config, AbdClient::Mode::kDynamic));
+        *c.env, client_id(k), c.config));
     c.env->register_process(client_id(k), clients.back().get());
   }
 

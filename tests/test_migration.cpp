@@ -13,7 +13,7 @@
 //     workload — stays atomic, loses/duplicates no key across the
 //     map-epoch commits, and conserves every shard's total weight;
 //   * the Rebalancer moves hot keys off a skewed shard;
-//   * the whole path over Transport::kSocket (real loopback TCP).
+//   * the whole path over Runtime::kSocket (real loopback TCP).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -489,7 +489,7 @@ TEST(Migration, MigrateKeyOverSocketTransport) {
                   .servers(3)
                   .shards(2)
                   .clients(2)
-                  .transport(Transport::kSocket)
+                  .runtime(Runtime::kSocket)
                   .seed(11)
                   .build();
 

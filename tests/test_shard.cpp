@@ -98,8 +98,7 @@ TEST(ShardCompat, SingleShardMatchesRawClientByteForByte) {
   std::vector<std::string> raw_reads;
   {
     test::StorageCluster sc(n, f, seed);
-    StorageClient client(*sc.env, client_id(0), sc.config,
-                         AbdClient::Mode::kDynamic);
+    StorageClient client(*sc.env, client_id(0), sc.config);
     sc.env->register_process(client_id(0), &client);
     std::size_t done = 0;
     for (const auto& [k, v] : puts) {
@@ -441,6 +440,21 @@ TEST(ShardSelectors, UnshardedClusterHasNoShardTraffic) {
                   .build();
   EXPECT_EQ(c.num_shards(), 1u);
   EXPECT_THROW(c.shard_traffic(0), std::logic_error);
+}
+
+TEST(ShardSelectors, ServerWeightsCoverItsOwnShard) {
+  Cluster c = Cluster::builder()
+                  .servers(3)
+                  .shards(2)
+                  .runtime(Runtime::kSim)
+                  .seed(29)
+                  .build();
+  const WeightMap expected = WeightMap::uniform(3).shifted_by(3);
+  ReassignHandle s = c.server(/*shard=*/1, /*index=*/0);
+  WeightMap snap = s.weights_snapshot().get();
+  EXPECT_EQ(snap.servers(), c.shard_servers(1));
+  EXPECT_EQ(snap, expected) << snap.str();
+  EXPECT_EQ(s.weights(), expected) << s.weights().str();
 }
 
 TEST(ShardSelectors, ShardedRequiresStorageKind) {

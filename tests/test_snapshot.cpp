@@ -363,8 +363,7 @@ class FenceGroup : public Process {
   };
   SimEnv env_{std::make_shared<ConstantLatency>(ms(1)), 1};
   std::array<Host, 3> hosts_;
-  AbdClient client_{env_, client_id(1), SystemConfig::uniform(3, 1),
-                    AbdClient::Mode::kStatic};
+  AbdClient client_{env_, client_id(1), SystemConfig::uniform(3, 1)};
   ClientHost client_host_;
   std::map<OpId, std::vector<Ack>> acks_;
 };

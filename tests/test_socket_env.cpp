@@ -5,7 +5,7 @@
 //    SIGKILL one and restart it on the same port (liveness);
 //  * multi-env in one process: partition mapped onto real connection
 //    teardown + reconnect, Unix-domain transport;
-//  * single-process loopback Cluster (Transport::kSocket): 2 shards,
+//  * single-process loopback Cluster (Runtime::kSocket): 2 shards,
 //    batching on/off, atomicity-checked workloads, and the per-shard
 //    traffic ledger measured in real encoded bytes;
 //  * one byte count: a fixed message sequence charges the same bytes,
@@ -53,7 +53,7 @@ struct SocketClient {
 
   SocketClient(ShardMap map, TimeNs retry, std::uint64_t seed = 1)
       : env(make_opts(seed)),
-        client(env, client_id(0), std::move(map), AbdClient::Mode::kDynamic) {
+        client(env, client_id(0), std::move(map)) {
     if (retry > 0) client.router().set_retry_interval(retry);
     env.register_process(pid, &client);
   }
@@ -290,7 +290,7 @@ struct SmokeResult {
   std::uint64_t envelopes = 0;
 };
 
-/// Runs a 2-shard atomicity-checked workload on Transport::kSocket and
+/// Runs a 2-shard atomicity-checked workload on Runtime::kSocket and
 /// asserts the real-bytes shard ledger partitions the aggregate.
 SmokeResult run_loopback_smoke(std::size_t batch_window) {
   auto history = std::make_shared<HistoryRecorder>();
@@ -310,7 +310,7 @@ SmokeResult run_loopback_smoke(std::size_t batch_window) {
                          .workload(wp)
                          .history(history)
                          .retry(ms(100))
-                         .transport(Transport::kSocket)
+                         .runtime(Runtime::kSocket)
                          .seed(11);
   if (batch_window > 1) b.batching(batch_window, ms(1));
   Cluster c = b.build();
@@ -359,12 +359,14 @@ TEST(SocketCluster, FaultVerbsAndCrashOnRealSockets) {
                   .faults(1)
                   .clients(1)
                   .retry(ms(25))
-                  .transport(Transport::kSocket)
+                  .runtime(Runtime::kSocket)
                   .seed(3)
                   .build();
 
-  EXPECT_EQ(c.transport(), Transport::kSocket);
+  EXPECT_EQ(c.runtime(), Runtime::kSocket);
   ASSERT_NE(c.sockets(), nullptr);
+  EXPECT_EQ(c.sim(), nullptr);
+  EXPECT_EQ(c.threads(), nullptr);
 
   c.client().write("k", "v0").get(seconds(30));
 
@@ -380,20 +382,21 @@ TEST(SocketCluster, FaultVerbsAndCrashOnRealSockets) {
   EXPECT_EQ(c.client().read("k").get(seconds(60)).value, "v2");
 }
 
-TEST(SocketCluster, SimRuntimeRequestRejected) {
-  EXPECT_THROW(Cluster::builder()
-                   .servers(3)
-                   .runtime(Runtime::kSim)
-                   .transport(Transport::kSocket)
-                   .build(),
-               std::invalid_argument);
+TEST(SocketCluster, SocketsIsNullOnSimAndThreads) {
+  Cluster sim = Cluster::builder().servers(3).runtime(Runtime::kSim).build();
+  EXPECT_EQ(sim.sockets(), nullptr);
+  EXPECT_NE(sim.sim(), nullptr);
+  Cluster threads =
+      Cluster::builder().servers(3).runtime(Runtime::kThread).build();
+  EXPECT_EQ(threads.sockets(), nullptr);
+  EXPECT_NE(threads.threads(), nullptr);
 }
 
 TEST(SocketCluster, CustomProcessesRejected) {
   EXPECT_THROW(
       Cluster::builder()
           .servers(3)
-          .transport(Transport::kSocket)
+          .runtime(Runtime::kSocket)
           .add_process(7000, [](Env&, const SystemConfig&) {
             return std::unique_ptr<Process>();
           })

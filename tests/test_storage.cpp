@@ -14,10 +14,9 @@ using test::run_until;
 using test::StorageCluster;
 
 StorageClient* add_client(StorageCluster& c, std::uint32_t k,
-                          AbdClient::Mode mode,
                           std::vector<std::unique_ptr<StorageClient>>& own) {
-  own.push_back(std::make_unique<StorageClient>(*c.env, client_id(k),
-                                                c.config, mode));
+  own.push_back(
+      std::make_unique<StorageClient>(*c.env, client_id(k), c.config));
   c.env->register_process(client_id(k), own.back().get());
   return own.back().get();
 }
@@ -25,7 +24,7 @@ StorageClient* add_client(StorageCluster& c, std::uint32_t k,
 TEST(StaticAbd, ReadInitialValue) {
   StorageCluster c(4, 1, 1);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kStatic, clients);
+  auto* cl = add_client(c, 0, clients);
   std::optional<TaggedValue> got;
   cl->abd().read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
@@ -36,8 +35,8 @@ TEST(StaticAbd, ReadInitialValue) {
 TEST(StaticAbd, WriteThenRead) {
   StorageCluster c(4, 1, 2);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* w = add_client(c, 0, AbdClient::Mode::kStatic, clients);
-  auto* r = add_client(c, 1, AbdClient::Mode::kStatic, clients);
+  auto* w = add_client(c, 0, clients);
+  auto* r = add_client(c, 1, clients);
 
   std::optional<Tag> wrote;
   w->abd().write("hello", [&](const Tag& t) { wrote = t; });
@@ -58,7 +57,7 @@ TEST(StaticAbd, PipelinesDistinctKeysAndQueuesSameKey) {
   // could mint duplicate tags).
   StorageCluster c(4, 1, 3);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kStatic, clients);
+  auto* cl = add_client(c, 0, clients);
 
   std::optional<Tag> ta, tb1, tb2;
   std::optional<TaggedValue> rb;
@@ -83,8 +82,8 @@ TEST(StaticAbd, PipelinesDistinctKeysAndQueuesSameKey) {
 TEST(StaticAbd, MultiWriterTagsOrdered) {
   StorageCluster c(4, 1, 4);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* w1 = add_client(c, 0, AbdClient::Mode::kStatic, clients);
-  auto* w2 = add_client(c, 1, AbdClient::Mode::kStatic, clients);
+  auto* w1 = add_client(c, 0, clients);
+  auto* w2 = add_client(c, 1, clients);
 
   std::optional<Tag> t1;
   w1->abd().write("a", [&](const Tag& t) { t1 = t; });
@@ -105,7 +104,7 @@ TEST(StaticAbd, ToleratesFCrashes) {
   c.env->crash(3);
   c.env->crash(4);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kStatic, clients);
+  auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
   cl->abd().write("survive", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
@@ -118,7 +117,7 @@ TEST(StaticAbd, ToleratesFCrashes) {
 TEST(DynamicAbd, ReadWriteWithoutTransfers) {
   StorageCluster c(4, 1, 6);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kDynamic, clients);
+  auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
   cl->abd().write("dyn", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
@@ -139,7 +138,7 @@ TEST(DynamicAbd, ClientLearnsChangesAndRestarts) {
   c.env->run_to_quiescence();
 
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kDynamic, clients);
+  auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
   cl->abd().write("after-transfer", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
@@ -153,7 +152,7 @@ TEST(DynamicAbd, ClientLearnsChangesAndRestarts) {
 TEST(DynamicAbd, OperationsDuringConcurrentTransfers) {
   StorageCluster c(5, 2, 8);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kDynamic, clients);
+  auto* cl = add_client(c, 0, clients);
 
   // Interleave a write with a storm of transfers.
   int transfers_done = 0;
@@ -179,7 +178,7 @@ TEST(DynamicAbd, RegisterRefreshOnGainPreservesFreshness) {
   // register must not serve a stale tag once the transfer completes.
   StorageCluster c(4, 1, 9);
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kDynamic, clients);
+  auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
   cl->abd().write("fresh", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
@@ -236,7 +235,7 @@ TEST(DynamicAbd, QuorumShrinksAfterReweighting) {
   c.env->run_to_quiescence();
 
   std::vector<std::unique_ptr<StorageClient>> clients;
-  auto* cl = add_client(c, 0, AbdClient::Mode::kDynamic, clients);
+  auto* cl = add_client(c, 0, clients);
   std::optional<TaggedValue> got;
   cl->abd().read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
@@ -274,7 +273,7 @@ TEST_P(StorageAtomicityTest, HistoryIsAtomic) {
   const std::uint32_t kClients = 3;
   for (std::uint32_t k = 0; k < kClients; ++k) {
     clients.push_back(std::make_unique<WorkloadClient>(
-        *c.env, client_id(k), c.config, AbdClient::Mode::kDynamic, wp,
+        *c.env, client_id(k), c.config, wp,
         history));
     c.env->register_process(client_id(k), clients.back().get());
   }

@@ -103,8 +103,7 @@ struct RouterRig {
   std::vector<SinkServer> servers = std::vector<SinkServer>(6);
   ClientProc client;
 
-  explicit RouterRig(AbdClient::Mode mode = AbdClient::Mode::kStatic)
-      : router(env, client_id(0), ShardMap::uniform(2, 3, 1), mode) {
+  RouterRig() : router(env, client_id(0), ShardMap::uniform(2, 3, 1)) {
     client.router = &router;
     env.register_process(client_id(0), &client);
     for (ProcessId s = 0; s < servers.size(); ++s) {
