@@ -911,7 +911,8 @@ Churn run_churn(TimeNs transfer_interval, std::uint64_t seed) {
   const double ops = wp.num_ops;
   r.bytes_per_op =
       static_cast<double>(env.traffic().get("bytes") - bytes0) / ops;
-  r.restarts_per_op = static_cast<double>(client->abd().restarts()) / ops;
+  r.restarts_per_op =
+      static_cast<double>(client->router().shard_client(0).restarts()) / ops;
   r.read_p50_ms = to_ms(client->read_latency().percentile(50));
   r.read_p99_ms = to_ms(client->read_latency().percentile(99));
   r.transfers = transfers;

@@ -10,7 +10,7 @@
 //   threads/mpsc4  four sender threads -> one mailbox (contended: what
 //                  the old global-mutex send path serialized)
 //   sim/spsc       the discrete-event simulator as the reference point
-//   socket/spsc    SocketEnv with loopback_self: every message is arena-
+//   socket/spsc    SocketEnv to a local sink: every message is arena-
 //                  encoded, crosses the kernel over TCP loopback, and is
 //                  pool-decoded — the full real-transport path
 //   pool/churn     make_msg<T> construct+destroy round trips (the slab
@@ -299,7 +299,6 @@ Measurement run_sim(std::uint64_t msgs) {
 Measurement run_socket(std::uint64_t msgs) {
   SocketEnv::Options opts;
   opts.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
-  opts.loopback_self = true;
   SocketEnv env(opts);
   Sink sink;
   env.register_process(kServer, &sink);

@@ -49,8 +49,8 @@ ClusterBuilder& ClusterBuilder::wan(const WanProfile& profile,
 void ClusterBuilder::set_kind(Kind k) {
   if (kind_ != Kind::kStorage && kind_ != k) {
     throw std::logic_error(
-        "ClusterBuilder: at most one of adaptive()/reassign_only()/"
-        "server_factory() may be chosen");
+        "ClusterBuilder: at most one of adaptive()/reassign_only() may be "
+        "chosen");
   }
   kind_ = k;
 }
@@ -61,12 +61,6 @@ ClusterBuilder& ClusterBuilder::adaptive(AdaptiveParams params) {
   return *this;
 }
 
-ClusterBuilder& ClusterBuilder::server_factory(ServerFactory factory) {
-  set_kind(Kind::kCustom);
-  server_factory_ = std::move(factory);
-  return *this;
-}
-
 ClusterBuilder& ClusterBuilder::workload(WorkloadParams params) {
   workload_ = std::move(params);
   return *this;
@@ -74,12 +68,6 @@ ClusterBuilder& ClusterBuilder::workload(WorkloadParams params) {
 
 ClusterBuilder& ClusterBuilder::history(std::shared_ptr<HistoryRecorder> h) {
   history_ = std::move(h);
-  return *this;
-}
-
-ClusterBuilder& ClusterBuilder::add_process(ProcessId pid,
-                                            ProcessFactory factory) {
-  extras_.emplace_back(pid, std::move(factory));
   return *this;
 }
 
@@ -114,24 +102,16 @@ Cluster::Cluster(const ClusterBuilder& spec)
       batch_ops_(spec.batch_ops_),
       batch_delay_(spec.batch_delay_) {
   if (spec.workload_.has_value() &&
-      (kind_ == ClusterBuilder::Kind::kReassign ||
-       kind_ == ClusterBuilder::Kind::kCustom)) {
+      kind_ == ClusterBuilder::Kind::kReassign) {
     throw std::invalid_argument(
         "Cluster: workload() needs storage clients — incompatible with "
-        "reassign_only()/server_factory()");
+        "reassign_only()");
   }
   if (shard_map_.num_shards() > 1 &&
       kind_ != ClusterBuilder::Kind::kStorage) {
     throw std::invalid_argument(
         "Cluster: shards(s > 1) needs storage servers — incompatible with "
-        "adaptive()/reassign_only()/server_factory()");
-  }
-
-  if (runtime_ == Runtime::kSocket &&
-      (kind_ == ClusterBuilder::Kind::kCustom || !spec.extras_.empty())) {
-    throw std::invalid_argument(
-        "Cluster: Runtime::kSocket cannot ship custom process types "
-        "(the wire codec only knows the library's protocol messages)");
+        "adaptive()/reassign_only()");
   }
 
   std::shared_ptr<LatencyModel> base = spec.latency_;
@@ -157,10 +137,6 @@ Cluster::Cluster(const ClusterBuilder& spec)
 #ifdef __linux__
       SocketEnv::Options opts;
       opts.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
-      // Every message — even between processes of this one OS process —
-      // goes out through our own listener and back through the kernel,
-      // so the single-process deployment exercises the real wire path.
-      opts.loopback_self = true;
       opts.latency = degradable_;
       opts.seed = spec.seed_;
       env_ = std::make_unique<SocketEnv>(opts);
@@ -216,17 +192,6 @@ Cluster::Cluster(const ClusterBuilder& spec)
           auto node = std::make_unique<ReassignNode>(e, s, shard_cfg);
           slot.reassign = node.get();
           slot.process = std::move(node);
-          break;
-        }
-        case ClusterBuilder::Kind::kCustom: {
-          if (!spec.server_factory_) {
-            throw std::invalid_argument("Cluster: null server factory");
-          }
-          slot.process = spec.server_factory_(e, s, shard_cfg);
-          if (!slot.process) {
-            throw std::invalid_argument(
-                "Cluster: server factory returned null");
-          }
           break;
         }
       }
@@ -287,13 +252,6 @@ Cluster::Cluster(const ClusterBuilder& spec)
       make_client_slot(spec.workload_.has_value() ? &*spec.workload_
                                                   : nullptr);
     }
-  }
-
-  for (const auto& [pid, factory] : spec.extras_) {
-    auto p = factory(e, config_);
-    if (!p) throw std::invalid_argument("Cluster: process factory returned null");
-    e.register_process(pid, p.get());
-    extra_[pid] = std::move(p);
   }
 
   e.start();
@@ -362,16 +320,14 @@ std::size_t Cluster::make_client_slot(const WorkloadParams* wp) {
 }
 
 std::size_t Cluster::add_client() {
-  if (kind_ == ClusterBuilder::Kind::kReassign ||
-      kind_ == ClusterBuilder::Kind::kCustom) {
+  if (kind_ == ClusterBuilder::Kind::kReassign) {
     throw std::logic_error("Cluster: add_client needs a storage deployment");
   }
   return make_client_slot(nullptr);
 }
 
 std::size_t Cluster::add_client(const WorkloadParams& params) {
-  if (kind_ == ClusterBuilder::Kind::kReassign ||
-      kind_ == ClusterBuilder::Kind::kCustom) {
+  if (kind_ == ClusterBuilder::Kind::kReassign) {
     throw std::logic_error("Cluster: add_client needs a storage deployment");
   }
   return make_client_slot(&params);
@@ -387,12 +343,7 @@ ClientHandle Cluster::client(std::size_t k) {
 }
 
 ReassignHandle Cluster::server(ProcessId s) {
-  ServerSlot& slot = server_slot(s);
-  if (slot.reassign == nullptr) {
-    throw std::logic_error(
-        "Cluster: server(s) has no reassignment endpoint (custom factory)");
-  }
-  return ReassignHandle(this, s, slot.reassign);
+  return ReassignHandle(this, s, server_slot(s).reassign);
 }
 
 ReassignClientHandle Cluster::reassign_client(std::size_t k) {
@@ -428,12 +379,7 @@ ReassignNode& Cluster::reassign_node(ProcessId s) {
 }
 
 Process& Cluster::process(ProcessId pid) {
-  if (is_server(pid) && pid < servers_.size()) {
-    return *servers_[pid].process;
-  }
-  auto it = extra_.find(pid);
-  if (it != extra_.end()) return *it->second;
-  throw std::out_of_range("Cluster: no process " + process_name(pid));
+  return *server_slot(pid).process;
 }
 
 WorkloadClient& Cluster::workload(std::size_t k) {
@@ -459,9 +405,6 @@ void Cluster::post(ProcessId pid, std::function<void()> fn) {
 }
 
 void Cluster::check_process(ProcessId pid) const {
-  // Extras may use arbitrary ids (oracles etc.), so they are checked
-  // before the server-range test.
-  if (extra_.count(pid) != 0) return;
   if (engine_ && pid == engine_->pid()) return;
   if (is_server(pid) && pid < servers_.size()) return;
   if (is_client(pid)) {
@@ -640,7 +583,6 @@ std::vector<ProcessId> Cluster::process_ids() const {
       out.push_back(client_id(static_cast<std::uint32_t>(k)));
     }
   }
-  for (const auto& [pid, _] : extra_) out.push_back(pid);
   if (engine_) out.push_back(engine_->pid());
   return out;
 }
@@ -648,7 +590,6 @@ std::vector<ProcessId> Cluster::process_ids() const {
 void Cluster::set_anti_entropy(TimeNs period) {
   for (ProcessId s = 0; s < servers_.size(); ++s) {
     ReassignNode* node = servers_[s].reassign;
-    if (node == nullptr) continue;  // custom factory servers
     post(s, [node, period] { node->enable_sync(period); });
   }
 }

@@ -93,7 +93,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -170,10 +169,8 @@ class ClientHandle {
   /// sharded deployment: the union over every shard's quorum).
   Await<std::vector<RegisterKey>> list_keys() const;
 
-  /// Low-level escape hatches (callback API, client-context only).
-  /// abd() is the single-group client; it throws on sharded deployments
-  /// — use router() or router().shard_client(g) there.
-  AbdClient& abd() const { return router_->only_client(); }
+  /// Low-level escape hatch (callback API, client-context only);
+  /// router().shard_client(g) is shard g's AbdClient.
   ShardRouter& router() const { return *router_; }
   ProcessId id() const { return id_; }
 
@@ -238,11 +235,6 @@ class ReassignClientHandle {
 
 class ClusterBuilder {
  public:
-  using ServerFactory = std::function<std::unique_ptr<Process>(
-      Env&, ProcessId, const SystemConfig&)>;
-  using ProcessFactory =
-      std::function<std::unique_ptr<Process>(Env&, const SystemConfig&)>;
-
   /// --- topology ----------------------------------------------------------
   /// Servers PER SHARD (unsharded deployments have exactly one shard).
   ClusterBuilder& servers(std::uint32_t n) { n_ = n; return *this; }
@@ -255,7 +247,7 @@ class ClusterBuilder {
   /// Sharded keyspace: `s` independent replica groups of servers(n)
   /// servers each, client operations routed by key. shards(1) behaves
   /// identically to an unsharded deployment. Storage deployments only
-  /// (incompatible with adaptive()/reassign_only()/server_factory()).
+  /// (incompatible with adaptive()/reassign_only()).
   ClusterBuilder& shards(std::uint32_t s) {
     shards_ = s;
     has_shards_ = true;
@@ -288,9 +280,8 @@ class ClusterBuilder {
 
   /// --- substrate ---------------------------------------------------------
   /// Runtime::kSocket deploys everything in this process over real
-  /// loopback sockets (storage/adaptive/reassign roles only; custom
-  /// factories and add_process would need wire types the codec does not
-  /// know).
+  /// loopback sockets. Every server role and client runs on all three
+  /// runtimes.
   ClusterBuilder& runtime(Runtime r) { runtime_ = r; return *this; }
   /// Seed for every seeded decision in the deployment (latency draws,
   /// fault-plane coin flips): same seed, same run on the simulator.
@@ -318,16 +309,15 @@ class ClusterBuilder {
 
   /// --- server role -------------------------------------------------------
   /// Default: DynamicStorageNode servers (reassignment + weighted ABD).
-  /// At most one of adaptive()/reassign_only()/server_factory() may be
-  /// chosen; a second choice throws std::logic_error at build-spec time
-  /// rather than silently winning.
+  /// At most one of adaptive()/reassign_only() may be chosen; a second
+  /// choice throws std::logic_error at build-spec time rather than
+  /// silently winning. Protocols outside these roles (consensus
+  /// reductions, baselines) register their processes on an Env directly.
   /// Attach the monitoring/adaptation loop (AdaptiveNode servers).
   ClusterBuilder& adaptive(AdaptiveParams params);
   /// Reassignment service only (plain ReassignNode servers, clients are
   /// ReassignClients).
   ClusterBuilder& reassign_only() { set_kind(Kind::kReassign); return *this; }
-  /// Fully custom servers (consensus reductions, baselines, ...).
-  ClusterBuilder& server_factory(ServerFactory factory);
 
   /// --- clients -----------------------------------------------------------
   /// Every client follows the change set; a deployment without
@@ -354,16 +344,12 @@ class ClusterBuilder {
     return *this;
   }
 
-  /// Additional processes outside the server/client sets (e.g. the
-  /// consensus-reduction oracle).
-  ClusterBuilder& add_process(ProcessId pid, ProcessFactory factory);
-
   /// Validates, deploys, registers, and starts everything.
   Cluster build();
 
  private:
   friend class Cluster;
-  enum class Kind { kStorage, kAdaptive, kReassign, kCustom };
+  enum class Kind { kStorage, kAdaptive, kReassign };
 
   void set_kind(Kind k);
 
@@ -376,11 +362,9 @@ class ClusterBuilder {
   std::shared_ptr<LatencyModel> latency_;
   Kind kind_ = Kind::kStorage;
   AdaptiveParams adaptive_params_;
-  ServerFactory server_factory_;
   std::uint32_t clients_ = 1;
   std::optional<WorkloadParams> workload_;
   std::shared_ptr<HistoryRecorder> history_;
-  std::vector<std::pair<ProcessId, ProcessFactory>> extras_;
   std::optional<std::uint32_t> faults_;
   std::uint64_t seed_ = 1;
   std::size_t batch_ops_ = 1;
@@ -456,7 +440,7 @@ class Cluster {
   /// The k-th storage client endpoint.
   ClientHandle client(std::size_t k = 0);
 
-  /// The reassignment endpoint of server `s` (any non-custom deployment).
+  /// The reassignment endpoint of server `s`.
   ReassignHandle server(ProcessId s);
   /// The reassignment endpoint of shard g's i-th server.
   ReassignHandle server(ShardId g, std::uint32_t i) {
@@ -471,7 +455,7 @@ class Cluster {
   DynamicStorageNode& storage_node(ProcessId s);
   AdaptiveNode& adaptive_node(ProcessId s);
   ReassignNode& reassign_node(ProcessId s);
-  /// Custom-factory process registered for `pid` (servers and extras).
+  /// The Process registered for server `pid`, whatever its role.
   Process& process(ProcessId pid);
 
   /// The k-th workload client (deployments built with .workload()).
@@ -540,7 +524,8 @@ class Cluster {
   /// Clears every cut, drop/duplicate rate, and the reorder knob.
   void heal_all_links();
 
-  /// All deployed process ids: servers, then clients, then extras.
+  /// All deployed process ids: servers, then clients, then the migration
+  /// engine (multi-shard storage deployments).
   std::vector<ProcessId> process_ids() const;
 
   /// Deploys an additional storage client MID-RUN (a crashed reader
@@ -623,7 +608,8 @@ class Cluster {
   ClientSlot& client_slot(std::size_t k);
   std::size_t make_client_slot(const WorkloadParams* wp);
   /// Verb-target validation: `pid` must be a deployed server, client, or
-  /// extra process; throws std::out_of_range naming offender + ranges.
+  /// the migration engine; throws std::out_of_range naming offender +
+  /// ranges.
   void check_process(ProcessId pid) const;
 
   Runtime runtime_;
@@ -654,7 +640,6 @@ class Cluster {
   /// existing slots never move when it grows (handles keep references).
   mutable std::mutex clients_mu_;
   std::deque<ClientSlot> clients_;
-  std::map<ProcessId, std::unique_ptr<Process>> extra_;
   /// Declared after the slots they borrow from; the rebalancer_ (which
   /// borrows AbdServer pointers AND the engine) is destroyed first. Both
   /// only run scheduled callbacks, so the dtor's worker stop() already

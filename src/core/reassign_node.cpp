@@ -63,7 +63,6 @@ void ReassignNode::transfer(ProcessId to, const Weight& delta,
     Change pos(self_, counter, to, delta);
     changes_.add(neg);
     changes_.add(pos);
-    if (on_changes_grown_) on_changes_grown_();
     PendingTransfer p;
     p.counter = counter;
     p.neg = neg;
@@ -248,7 +247,6 @@ void ReassignNode::write_changes(const ChangeSet& incoming,
 
 void ReassignNode::apply_change(const Change& c) {
   if (!changes_.add(c)) return;  // lost a race with another path
-  if (on_changes_grown_) on_changes_grown_();
   maybe_ack_issuer(c.issuer(), c.counter());
 }
 

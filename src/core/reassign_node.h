@@ -108,12 +108,6 @@ class ReassignNode : public Process {
   /// convergence after healing without waiting out the period).
   void sync_now();
 
-  /// Observer invoked whenever the local change set grows (monitoring,
-  /// storage invalidation, tests).
-  void set_on_changes_grown(std::function<void()> fn) {
-    on_changes_grown_ = std::move(fn);
-  }
-
   // --- Process interface ---------------------------------------------------
   void on_message(ProcessId from, const Message& msg) override;
 
@@ -171,7 +165,6 @@ class ReassignNode : public Process {
   /// Pairs carrying a gain for this node whose refresh is in flight.
   std::map<PairId, std::shared_ptr<HeldBatch>> held_;
   RefreshHook refresh_hook_;
-  std::function<void()> on_changes_grown_;
   TimeNs sync_period_ = 0;
   std::uint64_t sync_epoch_ = 0;  // invalidates in-flight sync timers
 };

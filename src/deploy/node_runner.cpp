@@ -58,8 +58,6 @@ int run_node(const NodeOptions& opts, const std::atomic<bool>* stop) {
 
   SocketEnv::Options env_opts;
   env_opts.listen = net::SocketAddr::parse(opts.listen);
-  env_opts.loopback_self = true;  // intra-group quorum traffic goes
-                                  // through the kernel too
   env_opts.seed = opts.seed;
   SocketEnv env(env_opts);
 

@@ -142,7 +142,7 @@ void SocketEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   // Routing decisions happen under mu_, but every transport_ call is
   // made OUTSIDE it: on the loop thread a send can fail and close the
   // connection inline, and the on_conn_closed callback locks mu_ again.
-  enum class Via { kNone, kLocal, kPeer, kConn };
+  enum class Via { kNone, kPeer, kConn };
   Via via = Via::kNone;
   int copies = 1;
   net::SocketTransport::PeerId peer = net::SocketTransport::kNoPeer;
@@ -156,13 +156,9 @@ void SocketEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
       if (!fate.deliver) return;
       if (fate.duplicate) copies = 2;
     }
-    if (local_.count(to) != 0) {
-      if (opts_.loopback_self) {  // out through our own listener
-        via = Via::kPeer;
-        peer = self_peer_;
-      } else {
-        via = Via::kLocal;
-      }
+    if (local_.count(to) != 0) {  // out through our own listener
+      via = Via::kPeer;
+      peer = self_peer_;
     } else if (auto rit = route_peers_.find(to); rit != route_peers_.end()) {
       via = Via::kPeer;
       peer = rit->second;
@@ -176,19 +172,7 @@ void SocketEnv::send(ProcessId from, ProcessId to, MsgPtr msg) {
   }
 
   for (int i = 0; i < copies; ++i) {
-    if (via == Via::kLocal) {
-      // Decode our own bytes so local delivery exercises the exact same
-      // codec path (and never aliases the sender's message).
-      auto decoded = net::WireCodec::decode_frame(frame.data() + 4,
-                                                  frame.size() - 4);
-      if (!decoded) {
-        count_event(TrafficLedger::kMsgsMalformed);
-        continue;
-      }
-      MsgPtr local_msg = decoded->msg;
-      transport_.post(
-          [this, from, to, local_msg] { deliver(from, to, local_msg); });
-    } else if (via == Via::kPeer) {
+    if (via == Via::kPeer) {
       transport_.send_to_peer(peer, net::Segment(frame));
     } else {
       transport_.send_on_conn(conn, net::Segment(frame));

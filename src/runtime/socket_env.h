@@ -26,11 +26,11 @@
 // Cluster::isolate() exercises real TCP teardown + reconnect-with-backoff
 // instead of a polite in-memory filter (fault_teardowns() counts these).
 //
-// `loopback_self` (used by Cluster's single-process socket mode) routes
-// even local->local messages out through this env's own listener: every
-// protocol message makes a real kernel round trip, which is what makes
-// single-process socket tests representative of the multi-process
-// deployment.
+// A message between two processes of the same env goes out through the
+// env's own listener and back in: every protocol message makes a real
+// kernel round trip, so a single-process deployment (Cluster's
+// Runtime::kSocket) exercises the same wire path as the multi-process
+// one.
 #pragma once
 #ifdef __linux__
 
@@ -58,9 +58,6 @@ class SocketEnv : public Env {
     /// Where this env accepts connections (TCP port 0 = ephemeral; read
     /// the actual address back with listen_addr()).
     net::SocketAddr listen;
-    /// Route local->local sends through our own listener (real kernel
-    /// round trip) instead of delivering in-process.
-    bool loopback_self = false;
     /// Optional extra delivery delay (WAN emulation); null = none.
     std::shared_ptr<LatencyModel> latency;
     std::uint64_t seed = 1;
@@ -122,7 +119,7 @@ class SocketEnv : public Env {
   net::SocketTransport transport_;
   std::chrono::steady_clock::time_point epoch_;
   net::SocketTransport::PeerId self_peer_ =
-      net::SocketTransport::kNoPeer;  // loopback_self target (after start)
+      net::SocketTransport::kNoPeer;  // local destinations (after start)
   net::SocketAddr self_addr_;
 
   mutable std::mutex mu_;  // guards everything below

@@ -298,16 +298,6 @@ AbdClient& ShardRouter::shard_client(ShardId g) {
   return *clients_[g];
 }
 
-AbdClient& ShardRouter::only_client() {
-  if (clients_.size() != 1) {
-    throw std::logic_error(
-        "ShardRouter: the raw AbdClient surface needs a single-shard "
-        "deployment (" +
-        std::to_string(clients_.size()) +
-        " shards here) — use shard_client(g)");
-  }
-  return *clients_[0];
-}
 
 std::size_t ShardRouter::max_in_flight() const {
   std::size_t best = 0;

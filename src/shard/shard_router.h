@@ -124,10 +124,6 @@ class ShardRouter {
   /// The inner client of shard `g` (validated like ShardMap::config).
   AbdClient& shard_client(ShardId g);
 
-  /// Single-shard deployments only: the one inner client (the legacy
-  /// AbdClient surface); throws std::logic_error on a multi-shard map.
-  AbdClient& only_client();
-
   // --- aggregated observability (sums/maxima over the inner clients) ------
   /// Max over shards of each inner client's started-op high-water mark
   /// (a lower bound on the true cross-shard concurrency).

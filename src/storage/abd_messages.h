@@ -24,7 +24,7 @@ namespace wrs {
 /// server's current set; null from a bare test server. Immutability rule:
 /// the set behind a ChangeSetPtr is never modified once the pointer is
 /// handed to a reply. Every producer keeps it: DynamicStorageNode
-/// publishes a fresh object per change-set version, the wire codec
+/// publishes a fresh object each time its set grows, the wire codec
 /// decodes a fresh object per frame, and tests build theirs before
 /// sending. AbdClient relies on it to skip re-merging a pointer it has
 /// already merged.

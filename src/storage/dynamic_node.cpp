@@ -12,7 +12,6 @@ DynamicStorageNode::DynamicStorageNode(Env& env, ProcessId self,
       refresh_client_(env, self, config),
       server_(env, self, [this] { return changes_snapshot(); },
               config.shard) {
-  reassign_.set_on_changes_grown([this] { ++snapshot_version_; });
   // Algorithm 4 line 9: before a weight gain is applied, refresh the
   // register by performing a full atomic read. Gains arriving while an
   // earlier refresh runs queue up; each finished refresh starts one more
@@ -72,9 +71,11 @@ void DynamicStorageNode::refresh_keys(std::vector<RegisterKey> keys,
 }
 
 ChangeSetPtr DynamicStorageNode::changes_snapshot() {
-  if (cached_version_ != snapshot_version_) {
-    cached_snapshot_ = make_pooled<ChangeSet>(reassign_.changes());
-    cached_version_ = snapshot_version_;
+  // The set only grows, so an unchanged size means unchanged contents
+  // and every reply since the last growth shares one pointer.
+  const ChangeSet& live = reassign_.changes();
+  if (!cached_snapshot_ || cached_snapshot_->size() != live.size()) {
+    cached_snapshot_ = make_pooled<ChangeSet>(live);
   }
   return cached_snapshot_;
 }

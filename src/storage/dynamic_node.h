@@ -9,8 +9,9 @@
 //
 // All three share this Process's mailbox; on_message dispatches to each
 // component in turn. ABD replies from this node's AbdServer piggyback the
-// ReassignNode's current change set (cached per version so snapshots are
-// O(1) between reassignments).
+// ReassignNode's current change set (one shared copy per set size: a
+// grow-only set's size is its version, so snapshots are O(1) between
+// reassignments).
 #pragma once
 
 #include <memory>
@@ -55,9 +56,7 @@ class DynamicStorageNode : public Process {
   std::vector<std::function<void()>> pending_refreshes_;
   bool refreshing_ = false;  // a refresh runs on refresh_client_
 
-  std::uint64_t snapshot_version_ = 0;   // bumped on every change-set growth
-  std::uint64_t cached_version_ = ~0ull;
-  ChangeSetPtr cached_snapshot_;
+  ChangeSetPtr cached_snapshot_;  // reassign_.changes() at its current size
 };
 
 /// A standalone storage client process (reader or writer, member of Pi).
@@ -71,8 +70,6 @@ class StorageClient : public Process {
   StorageClient(Env& env, ProcessId self, ShardMap map)
       : self_(self), router_(env, self, std::move(map)) {}
 
-  /// The raw single-group client (throws on sharded deployments).
-  AbdClient& abd() { return router_.only_client(); }
   ShardRouter& router() { return router_; }
   ProcessId id() const { return self_; }
 

@@ -171,9 +171,7 @@ class WorkloadClient : public Process {
   /// ops excluded) — proves the open loop actually pipelined.
   std::size_t max_in_flight_seen() const { return router_.max_in_flight(); }
 
-  /// The raw single-group client (throws on sharded deployments).
-  AbdClient& abd() { return router_.only_client(); }
-  /// The routing layer (always available; == abd()'s shard on 1 shard).
+  /// The routing layer; router().shard_client(g) is shard g's AbdClient.
   ShardRouter& router() { return router_; }
 
   /// Fires once when the client's whole run is finished.

@@ -37,14 +37,16 @@ std::vector<std::unique_ptr<StorageClient>> add_clients(StorageCluster& c,
 /// Issues a write on `client` and runs the simulator until it returns.
 void write_now(StorageCluster& c, StorageClient& client, Value value) {
   bool wrote = false;
-  client.abd().write(std::move(value), [&](const Tag&) { wrote = true; });
+  client.router().shard_client(0).write(std::move(value),
+                                       [&](const Tag&) { wrote = true; });
   run_until(*c.env, [&] { return wrote; });
 }
 
 /// Issues a read on `client` and runs the simulator until it returns.
 TaggedValue read_now(StorageCluster& c, StorageClient& client) {
   std::optional<TaggedValue> got;
-  client.abd().read([&](const TaggedValue& tv) { got = tv; });
+  client.router().shard_client(0).read(
+      [&](const TaggedValue& tv) { got = tv; });
   EXPECT_TRUE(c.env->run_until_pred([&] { return got.has_value(); },
                                     c.env->now() + seconds(10)));
   return got.value_or(TaggedValue{});
@@ -131,7 +133,7 @@ TEST(AbdClient, ForeignAndStaleAcksIgnored) {
 TEST(AbdClient, RestartBudgetThrowsWhenExhausted) {
   StorageCluster c(4, 1, 42);
   auto clients = add_clients(c, 1);
-  clients[0]->abd().set_max_restarts(0);
+  clients[0]->router().shard_client(0).set_max_restarts(0);
 
   // Force a restart: a transfer completes before the client's op.
   bool transferred = false;
@@ -140,7 +142,7 @@ TEST(AbdClient, RestartBudgetThrowsWhenExhausted) {
   run_until(*c.env, [&] { return transferred; });
   c.env->run_to_quiescence();
 
-  clients[0]->abd().read([](const TaggedValue&) {});
+  clients[0]->router().shard_client(0).read([](const TaggedValue&) {});
   // The read will learn the new changes on the first replies and want to
   // restart — with budget 0 that surfaces as a logic error inside the
   // simulator event. gtest can't catch across the event loop, so step
@@ -170,7 +172,7 @@ TEST(AbdClient, WeightedDeploymentWithoutTransfersIsStaticAbd) {
   run_until(*c.env, [&] { return client.done(); });
 
   EXPECT_EQ(client.completed(), wp.num_ops);
-  const AbdClient& abd = client.router().only_client();
+  const AbdClient& abd = client.router().shard_client(0);
   EXPECT_EQ(abd.restarts(), 0u);
   EXPECT_EQ(abd.current_weights(), wm) << abd.current_weights().str();
   EXPECT_EQ(abd.changes().size(), 5u);  // the initial set only
@@ -215,7 +217,7 @@ TEST(AbdClient, ReadWritesBackAMinorityWriteBeforeReturningIt) {
 
   // Constant 1ms links: the R round lands at t+1ms and the acks at t+2ms,
   // when phase 2 is sent. Cut the writer off from servers 1-4 in between.
-  clients[0]->abd().write("new", [](const Tag&) {});
+  clients[0]->router().shard_client(0).write("new", [](const Tag&) {});
   c.env->run_until(c.env->now() + us(1500));
   for (ProcessId s = 1; s < 5; ++s) faults.cut_one_way(client_id(0), s);
   c.env->run_until(c.env->now() + ms(2));

@@ -290,7 +290,7 @@ EpisodeOutcome run_episode(Runtime rt, std::uint64_t seed) {
   };
   for (std::size_t k = 0; k < c.num_clients(); ++k) {
     check_weights(client_id(static_cast<std::uint32_t>(k)),
-                  &c.client(k).abd());
+                  &c.client(k).router().shard_client(0));
   }
   for (ProcessId s : live) check_weights(s, &c.storage_node(s).client());
   return out;

@@ -18,7 +18,7 @@ TEST(KvStore, IndependentKeys) {
   clients.push_back(std::make_unique<StorageClient>(
       *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
-  auto& abd = clients[0]->abd();
+  auto& abd = clients[0]->router().shard_client(0);
 
   int wrote = 0;
   abd.write("alpha", "value-a", [&](const Tag&) { ++wrote; });
@@ -46,7 +46,7 @@ TEST(KvStore, KeysDoNotInterfereWithDefaultRegister) {
   clients.push_back(std::make_unique<StorageClient>(
       *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
-  auto& abd = clients[0]->abd();
+  auto& abd = clients[0]->router().shard_client(0);
 
   bool w1 = false, w2 = false;
   abd.write("default-value", [&](const Tag&) { w1 = true; });
@@ -66,7 +66,7 @@ TEST(KvStore, ListKeysDiscoversAllWrittenKeys) {
   clients.push_back(std::make_unique<StorageClient>(
       *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
-  auto& abd = clients[0]->abd();
+  auto& abd = clients[0]->router().shard_client(0);
 
   for (const char* key : {"k1", "k2", "k3"}) {
     bool done = false;
@@ -90,7 +90,7 @@ TEST(KvStore, PerWriterTagsSpanKeysSafely) {
   clients.push_back(std::make_unique<StorageClient>(
       *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
-  auto& abd = clients[0]->abd();
+  auto& abd = clients[0]->router().shard_client(0);
 
   std::optional<Tag> t1, t2, t3;
   abd.write("x", "1", [&](const Tag& t) { t1 = t; });
@@ -115,7 +115,7 @@ TEST(KvStore, GainRefreshCoversAllKeys) {
   clients.push_back(std::make_unique<StorageClient>(
       *c.env, client_id(0), c.config));
   c.env->register_process(client_id(0), clients[0].get());
-  auto& abd = clients[0]->abd();
+  auto& abd = clients[0]->router().shard_client(0);
 
   for (const char* key : {"a", "b"}) {
     bool done = false;
@@ -163,7 +163,7 @@ TEST(KvStore, AtomicPerKeyUnderTransferChurn) {
     };
     *loop = [&, k, key, hist, next](int left) {
       if (left == 0) return;
-      auto& abd = clients[k]->abd();
+      auto& abd = clients[k]->router().shard_client(0);
       bool is_read = (left % 2 == 0);
       TimeNs start = c.env->now();
       if (is_read) {

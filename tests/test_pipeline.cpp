@@ -20,7 +20,7 @@ class PipelineOnBothRuntimes : public ::testing::TestWithParam<Runtime> {};
 /// the race-free way to observe AbdClient state on the thread runtime.
 std::size_t max_in_flight_of(Cluster& c, const ClientHandle& h) {
   Await<std::size_t> aw = c.make_await<std::size_t>();
-  AbdClient* abd = &h.abd();
+  AbdClient* abd = &h.router().shard_client(0);
   c.post(h.id(), [abd, aw] { aw.fulfill(abd->max_in_flight()); });
   return aw.get(seconds(30));
 }

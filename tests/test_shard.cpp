@@ -100,18 +100,18 @@ TEST(ShardCompat, SingleShardMatchesRawClientByteForByte) {
     test::StorageCluster sc(n, f, seed);
     StorageClient client(*sc.env, client_id(0), sc.config);
     sc.env->register_process(client_id(0), &client);
+    AbdClient& abd = client.router().shard_client(0);
     std::size_t done = 0;
     for (const auto& [k, v] : puts) {
-      client.abd().write(k, v, [&done](const Tag&) { ++done; });
+      abd.write(k, v, [&done](const Tag&) { ++done; });
     }
     test::run_until(*sc.env, [&] { return done == puts.size(); });
     raw_reads.resize(puts.size());
     for (std::size_t i = 0; i < puts.size(); ++i) {
-      client.abd().read(puts[i].first,
-                        [&raw_reads, &done, i](const TaggedValue& tv) {
-                          raw_reads[i] = tv.value;
-                          ++done;
-                        });
+      abd.read(puts[i].first, [&raw_reads, &done, i](const TaggedValue& tv) {
+        raw_reads[i] = tv.value;
+        ++done;
+      });
     }
     test::run_until(*sc.env, [&] { return done == 2 * puts.size(); });
     sc.env->run_to_quiescence();

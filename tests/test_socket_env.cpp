@@ -213,7 +213,6 @@ TEST(SocketMultiEnv, PartitionTearsDownRealConnections) {
 
   SocketEnv::Options so;
   so.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
-  so.loopback_self = true;
   SocketEnv server_env(so);
   std::vector<std::unique_ptr<DynamicStorageNode>> nodes;
   for (ProcessId s : cfg.servers()) {
@@ -262,7 +261,6 @@ TEST(SocketMultiEnv, UnixDomainTransport) {
 
   SocketEnv::Options so;
   so.listen = net::SocketAddr::parse("unix:" + path);
-  so.loopback_self = true;
   SocketEnv server_env(so);
   std::vector<std::unique_ptr<DynamicStorageNode>> nodes;
   for (ProcessId s : cfg.servers()) {
@@ -392,16 +390,37 @@ TEST(SocketCluster, SocketsIsNullOnSimAndThreads) {
   EXPECT_NE(threads.threads(), nullptr);
 }
 
-TEST(SocketCluster, CustomProcessesRejected) {
-  EXPECT_THROW(
-      Cluster::builder()
-          .servers(3)
-          .runtime(Runtime::kSocket)
-          .add_process(7000, [](Env&, const SystemConfig&) {
-            return std::unique_ptr<Process>();
-          })
-          .build(),
-      std::invalid_argument);
+TEST(SocketCluster, EveryServerRoleRunsOnSockets) {
+  {  // default storage role
+    Cluster c =
+        Cluster::builder().servers(3).runtime(Runtime::kSocket).build();
+    c.client().write("k", "v").get(seconds(30));
+    EXPECT_EQ(c.client().read("k").get(seconds(30)).value, "v");
+  }
+  {  // adaptive(): the monitor's probes share the wire with a transfer
+    AdaptiveParams ap;
+    ap.adaptation_enabled = false;  // only the explicit transfer moves weight
+    Cluster c = Cluster::builder()
+                    .servers(4)
+                    .adaptive(ap)
+                    .runtime(Runtime::kSocket)
+                    .build();
+    TransferOutcome o = c.server(0).transfer(1, Weight(1, 4)).get(seconds(30));
+    EXPECT_TRUE(o.effective);
+    EXPECT_EQ(c.server(0).weights_snapshot().get(seconds(30)).of(0),
+              Weight(3, 4));
+  }
+  {  // reassign_only(): a reassignment-service client's read_changes
+    Cluster c = Cluster::builder()
+                    .servers(4)
+                    .reassign_only()
+                    .runtime(Runtime::kSocket)
+                    .build();
+    EXPECT_TRUE(
+        c.server(0).transfer(1, Weight(1, 8)).get(seconds(30)).effective);
+    ChangeSet cs = c.reassign_client().read_changes(0).get(seconds(30));
+    EXPECT_EQ(cs.weight_of(0), Weight(7, 8));
+  }
 }
 
 // --- one byte count across runtimes ----------------------------------------
@@ -578,7 +597,6 @@ TEST(OneByteCount, SimThreadsAndSocketsChargeIdenticalBytes) {
 
   SocketEnv::Options so;
   so.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
-  so.loopback_self = true;  // every frame crosses the kernel
   SocketEnv sockets(so);
   std::vector<SinkProcess> socket_sinks(4);
   prepare(sockets, socket_sinks);

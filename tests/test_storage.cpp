@@ -13,12 +13,13 @@ namespace {
 using test::run_until;
 using test::StorageCluster;
 
-StorageClient* add_client(StorageCluster& c, std::uint32_t k,
-                          std::vector<std::unique_ptr<StorageClient>>& own) {
+/// Deploys storage client k and returns its (single-shard) AbdClient.
+AbdClient* add_client(StorageCluster& c, std::uint32_t k,
+                      std::vector<std::unique_ptr<StorageClient>>& own) {
   own.push_back(
       std::make_unique<StorageClient>(*c.env, client_id(k), c.config));
   c.env->register_process(client_id(k), own.back().get());
-  return own.back().get();
+  return &own.back()->router().shard_client(0);
 }
 
 TEST(StaticAbd, ReadInitialValue) {
@@ -26,7 +27,7 @@ TEST(StaticAbd, ReadInitialValue) {
   std::vector<std::unique_ptr<StorageClient>> clients;
   auto* cl = add_client(c, 0, clients);
   std::optional<TaggedValue> got;
-  cl->abd().read([&](const TaggedValue& tv) { got = tv; });
+  cl->read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
   EXPECT_EQ(got->tag, kInitialTag);
   EXPECT_EQ(got->value, "");
@@ -39,13 +40,13 @@ TEST(StaticAbd, WriteThenRead) {
   auto* r = add_client(c, 1, clients);
 
   std::optional<Tag> wrote;
-  w->abd().write("hello", [&](const Tag& t) { wrote = t; });
+  w->write("hello", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
   EXPECT_EQ(wrote->ts, 1);
   EXPECT_EQ(wrote->pid, client_id(0));
 
   std::optional<TaggedValue> got;
-  r->abd().read([&](const TaggedValue& tv) { got = tv; });
+  r->read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
   EXPECT_EQ(got->value, "hello");
   EXPECT_EQ(got->tag, *wrote);
@@ -61,17 +62,17 @@ TEST(StaticAbd, PipelinesDistinctKeysAndQueuesSameKey) {
 
   std::optional<Tag> ta, tb1, tb2;
   std::optional<TaggedValue> rb;
-  cl->abd().write("a", "va", [&](const Tag& t) { ta = t; });
-  cl->abd().write("b", "vb1", [&](const Tag& t) { tb1 = t; });
-  cl->abd().write("b", "vb2", [&](const Tag& t) { tb2 = t; });
-  cl->abd().read("b", [&](const TaggedValue& tv) { rb = tv; });
-  EXPECT_EQ(cl->abd().in_flight(), 4u);
+  cl->write("a", "va", [&](const Tag& t) { ta = t; });
+  cl->write("b", "vb1", [&](const Tag& t) { tb1 = t; });
+  cl->write("b", "vb2", [&](const Tag& t) { tb2 = t; });
+  cl->read("b", [&](const TaggedValue& tv) { rb = tv; });
+  EXPECT_EQ(cl->in_flight(), 4u);
   // Only "a"'s write and "b"'s FIRST write start immediately; the other
   // two queue behind "b" — max_in_flight counts genuinely started ops.
-  EXPECT_EQ(cl->abd().max_in_flight(), 2u);
+  EXPECT_EQ(cl->max_in_flight(), 2u);
 
   run_until(*c.env, [&] { return ta && tb1 && tb2 && rb.has_value(); });
-  EXPECT_FALSE(cl->abd().busy());
+  EXPECT_FALSE(cl->busy());
   // Per-key program order: the queued second write got the larger tag and
   // the read (issued last) observed it.
   EXPECT_LT(*tb1, *tb2);
@@ -86,15 +87,15 @@ TEST(StaticAbd, MultiWriterTagsOrdered) {
   auto* w2 = add_client(c, 1, clients);
 
   std::optional<Tag> t1;
-  w1->abd().write("a", [&](const Tag& t) { t1 = t; });
+  w1->write("a", [&](const Tag& t) { t1 = t; });
   run_until(*c.env, [&] { return t1.has_value(); });
   std::optional<Tag> t2;
-  w2->abd().write("b", [&](const Tag& t) { t2 = t; });
+  w2->write("b", [&](const Tag& t) { t2 = t; });
   run_until(*c.env, [&] { return t2.has_value(); });
   EXPECT_LT(*t1, *t2);  // sequential writes get increasing tags
 
   std::optional<TaggedValue> got;
-  w1->abd().read([&](const TaggedValue& tv) { got = tv; });
+  w1->read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
   EXPECT_EQ(got->value, "b");
 }
@@ -106,10 +107,10 @@ TEST(StaticAbd, ToleratesFCrashes) {
   std::vector<std::unique_ptr<StorageClient>> clients;
   auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
-  cl->abd().write("survive", [&](const Tag& t) { wrote = t; });
+  cl->write("survive", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
   std::optional<TaggedValue> got;
-  cl->abd().read([&](const TaggedValue& tv) { got = tv; });
+  cl->read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
   EXPECT_EQ(got->value, "survive");
 }
@@ -119,13 +120,13 @@ TEST(DynamicAbd, ReadWriteWithoutTransfers) {
   std::vector<std::unique_ptr<StorageClient>> clients;
   auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
-  cl->abd().write("dyn", [&](const Tag& t) { wrote = t; });
+  cl->write("dyn", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
   std::optional<TaggedValue> got;
-  cl->abd().read([&](const TaggedValue& tv) { got = tv; });
+  cl->read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
   EXPECT_EQ(got->value, "dyn");
-  EXPECT_EQ(cl->abd().restarts(), 0u);
+  EXPECT_EQ(cl->restarts(), 0u);
 }
 
 TEST(DynamicAbd, ClientLearnsChangesAndRestarts) {
@@ -140,13 +141,13 @@ TEST(DynamicAbd, ClientLearnsChangesAndRestarts) {
   std::vector<std::unique_ptr<StorageClient>> clients;
   auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
-  cl->abd().write("after-transfer", [&](const Tag& t) { wrote = t; });
+  cl->write("after-transfer", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
   // The client started from the initial change set and must have learned
   // the transfer (2 new changes) and restarted at least once.
-  EXPECT_GE(cl->abd().restarts(), 1u);
-  EXPECT_EQ(cl->abd().current_weights().of(1), Weight(5, 4));
-  EXPECT_EQ(cl->abd().current_weights().total(), Weight(4));
+  EXPECT_GE(cl->restarts(), 1u);
+  EXPECT_EQ(cl->current_weights().of(1), Weight(5, 4));
+  EXPECT_EQ(cl->current_weights().total(), Weight(4));
 }
 
 TEST(DynamicAbd, OperationsDuringConcurrentTransfers) {
@@ -163,11 +164,11 @@ TEST(DynamicAbd, OperationsDuringConcurrentTransfers) {
                                   });
   }
   std::optional<Tag> wrote;
-  cl->abd().write("stormy", [&](const Tag& t) { wrote = t; });
+  cl->write("stormy", [&](const Tag& t) { wrote = t; });
   run_until(*c.env,
             [&] { return wrote.has_value() && transfers_done == 5; });
   std::optional<TaggedValue> got;
-  cl->abd().read([&](const TaggedValue& tv) { got = tv; });
+  cl->read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
   EXPECT_EQ(got->value, "stormy");
 }
@@ -180,7 +181,7 @@ TEST(DynamicAbd, RegisterRefreshOnGainPreservesFreshness) {
   std::vector<std::unique_ptr<StorageClient>> clients;
   auto* cl = add_client(c, 0, clients);
   std::optional<Tag> wrote;
-  cl->abd().write("fresh", [&](const Tag& t) { wrote = t; });
+  cl->write("fresh", [&](const Tag& t) { wrote = t; });
   run_until(*c.env, [&] { return wrote.has_value(); });
 
   bool transferred = false;
@@ -217,6 +218,36 @@ TEST(DynamicAbd, GainsQueuedBehindARefreshShareTheNextOne) {
   EXPECT_EQ(target.weight(), Weight(11, 8));
 }
 
+TEST(DynamicStorageNode, RepliesShareOneChangeSetUntilItGrows) {
+  StorageCluster c(4, 1, 11);
+  // Stands in for a client: records the change set of every R_A.
+  struct Probe : Process {
+    std::vector<ChangeSetPtr> seen;
+    void on_message(ProcessId, const Message& m) override {
+      if (const auto* ack = msg_cast<ReadAck>(m)) seen.push_back(ack->changes());
+    }
+  } probe;
+  c.env->register_process(client_id(0), &probe);
+  auto read_s0 = [&](OpId op) {
+    c.node(0).handle(client_id(0), ReadReq(op));
+    c.env->run_to_quiescence();
+  };
+
+  read_s0(1);
+  read_s0(2);
+  ASSERT_EQ(probe.seen.size(), 2u);
+  EXPECT_EQ(probe.seen[0], probe.seen[1]);  // no growth: one object
+
+  bool transferred = false;
+  c.node(0).reassign().transfer(
+      1, Weight(1, 4), [&](const TransferOutcome&) { transferred = true; });
+  run_until(*c.env, [&] { return transferred; });
+  read_s0(3);
+  ASSERT_EQ(probe.seen.size(), 3u);
+  EXPECT_NE(probe.seen[2], probe.seen[1]);
+  EXPECT_EQ(probe.seen[2]->size(), probe.seen[1]->size() + 2);
+}
+
 TEST(DynamicAbd, QuorumShrinksAfterReweighting) {
   // After concentrating weight on two servers, a client's phase can
   // complete with fewer responders. Verify via the weight map the client
@@ -237,9 +268,9 @@ TEST(DynamicAbd, QuorumShrinksAfterReweighting) {
   std::vector<std::unique_ptr<StorageClient>> clients;
   auto* cl = add_client(c, 0, clients);
   std::optional<TaggedValue> got;
-  cl->abd().read([&](const TaggedValue& tv) { got = tv; });
+  cl->read([&](const TaggedValue& tv) { got = tv; });
   run_until(*c.env, [&] { return got.has_value(); });
-  Wmqs q(cl->abd().current_weights());
+  Wmqs q(cl->current_weights());
   EXPECT_EQ(q.weights().of(0), Weight(2));
   EXPECT_EQ(q.min_quorum_size(), 3u);  // was 4 with uniform weights
 }
