@@ -265,6 +265,14 @@ class AbdClient {
   /// The client's current change set.
   const ChangeSet& changes() const { return changes_; }
 
+  /// Merges `changes`, published by the server that shares this client's
+  /// ProcessId, exactly as a reply from that server carrying it would:
+  /// started operations restart if the set grew, and that server's next
+  /// reply carrying the same pointer skips the join.
+  void merge_own_server_changes(const ChangeSetPtr& changes) {
+    merge_and_maybe_restart(self_, changes);
+  }
+
   /// Weight map the client currently derives quorums from (cached;
   /// always equal to changes().to_weight_map(servers)).
   const WeightMap& current_weights() const { return weights_; }

@@ -35,7 +35,10 @@ void DynamicStorageNode::drain_pending_refreshes() {
   // form quorums, so EVERY register this node serves must be as fresh as
   // a pre-gain quorum before the gain applies. Key discovery itself goes
   // through a weighted quorum (list_keys), which intersects every quorum
-  // a past write used.
+  // a past write used. The client first learns this node's own set, as
+  // this node's reply would teach it, so gains applied since its last
+  // refresh do not restart the key discovery.
+  refresh_client_.merge_own_server_changes(changes_snapshot());
   refresh_client_.list_keys([this, done](std::vector<RegisterKey> keys) {
     refresh_keys(std::move(keys), std::move(done));
   });
