@@ -223,7 +223,9 @@ TEST(DynamicStorageNode, RepliesShareOneChangeSetUntilItGrows) {
   struct Probe : Process {
     std::vector<ChangeSetPtr> seen;
     void on_message(ProcessId, const Message& m) override {
-      if (const auto* ack = msg_cast<ReadAck>(m)) seen.push_back(ack->changes());
+      if (const auto* ack = msg_cast<ReadAck>(m)) {
+        seen.push_back(ack->changes());
+      }
     }
   } probe;
   c.env->register_process(client_id(0), &probe);
