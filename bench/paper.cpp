@@ -858,13 +858,17 @@ void exp_r1(Run& run) {
 //
 // A client runs 200 read/write ops while a rotating donor fires a tiny
 // transfer every interval. Bytes per op are charged as encoded frame
-// bytes and dominated by the change sets riding on replies.
+// bytes and dominated by the change sets riding on replies. Each churn
+// level runs kChurnSeeds seeds: bytes and restarts per op are the mean
+// over the runs, and the read percentiles pool every run's reads (one
+// run has only ~140, too few for a p99).
+
+constexpr int kChurnSeeds = 8;
 
 struct Churn {
   double bytes_per_op = 0;
   double restarts_per_op = 0;
-  double read_p50_ms = 0;
-  double read_p99_ms = 0;
+  Histogram reads;  // read latencies (ns)
   std::uint64_t transfers = 0;
   std::int64_t msgs = 0;
 };
@@ -913,8 +917,7 @@ Churn run_churn(TimeNs transfer_interval, std::uint64_t seed) {
       static_cast<double>(env.traffic().get("bytes") - bytes0) / ops;
   r.restarts_per_op =
       static_cast<double>(client->router().shard_client(0).restarts()) / ops;
-  r.read_p50_ms = to_ms(client->read_latency().percentile(50));
-  r.read_p99_ms = to_ms(client->read_latency().percentile(99));
+  r.reads = client->read_latency();
   r.transfers = transfers;
   r.msgs = msgs_of(env);
   return r;
@@ -933,20 +936,29 @@ void exp_s1(Run& run) {
   for (const Conf& conf :
        {Conf{0, "none"}, Conf{ms(500), "500 ms"}, Conf{ms(200), "200 ms"},
         Conf{ms(100), "100 ms"}, Conf{ms(50), "50 ms"}}) {
-    const Churn r = run_churn(conf.interval, run.seed());
+    Churn r;
+    for (int s = 0; s < kChurnSeeds; ++s) {
+      const Churn one = run_churn(conf.interval, run.seed() + 97 * s);
+      r.bytes_per_op += one.bytes_per_op / kChurnSeeds;
+      r.restarts_per_op += one.restarts_per_op / kChurnSeeds;
+      r.reads.merge(one.reads);
+      r.transfers += one.transfers;
+      r.msgs += one.msgs;
+    }
     t.row(r.msgs)
         .text("transfer interval", conf.label)
-        .num("transfers fired", static_cast<double>(r.transfers), 0)
+        .num("transfers per run",
+             static_cast<double>(r.transfers) / kChurnSeeds, 1)
         .num("KB per client op", r.bytes_per_op / 1024.0)
         .num("restarts per op", r.restarts_per_op, 3)
-        .num("read p50 (ms)", r.read_p50_ms)
-        .num("read p99 (ms)", r.read_p99_ms);
+        .num("read p50 (ms)", to_ms(r.reads.percentile(50)))
+        .num("read p99 (ms)", to_ms(r.reads.percentile(99)));
     if (!first) {
       bytes_flat += !(r.bytes_per_op > prev.bytes_per_op);
       restarts_flat += !(r.restarts_per_op > prev.restarts_per_op);
     }
     first = false;
-    prev = r;
+    prev = std::move(r);
   }
   run.gate("churn steps where bytes/op does not rise", bytes_flat, "==", 0);
   run.gate("churn steps where restarts/op does not rise", restarts_flat, "==",
@@ -1206,10 +1218,10 @@ const Scenario kScenarios[] = {
      17, 3500, exp_r1},
     {"EXP-S1",
      "piggybacked change-set overhead and operation restarts vs transfer "
-     "churn (n=5, f=1, 200 client ops)",
+     "churn (n=5, f=1, 8 seeds x 200 client ops)",
      "bytes/op and restarts/op grow with churn: bounded metadata traded "
      "for consensus-freedom",
-     909, 31500, exp_s1},
+     909, 235000, exp_s1},
     {"EXP-T1", "Theorem 1 - consensus from weight reassignment (Alg. 1)",
      "every run has agreement, validity and termination, and exactly one "
      "reassign is effective (Corollary 1)",
