@@ -8,6 +8,8 @@
 // all: Property 1 guarantees a weighted quorum of correct servers.
 //
 // Run: ./build/examples/slow_replica_failover
+// Exits 1 unless adaptation demoted s2 below 1 while keeping it above the
+// floor and the total weight conserved.
 #include <iostream>
 
 #include "api/cluster.h"
@@ -16,7 +18,7 @@ using namespace wrs;
 
 namespace {
 
-void report(const char* phase, Cluster& cluster, ClientHandle& client) {
+WeightMap report(const char* phase, Cluster& cluster, ClientHandle& client) {
   // Measure 20 reads.
   Histogram lat;
   for (int i = 0; i < 20; ++i) {
@@ -35,6 +37,7 @@ void report(const char* phase, Cluster& cluster, ClientHandle& client) {
   WeightMap weights = cluster.server(alive).weights_snapshot().get();
   std::cout << phase << ": read p50 " << Table::fmt(to_ms(lat.percentile(50)))
             << " ms, weights " << weights.str() << "\n";
+  return weights;
 }
 
 }  // namespace
@@ -62,7 +65,7 @@ int main() {
   // and it starts donating weight to faster peers.
   cluster.slow(2, 30.0);
   cluster.run_for(seconds(15));  // let adaptation converge
-  report("s2 slow (adapted)", cluster, client);
+  const WeightMap adapted = report("s2 slow (adapted)", cluster, client);
   std::cout << "   s2 demoted itself toward the floor "
             << cluster.config().floor().str()
             << " — approach (I) of Section V-C is the "
@@ -77,5 +80,14 @@ int main() {
   std::cout << "\nNo reconfiguration, no consensus, no epoch boundaries: "
                "the server set and f never changed — only voting power "
                "moved, and availability held throughout.\n";
+
+  const Weight floor = cluster.config().floor();
+  const Weight total = cluster.config().initial_total();
+  if (!(adapted.of(2) < Weight(1)) || !(adapted.of(2) > floor) ||
+      adapted.total() != total) {
+    std::cout << "FAIL: expected s2 in (" << floor.str() << ", 1) and total "
+              << total.str() << ", got " << adapted.str() << "\n";
+    return 1;
+  }
   return 0;
 }

@@ -7,8 +7,11 @@
 //     makes "server 4 is slow" visible to server 4 itself (its own pings
 //     cannot distinguish "I am slow" from "everyone else is slow");
 //   * every `eval_interval` the node consults the WeightPolicy and, when
-//     the policy says so (and no transfer is in flight), invokes
-//     transfer(fastest, step) on the embedded ReassignNode.
+//     the policy says so, invokes transfer(fastest, step) on the embedded
+//     ReassignNode. A tick that finds the node's own transfer still in
+//     flight is kept, not dropped: the policy runs once more as soon as
+//     that transfer completes. So one transfer is in flight at a time,
+//     and the policy never runs more often than the timer ticks.
 //
 // This closes the loop the paper sketches: monitoring system -> weight
 // reassignment -> dynamic-weighted quorums. Per C1, a node only ever
@@ -60,6 +63,8 @@ class RttReportMsg : public MessageBase<RttReportMsg> {
 
 struct AdaptiveParams {
   TimeNs probe_interval = ms(50);
+  /// Period of the policy timer. A tick that meets a transfer in flight
+  /// runs the policy when that transfer completes instead.
   TimeNs eval_interval = ms(200);
   Weight step = Weight(1, 10);
   double slow_factor = 1.3;
@@ -145,13 +150,28 @@ class AdaptiveNode : public Process {
   void evaluate() {
     env_.schedule(self_, params_.eval_interval, [this] { evaluate(); });
     if (!params_.adaptation_enabled) return;
-    if (node_.reassign().transfer_in_flight()) return;
+    if (node_.reassign().transfer_in_flight()) {
+      tick_missed_ = true;
+      return;
+    }
+    tick_missed_ = false;  // a transfer not issued by adapt() completed
+    adapt();
+  }
+
+  /// One policy decision. The completion callback runs after the
+  /// ReassignNode cleared its pending transfer, so a missed tick can issue
+  /// the next transfer right there.
+  void adapt() {
     auto decision = policy_.decide(self_, node_.reassign().weight(),
                                    config_.floor(), perceived_latencies());
     if (!decision.has_value()) return;
     ++transfers_issued_;
     node_.reassign().transfer(decision->dst, decision->delta,
-                              [](const TransferOutcome&) {});
+                              [this](const TransferOutcome&) {
+                                if (!tick_missed_) return;
+                                tick_missed_ = false;
+                                adapt();
+                              });
   }
 
   Env& env_;
@@ -164,6 +184,7 @@ class AdaptiveNode : public Process {
   WeightPolicy policy_;
   std::map<ProcessId, std::map<ProcessId, double>> reports_;
   std::uint64_t transfers_issued_ = 0;
+  bool tick_missed_ = false;  // a tick met a transfer in flight
 };
 
 }  // namespace wrs

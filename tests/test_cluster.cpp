@@ -137,6 +137,41 @@ TEST_P(ClusterOnBothRuntimes, StagedScriptsRunEvenWithServer0Crashed) {
   EXPECT_GE(fired.get(seconds(30)), scheduled_at + ms(100));
 }
 
+TEST_P(ClusterOnBothRuntimes, AdaptiveServerDrainsTowardFloor) {
+  // s2 turns 20x slow; the monitoring loop on s2 must move its weight to
+  // faster peers, one transfer at a time, and stop above the floor.
+  AdaptiveParams params;
+  params.probe_interval = ms(20);
+  params.eval_interval = ms(60);
+  params.step = Weight(1, 10);
+  params.slow_factor = 2.0;
+  Cluster c = Cluster::builder()
+                  .servers(5)
+                  .faults(1)
+                  .uniform_latency(ms(1), ms(2))
+                  .runtime(GetParam())
+                  .seed(61)
+                  .adaptive(params)
+                  .build();
+  c.slow(2, 20.0);
+
+  // 1 -> 7/10 in steps of 1/10: the C2 margin (floor 5/8 plus one step)
+  // stops the fourth transfer.
+  WeightMap w;
+  for (int i = 0; i < 300; ++i) {
+    c.run_for(ms(100));
+    w = c.server(2).weights_snapshot().get(seconds(30));
+    if (w.of(2) == Weight(7, 10)) break;
+  }
+  EXPECT_EQ(w.of(2), Weight(7, 10)) << w.str();
+  EXPECT_GT(w.of(2), c.config().floor());
+  for (ProcessId s : c.config().servers()) {
+    EXPECT_EQ(c.server(s).weights_snapshot().get(seconds(30)).total(),
+              Weight(5))
+        << "server " << s;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothRuntimes, ClusterOnBothRuntimes,
                          ::testing::Values(Runtime::kSim, Runtime::kThread),
                          [](const auto& info) {

@@ -114,6 +114,70 @@ TEST(AdaptiveNode, WeightsFlowTowardFastServer) {
   EXPECT_EQ(total, Weight(5));
 }
 
+TEST(AdaptiveNode, MissedTickRunsWhenTransferCompletes) {
+  // Server 4 sits behind a 20x link, so each of its transfers (T out,
+  // T_Acks back) takes ~200 ms and spans several 60 ms ticks. The tick it
+  // misses must run the policy when the transfer completes, not at the
+  // next tick after it.
+  SystemConfig cfg = SystemConfig::uniform(5, 1);
+  auto degradable = std::make_shared<DegradableLatency>(
+      std::make_unique<ConstantLatency>(ms(5)));
+  degradable->set_factor(4, 20.0);
+  SimEnv env(degradable, 79);
+
+  AdaptiveParams params;
+  params.probe_interval = ms(20);
+  params.eval_interval = ms(60);
+  params.step = Weight(1, 20);
+  params.slow_factor = 2.0;
+
+  std::vector<std::unique_ptr<AdaptiveNode>> nodes;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    nodes.push_back(std::make_unique<AdaptiveNode>(env, i, cfg, params));
+    env.register_process(i, nodes.back().get());
+  }
+  env.start();
+
+  // Step event by event and record when the donor issues and completes
+  // transfers. A completion whose callback issues the next transfer shows
+  // as one event that bumps the count with a transfer in flight before
+  // and after.
+  AdaptiveNode& donor = *nodes[4];
+  std::vector<TimeNs> issued_at, completed_at;
+  bool in_flight = false;
+  std::uint64_t issued = 0;
+  while (env.now() < seconds(5) && env.step()) {
+    const bool now_in_flight = donor.reassign().transfer_in_flight();
+    const std::uint64_t now_issued = donor.transfers_issued();
+    if (in_flight && (!now_in_flight || now_issued > issued)) {
+      completed_at.push_back(env.now());
+    }
+    if (now_issued > issued) {
+      ASSERT_EQ(now_issued, issued + 1) << "two transfers in one event";
+      issued_at.push_back(env.now());
+      // Evaluations never outnumber ticks: ticks fire at k * eval_interval.
+      EXPECT_LE(now_issued,
+                static_cast<std::uint64_t>(env.now() / params.eval_interval));
+    }
+    in_flight = now_in_flight;
+    issued = now_issued;
+  }
+
+  // 1 -> 13/20 in steps of 1/20; the C2 margin stops the eighth.
+  ASSERT_EQ(issued_at.size(), 7u);
+  ASSERT_EQ(completed_at.size(), 7u);
+  for (std::size_t k = 0; k < issued_at.size(); ++k) {
+    // Each transfer outlasts eval_interval, so a tick was missed...
+    EXPECT_GT(completed_at[k] - issued_at[k], params.eval_interval);
+    if (k + 1 < issued_at.size()) {
+      // ...and the next transfer starts the instant this one completes,
+      // never before it.
+      EXPECT_EQ(issued_at[k + 1], completed_at[k]) << "transfer " << k + 1;
+    }
+  }
+  EXPECT_EQ(donor.reassign().weight(), Weight(13, 20));
+}
+
 TEST(AdaptiveNode, DisabledAdaptationKeepsWeights) {
   SystemConfig cfg = SystemConfig::uniform(4, 1);
   auto degradable = std::make_shared<DegradableLatency>(

@@ -166,10 +166,13 @@ TEST(SimDigest, AdaptiveWanClusterWithSlowdown) {
   // a storage refresh began from its node's own change set: 63 fewer
   // deliveries (KEYS and KEYS_A -10 each, R and R_A -5 each, PING -9,
   // PONG -14, RTT_REPORT -10; the loop stops at 16.009 s instead of
-  // 16.023 s).
-  EXPECT_EQ(taps.deliveries(), 12'560u);
-  EXPECT_EQ(c.traffic().get("msgs"), 12'588);
-  EXPECT_EQ(digest.value(), 4484146713313242659ull);
+  // 16.023 s). Re-recorded again when a tick that met a transfer in
+  // flight began running the policy as that transfer completes: 59 more
+  // deliveries (W and W_A +15 each, KEYS and KEYS_A +5 each, R and R_A -5
+  // each, PING +9, PONG +10, RTT_REPORT +10; RB and T_ACK unchanged).
+  EXPECT_EQ(taps.deliveries(), 12'619u);
+  EXPECT_EQ(c.traffic().get("msgs"), 12'627);
+  EXPECT_EQ(digest.value(), 6157904404376641422ull);
 }
 
 // 4 shards x 3 servers with retransmission, a modeled service time,
