@@ -150,12 +150,11 @@ class AdaptiveNode : public Process {
   void evaluate() {
     env_.schedule(self_, params_.eval_interval, [this] { evaluate(); });
     if (!params_.adaptation_enabled) return;
-    if (node_.reassign().transfer_in_flight()) {
-      tick_missed_ = true;
-      return;
-    }
-    tick_missed_ = false;  // a transfer not issued by adapt() completed
-    adapt();
+    // A tick that meets a transfer in flight is kept for that transfer's
+    // completion; a later tick that finds none (the transfer was issued
+    // through the ReassignNode directly) takes its place.
+    tick_missed_ = node_.reassign().transfer_in_flight();
+    if (!tick_missed_) adapt();
   }
 
   /// One policy decision. The completion callback runs after the
