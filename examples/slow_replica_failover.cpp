@@ -66,6 +66,9 @@ int main() {
   cluster.slow(2, 30.0);
   cluster.run_for(seconds(15));  // let adaptation converge
   const WeightMap adapted = report("s2 slow (adapted)", cluster, client);
+  std::cout << "   s2 issued " << cluster.adaptive_node(2).transfers_issued()
+            << " transfer(s); min quorum size "
+            << Wmqs(adapted).min_quorum_size() << "\n";
   std::cout << "   s2 demoted itself toward the floor "
             << cluster.config().floor().str()
             << " — approach (I) of Section V-C is the "

@@ -7,11 +7,12 @@
 //     makes "server 4 is slow" visible to server 4 itself (its own pings
 //     cannot distinguish "I am slow" from "everyone else is slow");
 //   * every `eval_interval` the node consults the WeightPolicy and, when
-//     the policy says so, invokes transfer(fastest, step) on the embedded
-//     ReassignNode. A tick that finds the node's own transfer still in
-//     flight is kept, not dropped: the policy runs once more as soon as
-//     that transfer completes. So one transfer is in flight at a time,
-//     and the policy never runs more often than the timer ticks.
+//     the policy says so, invokes transfer(fastest, k * step) on the
+//     embedded ReassignNode, k the largest count that C2 allows. A tick
+//     that finds the node's own transfer still in flight is kept, not
+//     dropped: the policy runs once more as soon as that transfer
+//     completes. So one transfer is in flight at a time, and the policy
+//     never runs more often than the timer ticks.
 //
 // This closes the loop the paper sketches: monitoring system -> weight
 // reassignment -> dynamic-weighted quorums. Per C1, a node only ever
@@ -66,6 +67,7 @@ struct AdaptiveParams {
   /// Period of the policy timer. A tick that meets a transfer in flight
   /// runs the policy when that transfer completes instead.
   TimeNs eval_interval = ms(200);
+  /// Granularity of a donation: the policy moves a multiple of it.
   Weight step = Weight(1, 10);
   double slow_factor = 1.3;
   /// Adaptation can be disabled to build a "static WMQS" control group

@@ -7,10 +7,13 @@
 //    (with a configurable safety margin on top).
 //
 // Rule: if this server's RTT estimate is at least `slow_factor` times the
-// current fastest server's estimate, donate `step` of weight to that
-// fastest server (if C2 allows). Fast servers accumulate voting power;
-// slow ones converge toward the floor — exactly the adaptation mechanism
-// the paper motivates with geo-replication.
+// current fastest server's estimate, donate to that fastest server, in
+// one transfer, the largest multiple of `step` that C2 allows: the donor
+// ends in (floor, floor + step], where a walk of single-step donations
+// would stop, without the transfers in between. Like WHEAT and AWARE,
+// which compute target weights instead of stepping toward them, fast
+// servers gain voting power and slow ones drop to the floor at once —
+// the adaptation mechanism the paper motivates with geo-replication.
 #pragma once
 
 #include <optional>
@@ -50,11 +53,15 @@ class WeightPolicy {
     }
     if (!fastest.has_value() || *fastest == self) return std::nullopt;
     if (mine_it->second < slow_factor_ * best) return std::nullopt;
-    // C2 with margin: keep strictly above floor after donating.
-    if (!(self_weight > step_ + floor)) return std::nullopt;
+    // C2: donate the largest k * step that leaves the donor strictly
+    // above the floor, i.e. the largest integer k < (self - floor) / step.
+    const Weight room = (self_weight - floor) / step_;
+    if (!room.is_positive()) return std::nullopt;
+    const std::int64_t k = (room.num() - 1) / room.den();
+    if (k == 0) return std::nullopt;
     PolicyDecision d;
     d.dst = *fastest;
-    d.delta = step_;
+    d.delta = step_ * k;
     return d;
   }
 

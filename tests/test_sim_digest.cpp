@@ -170,9 +170,14 @@ TEST(SimDigest, AdaptiveWanClusterWithSlowdown) {
   // flight began running the policy as that transfer completes: 59 more
   // deliveries (W and W_A +15 each, KEYS and KEYS_A +5 each, R and R_A -5
   // each, PING +9, PONG +10, RTT_REPORT +10; RB and T_ACK unchanged).
-  EXPECT_EQ(taps.deliveries(), 12'619u);
-  EXPECT_EQ(c.traffic().get("msgs"), 12'627);
-  EXPECT_EQ(digest.value(), 6157904404376641422ull);
+  // Re-recorded again when the policy began donating in one transfer all
+  // that C2 allows: 4 transfers instead of 18, 1'328 fewer deliveries (RB
+  // -350, T_ACK -56, KEYS and KEYS_A -120 each, R and R_A -315 each, PING
+  // -20, PONG -12, RTT_REPORT -20; W and W_A unchanged; the loop stops at
+  // 16.004 s instead of 16.020 s).
+  EXPECT_EQ(taps.deliveries(), 11'291u);
+  EXPECT_EQ(c.traffic().get("msgs"), 11'331);
+  EXPECT_EQ(digest.value(), 13507344075739926072ull);
 }
 
 // 4 shards x 3 servers with retransmission, a modeled service time,
