@@ -53,15 +53,14 @@ class WeightPolicy {
     }
     if (!fastest.has_value() || *fastest == self) return std::nullopt;
     if (mine_it->second < slow_factor_ * best) return std::nullopt;
-    // C2: donate the largest k * step that leaves the donor strictly
-    // above the floor, i.e. the largest integer k < (self - floor) / step.
+    // C2 with margin: keep strictly above floor after donating one step.
+    if (!(self_weight > step_ + floor)) return std::nullopt;
+    // Donate the largest k * step that still does, i.e. the largest
+    // integer k < room = (self - floor) / step; room > 1 here.
     const Weight room = (self_weight - floor) / step_;
-    if (!room.is_positive()) return std::nullopt;
-    const std::int64_t k = (room.num() - 1) / room.den();
-    if (k == 0) return std::nullopt;
     PolicyDecision d;
     d.dst = *fastest;
-    d.delta = step_ * k;
+    d.delta = step_ * ((room.num() - 1) / room.den());
     return d;
   }
 
