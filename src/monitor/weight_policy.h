@@ -3,8 +3,7 @@
 //
 //  * C1 — a server only ever moves its OWN weight, so the policy runs at
 //    each server and may only propose outgoing transfers;
-//  * C2 — proposals keep the server's weight strictly above the floor
-//    (with a configurable safety margin on top).
+//  * C2 — proposals keep the server's weight strictly above the floor.
 //
 // Rule: if this server's RTT estimate is at least `slow_factor` times the
 // current fastest server's estimate, donate to that fastest server, in
