@@ -438,30 +438,18 @@ int run(int argc, char** argv) {
   rows.push_back({"pool", "churn", run_pool(msgs)});
   rows.push_back({"mpsc", "push4", run_mpsc(4, msgs)});
 
-  Table table({"runtime", "mode", "msgs", "ns/msg", "allocs/msg", "wall ms"});
+  Report report("EXP-RT1 runtime overhead");
   for (const NamedRow& r : rows) {
-    table.add_row({r.runtime, r.mode, std::to_string(r.m.msgs),
-                   Table::fmt(r.m.ns_per_msg, 1),
-                   Table::fmt(r.m.allocs_per_msg, 4),
-                   Table::fmt(r.m.wall_ms, 1)});
+    report.row(static_cast<std::int64_t>(r.m.msgs))
+        .text("runtime", r.runtime)
+        .text("mode", r.mode)
+        .num("ns/msg", r.m.ns_per_msg, 1)
+        .num("allocs/msg", r.m.allocs_per_msg, 4)
+        .num("wall ms", r.m.wall_ms, 1);
   }
-  table.print();
-
+  report.print();
   const std::string path = json_path(argc, argv);
-  if (!path.empty()) {
-    JsonReport report("EXP-RT1 runtime overhead");
-    report.seed(1);
-    for (const NamedRow& r : rows) {
-      report.row()
-          .field("runtime", std::string(r.runtime))
-          .field("mode", std::string(r.mode))
-          .field("msgs", static_cast<double>(r.m.msgs))
-          .field("ns_per_msg", r.m.ns_per_msg)
-          .field("allocs_per_msg", r.m.allocs_per_msg)
-          .field("wall_ms", r.m.wall_ms);
-    }
-    if (!report.write(path)) return 1;
-  }
+  if (!path.empty() && !report.write(path, 1)) return 1;
 
   // Self-check: every runtime, the message pool and the raw mailbox must
   // be allocation-free per message in steady state; --gate-spsc-ns

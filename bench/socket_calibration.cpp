@@ -35,7 +35,9 @@
 #endif
 
 using namespace wrs;
-using namespace wrs::bench;
+using bench::banner;
+using bench::note;
+using bench::Report;
 
 namespace {
 
@@ -178,22 +180,18 @@ PhaseResult run_sockets(std::size_t batch_window,
 
 #endif  // __linux__
 
-void report_phase(JsonReport& report, const std::string& substrate,
+void report_phase(Report& report, const std::string& substrate,
                   std::size_t batch_window, const PhaseResult& r) {
   report.row()
-      .field("substrate", substrate)
-      .field("batch_window", static_cast<double>(batch_window))
-      .field("shards", static_cast<double>(kShards))
-      .field("servers_per_shard", static_cast<double>(kPerShardN))
-      .field("service_time_ms", to_ms(kServiceTime))
-      .field("offered_ops_per_sec", kOfferedOpsPerSec)
-      .field("ops_completed", static_cast<double>(r.completed))
-      .field("ops_per_sec", r.ops_per_sec)
-      .field("p50_ms", r.p50_ms)
-      .field("p95_ms", r.p95_ms)
-      .field("p99_ms", r.p99_ms)
-      .field("wire_msgs_per_op", r.msgs_per_op)
-      .field("wire_bytes_per_op", r.bytes_per_op);
+      .text("substrate", substrate)
+      .num("batch window", static_cast<double>(batch_window), 0)
+      .num("ops completed", static_cast<double>(r.completed), 0)
+      .num("ops/sec", r.ops_per_sec)
+      .num("p50 (ms)", r.p50_ms)
+      .num("p95 (ms)", r.p95_ms)
+      .num("p99 (ms)", r.p99_ms)
+      .num("wire msgs/op", r.msgs_per_op)
+      .num("wire bytes/op", r.bytes_per_op);
 }
 
 double ratio(double real, double predicted) {
@@ -205,13 +203,17 @@ double ratio(double real, double predicted) {
 
 int main() {
   banner("EXP-NET1", "socket runtime calibration vs simulator prediction");
+  note("the EXP-SH3 deployment: " + std::to_string(kShards) + " shards of " +
+       std::to_string(kPerShardN) + " servers at " +
+       Table::fmt(to_ms(kServiceTime), 1) + " ms/request, " +
+       Table::fmt(kOfferedOpsPerSec, 0) + " ops/s offered");
+  Report phases("EXP-NET1 socket calibration");
 
 #ifndef __linux__
   note("socket runtime requires Linux; recording sim prediction only");
-  JsonReport report("EXP-NET1 socket calibration");
-  report.seed(kSeed);
-  report_phase(report, "sim", 1, run_sim(1));
-  report.write("BENCH_socket_calibration.json");
+  report_phase(phases, "sim", 1, run_sim(1));
+  phases.print();
+  phases.write("BENCH_socket_calibration.json", kSeed);
   return 0;
 #else
   // Fork every server process before anything in this process starts a
@@ -230,40 +232,23 @@ int main() {
     note("shard " + std::to_string(g) + " -> " + groups.back().addr);
   }
 
-  JsonReport report("EXP-NET1 socket calibration");
-  report.seed(kSeed);
-  Table table({"batch", "substrate", "ops/s", "p50 ms", "p95 ms", "p99 ms",
-               "bytes/op"});
+  Report ratios("EXP-NET1 calibration ratios", "\nsocket / sim:");
   bool within_band = true;
 
   for (std::size_t window : {std::size_t{1}, std::size_t{8}}) {
     PhaseResult real = run_sockets(window, groups);
     PhaseResult sim = run_sim(window);
-    report_phase(report, "socket", window, real);
-    report_phase(report, "sim", window, sim);
+    report_phase(phases, "socket", window, real);
+    report_phase(phases, "sim", window, sim);
 
     double tput_ratio = ratio(real.ops_per_sec, sim.ops_per_sec);
     double bytes_ratio = ratio(real.bytes_per_op, sim.bytes_per_op);
-    double p50_ratio = ratio(real.p50_ms, sim.p50_ms);
-    report.row()
-        .field("substrate", std::string("calibration"))
-        .field("batch_window", static_cast<double>(window))
-        .field("throughput_ratio", tput_ratio)
-        .field("bytes_per_op_ratio", bytes_ratio)
-        .field("p50_ratio", p50_ratio)
-        .field("p99_ratio", ratio(real.p99_ms, sim.p99_ms));
-
-    for (const auto& [name, r] :
-         {std::pair<std::string, PhaseResult>{"socket", real},
-          std::pair<std::string, PhaseResult>{"sim", sim}}) {
-      table.add_row({std::to_string(window), name, Table::fmt(r.ops_per_sec),
-                     Table::fmt(r.p50_ms), Table::fmt(r.p95_ms),
-                     Table::fmt(r.p99_ms), Table::fmt(r.bytes_per_op)});
-    }
-    note("batch=" + std::to_string(window) +
-         ": throughput ratio " + Table::fmt(tput_ratio) +
-         ", bytes/op ratio " + Table::fmt(bytes_ratio) + ", p50 ratio " +
-         Table::fmt(p50_ratio));
+    ratios.row()
+        .num("batch window", static_cast<double>(window), 0)
+        .num("throughput ratio", tput_ratio)
+        .num("bytes/op ratio", bytes_ratio)
+        .num("p50 ratio", ratio(real.p50_ms, sim.p50_ms))
+        .num("p99 ratio", ratio(real.p99_ms, sim.p99_ms));
 
     // The acceptance band: real within 2x of predicted, both directions.
     if (tput_ratio < 0.5 || tput_ratio > 2.0 || bytes_ratio < 0.5 ||
@@ -271,10 +256,12 @@ int main() {
       within_band = false;
     }
   }
-  table.print();
+  phases.print();
+  ratios.print();
 
   for (const auto& g : groups) deploy::stop_node_group(g);
-  bool wrote = report.write("BENCH_socket_calibration.json");
+  bool wrote = phases.write("BENCH_socket_calibration.json", kSeed);
+  wrote = ratios.write("BENCH_socket_calibration.json", kSeed) && wrote;
   if (!within_band) {
     note("CALIBRATION OUT OF BAND: real deviates from prediction by > 2x");
     return 1;
