@@ -18,17 +18,21 @@
 //   mpsc/push4     four producers pushing inline Tasks through one
 //                  MpscRing while the consumer drains (the raw mailbox)
 //
-// The interesting gate is allocs_per_msg == 0 on every row in steady
-// state: routing is a lock-free snapshot, traffic counters are
+// Each row is timed in kWindows back-to-back windows after one warm-up
+// and reports the median window's ns/msg (one window cannot tell a lost
+// fast path from a descheduled thread) and the worst window's allocs/msg.
+//
+// The interesting gate is allocs_per_msg == 0 in every window of every
+// row in steady state: routing is a lock-free snapshot, traffic counters are
 // pre-interned ledger slots, the delivery closure fits in Task's inline
 // buffer, the mailbox ring and the simulator's TaskHeap never shrink,
 // messages come from the slab pool, and the wire path encodes into
 // recycled arena chunks — so after warm-up, no message touches the
-// allocator. The binary exits nonzero when that fails (and --gate-spsc-ns bounds
-// threads/spsc absolutely); CI adds an ns/msg regression bound against
-// the committed baseline. A failing allocs gate prints the call stack of
-// the row's first counted allocation, so a rare stray allocation names
-// its site.
+// allocator. The binary exits nonzero when that fails (and --gate-spsc-ns
+// bounds the threads/spsc median absolutely); CI adds an ns/msg
+// regression bound against the committed baseline. A failing window
+// prints the call stack of its first counted allocation, so a rare stray
+// allocation names its site.
 //
 // Senders pace themselves (bounded backlog, wait for the sink to catch
 // up) so queues plateau during warm-up and the measured window exercises
@@ -37,6 +41,7 @@
 #include <execinfo.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -137,6 +142,8 @@ struct Sink : Process {
 
 constexpr ProcessId kServer = 0;
 constexpr std::uint64_t kWarmupMsgs = 20'000;
+// Measured windows per row, each of the row's full message count.
+constexpr int kWindows = 5;
 // Senders stall once this many messages are in flight, so the mailbox
 // ring's capacity plateaus during warm-up and the measured steady state
 // never grows it again.
@@ -179,10 +186,28 @@ Measurement measured(std::uint64_t msgs, Clock::time_point t0,
   return m;
 }
 
+/// Times kWindows back-to-back windows of `msgs` messages each;
+/// `window(w)` runs the w-th (1-based). Every window counts its own
+/// allocations and keeps the stack of its first one.
+template <typename Window>
+std::vector<Measurement> measure_windows(std::uint64_t msgs, Window window) {
+  std::vector<Measurement> out;
+  out.reserve(kWindows);
+  for (int w = 1; w <= kWindows; ++w) {
+    open_alloc_window();
+    auto t0 = Clock::now();
+    window(w);
+    auto t1 = Clock::now();
+    close_alloc_window();
+    out.push_back(measured(msgs, t0, t1));
+  }
+  return out;
+}
+
 /// Paced multi-threaded fire-hose at one ThreadEnv mailbox. Sender
 /// threads are spawned (and the deployment warmed) with counting OFF;
-/// only the steady-state window is measured.
-Measurement run_threads(unsigned senders, std::uint64_t msgs) {
+/// only the steady-state windows are measured.
+std::vector<Measurement> run_threads(unsigned senders, std::uint64_t msgs) {
   ThreadEnv env;
   Sink sink;
   env.register_process(kServer, &sink);
@@ -191,7 +216,7 @@ Measurement run_threads(unsigned senders, std::uint64_t msgs) {
   // Unpaced prefill: drive the mailbox ring past any backlog the paced
   // senders can reach (pacing is check-then-send, so `senders` threads
   // can overshoot kMaxBacklog by senders-1), guaranteeing the ring never
-  // grows inside the measured window.
+  // grows inside a measured window.
   const std::uint64_t prefill = 2 * kMaxBacklog;
   {
     MsgPtr warm = std::make_shared<Ping>();
@@ -204,7 +229,7 @@ Measurement run_threads(unsigned senders, std::uint64_t msgs) {
   }
 
   std::atomic<std::uint64_t> sent{prefill};
-  std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = done
+  std::atomic<int> window{0};  // the last window senders may fill
   const std::uint64_t warm_quota = kWarmupMsgs / senders;
   const std::uint64_t quota = msgs / senders;
   const std::uint64_t warm_total = prefill + warm_quota * senders;
@@ -228,13 +253,15 @@ Measurement run_threads(unsigned senders, std::uint64_t msgs) {
     pumps.emplace_back([&, s] {
       const ProcessId self = client_id(s);
       // One message reused for every send (the runtimes share MsgPtrs
-      // zero-copy); created here so the measured window allocates nothing.
+      // zero-copy); created here so the measured windows allocate nothing.
       MsgPtr msg = std::make_shared<Ping>();
       pump(self, msg, warm_quota);
-      while (phase.load(std::memory_order_acquire) < 1) {
-        std::this_thread::yield();
+      for (int w = 1; w <= kWindows; ++w) {
+        while (window.load(std::memory_order_acquire) < w) {
+          std::this_thread::yield();
+        }
+        pump(self, msg, quota);
       }
-      pump(self, msg, quota);
     });
   }
 
@@ -242,25 +269,24 @@ Measurement run_threads(unsigned senders, std::uint64_t msgs) {
     std::this_thread::yield();
   }
 
-  open_alloc_window();
-  auto t0 = Clock::now();
-  phase.store(1, std::memory_order_release);
-  while (sink.delivered.load(std::memory_order_acquire) < warm_total + total) {
-    std::this_thread::yield();
-  }
-  auto t1 = Clock::now();
-  close_alloc_window();
+  std::vector<Measurement> windows = measure_windows(total, [&](int w) {
+    window.store(w, std::memory_order_release);
+    while (sink.delivered.load(std::memory_order_acquire) <
+           warm_total + total * static_cast<std::uint64_t>(w)) {
+      std::this_thread::yield();
+    }
+  });
 
   for (std::thread& t : pumps) t.join();
   env.stop();
 
-  return measured(total, t0, t1);
+  return windows;
 }
 
 /// The simulator as the single-threaded reference: same pacing (chunks
 /// bounded by kMaxBacklog, drained between chunks), wall clock over the
 /// send+drain loop.
-Measurement run_sim(std::uint64_t msgs) {
+std::vector<Measurement> run_sim(std::uint64_t msgs) {
   auto env = SimEnv(std::make_shared<ConstantLatency>(us(10)), 1);
   Sink sink;
   env.register_process(kServer, &sink);
@@ -280,14 +306,7 @@ Measurement run_sim(std::uint64_t msgs) {
   };
 
   burst(kWarmupMsgs);
-
-  open_alloc_window();
-  auto t0 = Clock::now();
-  burst(msgs);
-  auto t1 = Clock::now();
-  close_alloc_window();
-
-  return measured(msgs, t0, t1);
+  return measure_windows(msgs, [&](int) { burst(msgs); });
 }
 
 /// SocketEnv loopback: sends are arena-encoded, cross the kernel over a
@@ -296,7 +315,7 @@ Measurement run_sim(std::uint64_t msgs) {
 /// wire round trip — encode, enqueue, sendmsg, recv, decode, deliver —
 /// stays allocation-free once the arena chunk pool and slab pool are
 /// warm.
-Measurement run_socket(std::uint64_t msgs) {
+std::vector<Measurement> run_socket(std::uint64_t msgs) {
   SocketEnv::Options opts;
   opts.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
   SocketEnv env(opts);
@@ -309,8 +328,8 @@ Measurement run_socket(std::uint64_t msgs) {
   // protocol types. One pooled message reused for every send.
   MsgPtr msg = make_msg<PingMsg>(0);
 
-  auto pump = [&](std::uint64_t sent_before, std::uint64_t n) {
-    std::uint64_t sent = sent_before;
+  std::uint64_t sent = 0;
+  auto pump = [&](std::uint64_t n) {
     for (std::uint64_t i = 0; i < n; ++i) {
       while (sent - sink.delivered.load(std::memory_order_relaxed) >=
              kMaxBacklog) {
@@ -324,84 +343,94 @@ Measurement run_socket(std::uint64_t msgs) {
     }
   };
 
-  pump(0, kWarmupMsgs);
-
-  open_alloc_window();
-  auto t0 = Clock::now();
-  pump(kWarmupMsgs, msgs);
-  auto t1 = Clock::now();
-  close_alloc_window();
+  pump(kWarmupMsgs);
+  std::vector<Measurement> windows =
+      measure_windows(msgs, [&](int) { pump(msgs); });
 
   env.stop();
 
-  return measured(msgs, t0, t1);
+  return windows;
 }
 
 /// Slab-pool churn: make_msg construct + destroy round trips on one
 /// thread. After warm-up every block comes from (and returns to) the
 /// thread-local cache — no lock, no atomics, no allocator.
-Measurement run_pool(std::uint64_t ops) {
+std::vector<Measurement> run_pool(std::uint64_t ops) {
   for (std::uint64_t i = 0; i < kWarmupMsgs; ++i) {
     MsgPtr m = make_msg<PingMsg>(static_cast<TimeNs>(i));
     (void)m;
   }
 
-  open_alloc_window();
-  auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    MsgPtr m = make_msg<PingMsg>(static_cast<TimeNs>(i));
-    (void)m;
-  }
-  auto t1 = Clock::now();
-  close_alloc_window();
-
-  return measured(ops, t0, t1);
+  return measure_windows(ops, [&](int) {
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      MsgPtr m = make_msg<PingMsg>(static_cast<TimeNs>(i));
+      (void)m;
+    }
+  });
 }
 
 /// Raw mailbox ring: `producers` threads push inline no-op Tasks through
 /// one MpscRing while the consumer drains. try_push spins on full (the
 /// ThreadEnv overflow path is measured end-to-end by threads/mpsc4; this
 /// row isolates the ring itself).
-Measurement run_mpsc(unsigned producers, std::uint64_t ops) {
+std::vector<Measurement> run_mpsc(unsigned producers, std::uint64_t ops) {
   MpscRing<Task> ring(1024);
   const std::uint64_t quota = ops / producers;
   const std::uint64_t total = quota * producers;
-  std::atomic<int> phase{0};
+  std::atomic<int> window{0};  // the last window producers may fill
 
   std::vector<std::thread> pumps;
   pumps.reserve(producers);
   for (unsigned p = 0; p < producers; ++p) {
     pumps.emplace_back([&] {
-      while (phase.load(std::memory_order_acquire) < 1) {
-        std::this_thread::yield();
-      }
-      for (std::uint64_t i = 0; i < quota; ++i) {
-        Task t([] {});
-        while (!ring.try_push(std::move(t))) {
+      for (int w = 1; w <= kWindows; ++w) {
+        while (window.load(std::memory_order_acquire) < w) {
           std::this_thread::yield();
+        }
+        for (std::uint64_t i = 0; i < quota; ++i) {
+          Task t([] {});
+          while (!ring.try_push(std::move(t))) {
+            std::this_thread::yield();
+          }
         }
       }
     });
   }
 
-  open_alloc_window();
-  auto t0 = Clock::now();
-  phase.store(1, std::memory_order_release);
-  std::uint64_t popped = 0;
   Task t;
-  while (popped < total) {
-    if (ring.try_pop(t)) {
-      ++popped;
-    } else {
-      std::this_thread::yield();
+  std::vector<Measurement> windows = measure_windows(total, [&](int w) {
+    window.store(w, std::memory_order_release);
+    std::uint64_t popped = 0;
+    while (popped < total) {
+      if (ring.try_pop(t)) {
+        ++popped;
+      } else {
+        std::this_thread::yield();
+      }
     }
-  }
-  auto t1 = Clock::now();
-  close_alloc_window();
+  });
 
   for (std::thread& th : pumps) th.join();
 
-  return measured(total, t0, t1);
+  return windows;
+}
+
+/// The window with the median ns/msg.
+Measurement median_window(std::vector<Measurement> windows) {
+  auto mid = windows.begin() + static_cast<std::ptrdiff_t>(windows.size() / 2);
+  std::nth_element(windows.begin(), mid, windows.end(),
+                   [](const Measurement& a, const Measurement& b) {
+                     return a.ns_per_msg < b.ns_per_msg;
+                   });
+  return *mid;
+}
+
+double worst_allocs_per_msg(const std::vector<Measurement>& windows) {
+  double worst = 0;
+  for (const Measurement& m : windows) {
+    worst = std::max(worst, m.allocs_per_msg);
+  }
+  return worst;
 }
 
 int run(int argc, char** argv) {
@@ -419,14 +448,17 @@ int run(int argc, char** argv) {
   backtrace(warm_trace, 1);  // loads the unwinder outside every window
 
   banner("EXP-RT1", "runtime enqueue→deliver overhead (ns/msg, allocs/msg)");
-  note("Counting allocator hook active in the measured window only;");
+  note("Counting allocator hook active in the measured windows only;");
   note("warm-up (" + std::to_string(kWarmupMsgs) +
-       " msgs) grows rings/queues to steady state first.\n");
+       " msgs) grows rings/queues to steady state first, then " +
+       std::to_string(kWindows) + " windows of " + std::to_string(msgs) +
+       " msgs per row:");
+  note("median window's ns/msg and wall ms, worst window's allocs/msg.\n");
 
   struct NamedRow {
     const char* runtime;
     const char* mode;
-    Measurement m;
+    std::vector<Measurement> windows;  // in run order
   };
   std::vector<NamedRow> rows;
   rows.push_back({"threads", "spsc", run_threads(1, msgs)});
@@ -440,33 +472,40 @@ int run(int argc, char** argv) {
 
   Report report("EXP-RT1 runtime overhead");
   for (const NamedRow& r : rows) {
-    report.row(static_cast<std::int64_t>(r.m.msgs))
+    const Measurement median = median_window(r.windows);
+    report.row(static_cast<std::int64_t>(median.msgs))
         .text("runtime", r.runtime)
         .text("mode", r.mode)
-        .num("ns/msg", r.m.ns_per_msg, 1)
-        .num("allocs/msg", r.m.allocs_per_msg, 4)
-        .num("wall ms", r.m.wall_ms, 1);
+        .num("ns/msg", median.ns_per_msg, 1)
+        .num("allocs/msg", worst_allocs_per_msg(r.windows), 4)
+        .num("wall ms", median.wall_ms, 1);
   }
   report.print();
   const std::string path = json_path(argc, argv);
   if (!path.empty() && !report.write(path, 1)) return 1;
 
   // Self-check: every runtime, the message pool and the raw mailbox must
-  // be allocation-free per message in steady state; --gate-spsc-ns
-  // bounds threads/spsc absolutely.
+  // be allocation-free per message in every steady-state window;
+  // --gate-spsc-ns bounds the threads/spsc median absolutely.
   bool ok = true;
   for (const NamedRow& r : rows) {
     const std::string name = std::string(r.runtime) + "/" + r.mode;
-    if (!gate(name + " allocs/msg", r.m.allocs_per_msg, "==", 0)) {
+    if (!gate(name + " allocs/msg", worst_allocs_per_msg(r.windows), "==",
+              0)) {
       ok = false;
-      std::printf("first counted allocation in %s:\n", name.c_str());
-      std::fflush(stdout);
-      backtrace_symbols_fd(r.m.first_alloc.data(),
-                           static_cast<int>(r.m.first_alloc.size()),
-                           STDOUT_FILENO);
+      for (std::size_t w = 0; w < r.windows.size(); ++w) {
+        const std::vector<void*>& stack = r.windows[w].first_alloc;
+        if (stack.empty()) continue;
+        std::printf("first counted allocation in %s window %zu:\n",
+                    name.c_str(), w + 1);
+        std::fflush(stdout);
+        backtrace_symbols_fd(stack.data(), static_cast<int>(stack.size()),
+                             STDOUT_FILENO);
+      }
     }
     if (gate_spsc_ns > 0 && name == "threads/spsc") {
-      ok &= gate(name + " ns/msg", r.m.ns_per_msg, "<=", gate_spsc_ns);
+      ok &= gate(name + " ns/msg", median_window(r.windows).ns_per_msg, "<=",
+                 gate_spsc_ns);
     }
   }
   return ok ? 0 : 1;

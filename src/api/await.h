@@ -1,21 +1,24 @@
 // Awaitable completion values for the deployment facade.
 //
 // Every protocol operation in the library completes through a callback
-// (processes are event-driven state machines). Await<T> bridges that
-// callback world to straight-line driver code — examples, benches, tests
-// — on BOTH runtime substrates:
+// (processes are event-driven state machines). Await<T> is the one
+// bridge from that callback world to straight-line driver code —
+// examples, benches, tests — on every runtime substrate:
 //
-//   * on the deterministic simulator, get() pumps the event loop on the
-//     caller's thread until the value is fulfilled (the simulator has no
-//     threads of its own);
-//   * on the thread runtime, get() blocks on a condition variable and the
-//     fulfilling callback runs on a worker thread.
+//   * on the deterministic simulator, get() runs the SimEnv's event loop
+//     on the caller's thread until the value is fulfilled (the simulator
+//     has no threads of its own);
+//   * on the thread and socket runtimes (no SimEnv), get() blocks on a
+//     condition variable and the fulfilling callback runs on a worker or
+//     loop thread.
 //
 // Await is a cheap shared-state handle: copy it into the completion
 // callback and fulfill() it there, keep a copy on the caller side and
-// get() it. The same driver source therefore runs unmodified on either
-// substrate — which runtime is in play is decided by the pump the
-// Cluster facade installs, not by the call site.
+// get() it. The same driver source therefore runs unmodified on any
+// substrate — which one is in play is decided by the SimEnv the Cluster
+// facade hands to make_await (null off the simulator), not by the call
+// site. Cluster::call(pid, start) pairs a fresh Await with one hop into
+// a process's execution context.
 //
 // Composition (for the pipelined client API): awaits chain and fan in
 // without blocking one .get() per operation —
@@ -45,6 +48,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "runtime/sim_env.h"
 
 namespace wrs {
 
@@ -56,27 +60,15 @@ class AwaitTimeout : public std::runtime_error {
   AwaitTimeout() : std::runtime_error("wrs::Await: timed out") {}
 };
 
-/// How a blocked get() makes progress. The simulator pump runs the event
-/// loop until `ready` holds; the thread runtime needs no pump (workers
-/// run concurrently) and uses condition-variable blocking instead.
-class AwaitPump {
- public:
-  virtual ~AwaitPump() = default;
-
-  /// Drives the substrate until `ready()` returns true or `timeout`
-  /// elapses; returns the final value of ready().
-  virtual bool pump(const std::function<bool()>& ready, TimeNs timeout) = 0;
-};
-
 template <typename T>
 class Await {
  public:
-  /// A pump-less Await blocks on its condition variable (thread runtime).
-  Await() : state_(std::make_shared<State>()) {}
-
-  /// An Await with a pump drives the pump from get() (simulator).
-  explicit Await(std::shared_ptr<AwaitPump> pump)
-      : state_(std::make_shared<State>()), pump_(std::move(pump)) {}
+  /// An Await without a simulator blocks on its condition variable
+  /// (thread and socket runtimes); with one, get() runs `sim`'s event
+  /// loop until the value arrives.
+  Await() : Await(nullptr) {}
+  explicit Await(SimEnv* sim)
+      : state_(std::make_shared<State>()), sim_(sim) {}
 
   /// Completion-callback side; the first fulfill wins, later ones are
   /// ignored (operations complete exactly once, but scenario scripts may
@@ -101,7 +93,7 @@ class Await {
   }
 
   /// Non-blocking: the value if it has arrived, nullopt otherwise. Does
-  /// not pump the simulator — drive it via Cluster::run_for/quiesce.
+  /// not run the simulator — drive it via Cluster::run_for/quiesce.
   std::optional<T> poll() const {
     std::lock_guard lock(state_->mu);
     return state_->value;
@@ -128,14 +120,14 @@ class Await {
   auto then(F fn) const {
     using R = std::invoke_result_t<F, const T&>;
     if constexpr (std::is_void_v<R>) {
-      Await<bool> next(pump_);
+      Await<bool> next(sim_);
       on_ready([next, fn = std::move(fn)](const T& v) {
         fn(v);
         next.fulfill(true);
       });
       return next;
     } else {
-      Await<R> next(pump_);
+      Await<R> next(sim_);
       on_ready([next, fn = std::move(fn)](const T& v) {
         next.fulfill(fn(v));
       });
@@ -145,10 +137,11 @@ class Await {
 
   /// Waits up to `timeout`; nullopt if the value never arrived.
   std::optional<T> try_get(TimeNs timeout = seconds(120)) const {
-    if (pump_) {
+    if (sim_ != nullptr) {
       // Simulator: make progress on the caller's thread. No other thread
-      // can fulfill concurrently, so no lock is needed around the pump.
-      pump_->pump([this] { return ready(); }, timeout);
+      // can fulfill concurrently, so no lock is needed around the loop.
+      sim_->run_until_pred([this] { return ready(); },
+                           sim_->now() + timeout);
       std::lock_guard lock(state_->mu);
       return state_->value;
     }
@@ -166,9 +159,9 @@ class Await {
     return *std::move(v);
   }
 
-  /// The substrate pump this Await drives from get() (null on the thread
-  /// runtime). Composition helpers propagate it to derived awaits.
-  std::shared_ptr<AwaitPump> pump() const { return pump_; }
+  /// The simulator this Await runs from get() (null on the thread and
+  /// socket runtimes). Composition helpers propagate it to derived awaits.
+  SimEnv* sim() const { return sim_; }
 
  private:
   struct State {
@@ -179,7 +172,7 @@ class Await {
   };
 
   std::shared_ptr<State> state_;
-  std::shared_ptr<AwaitPump> pump_;
+  SimEnv* sim_;
 };
 
 /// Fans in a homogeneous batch: resolves to the vector of all values
@@ -187,11 +180,11 @@ class Await {
 /// ClientHandle::read_batch / write_batch.
 template <typename T>
 Await<std::vector<T>> when_all(const std::vector<Await<T>>& parts) {
-  std::shared_ptr<AwaitPump> pump;
+  SimEnv* sim = nullptr;
   for (const auto& p : parts) {
-    if ((pump = p.pump())) break;
+    if ((sim = p.sim()) != nullptr) break;
   }
-  Await<std::vector<T>> all(pump);
+  Await<std::vector<T>> all(sim);
   if (parts.empty()) {
     all.fulfill({});
     return all;
@@ -227,12 +220,12 @@ Await<std::vector<T>> when_all(const std::vector<Await<T>>& parts) {
 template <typename... Ts>
 Await<std::tuple<Ts...>> when_all(const Await<Ts>&... parts) {
   static_assert(sizeof...(Ts) > 0, "when_all needs at least one await");
-  std::shared_ptr<AwaitPump> pump;
-  auto pick = [&pump](const auto& p) {
-    if (!pump) pump = p.pump();
+  SimEnv* sim = nullptr;
+  auto pick = [&sim](const auto& p) {
+    if (sim == nullptr) sim = p.sim();
   };
   (pick(parts), ...);
-  Await<std::tuple<Ts...>> all(pump);
+  Await<std::tuple<Ts...>> all(sim);
   struct Gather {
     std::mutex mu;
     std::tuple<std::optional<Ts>...> slots;

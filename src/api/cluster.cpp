@@ -11,24 +11,6 @@
 
 namespace wrs {
 
-namespace {
-
-/// Drives the simulator's event loop on the caller's thread until the
-/// awaited value arrives (see api/await.h).
-class SimPump : public AwaitPump {
- public:
-  explicit SimPump(SimEnv* env) : env_(env) {}
-
-  bool pump(const std::function<bool()>& ready, TimeNs timeout) override {
-    return env_->run_until_pred(ready, env_->now() + timeout);
-  }
-
- private:
-  SimEnv* env_;
-};
-
-}  // namespace
-
 // --- ClusterBuilder ---------------------------------------------------------
 
 ClusterBuilder& ClusterBuilder::latency(std::shared_ptr<LatencyModel> model) {
@@ -126,7 +108,6 @@ Cluster::Cluster(const ClusterBuilder& spec)
     case Runtime::kSim: {
       auto sim = std::make_unique<SimEnv>(degradable_, spec.seed_);
       sim_ = sim.get();
-      pump_ = std::make_shared<SimPump>(sim_);
       env_ = std::move(sim);
       break;
     }
@@ -452,14 +433,12 @@ Await<bool> Cluster::migrate_key(RegisterKey key, ShardId to) {
                             std::to_string(to) + " out of range [0, " +
                             std::to_string(num_shards()) + ")");
   }
-  auto aw = make_await<bool>();
   MigrationEngine* e = &eng;
   // migrate() must run in the engine's execution context; the callback
   // fires there too once the handoff fully commits on both sides.
-  post(eng.pid(), [e, key = std::move(key), to, aw] {
-    e->migrate(key, to, [aw](bool ok) { aw.fulfill(ok); });
+  return call<bool>(eng.pid(), [e, key = std::move(key), to](auto done) {
+    e->migrate(key, to, std::move(done));
   });
-  return aw;
 }
 
 MigrationStats Cluster::migration_stats() const {
@@ -646,22 +625,18 @@ const Counters& Cluster::traffic() const { return env().traffic(); }
 // --- handles ----------------------------------------------------------------
 
 Await<TaggedValue> ClientHandle::read(RegisterKey key) const {
-  auto aw = cluster_->make_await<TaggedValue>();
   ShardRouter* router = router_;
-  cluster_->post(id_, [router, key = std::move(key), aw] {
-    router->read(key, [aw](const TaggedValue& tv) { aw.fulfill(tv); });
-  });
-  return aw;
+  return cluster_->call<TaggedValue>(
+      id_, [router, key = std::move(key)](auto done) {
+        router->read(key, std::move(done));
+      });
 }
 
 Await<Tag> ClientHandle::write(RegisterKey key, Value value) const {
-  auto aw = cluster_->make_await<Tag>();
   ShardRouter* router = router_;
-  cluster_->post(id_, [router, key = std::move(key), value = std::move(value),
-                       aw] {
-    router->write(key, value, [aw](const Tag& tag) { aw.fulfill(tag); });
-  });
-  return aw;
+  return cluster_->call<Tag>(
+      id_, [router, key = std::move(key), value = std::move(value)](
+               auto done) { router->write(key, value, std::move(done)); });
 }
 
 std::vector<Await<TaggedValue>> ClientHandle::read_batch(
@@ -703,55 +678,42 @@ std::vector<Await<Tag>> ClientHandle::write_batch(
 
 Await<ShardRouter::SnapshotResult> ClientHandle::snapshot(
     std::vector<RegisterKey> keys) const {
-  auto aw = cluster_->make_await<ShardRouter::SnapshotResult>();
   ShardRouter* router = router_;
-  cluster_->post(id_, [router, keys = std::move(keys), aw]() mutable {
-    router->snapshot(std::move(keys),
-                     [aw](const ShardRouter::SnapshotResult& r) {
-                       aw.fulfill(r);
-                     });
-  });
-  return aw;
+  return cluster_->call<ShardRouter::SnapshotResult>(
+      id_, [router, keys = std::move(keys)](auto done) mutable {
+        router->snapshot(std::move(keys), std::move(done));
+      });
 }
 
 Await<std::vector<RegisterKey>> ClientHandle::list_keys() const {
-  auto aw = cluster_->make_await<std::vector<RegisterKey>>();
   ShardRouter* router = router_;
-  cluster_->post(id_, [router, aw] {
-    router->list_keys(
-        [aw](const std::vector<RegisterKey>& keys) { aw.fulfill(keys); });
-  });
-  return aw;
+  return cluster_->call<std::vector<RegisterKey>>(
+      id_, [router](auto done) { router->list_keys(std::move(done)); });
 }
 
 Await<TransferOutcome> ReassignHandle::transfer(ProcessId to,
                                                 const Weight& delta) const {
-  auto aw = cluster_->make_await<TransferOutcome>();
   ReassignNode* node = node_;
-  cluster_->post(id_, [node, to, delta, aw] {
-    node->transfer(to, delta,
-                   [aw](const TransferOutcome& o) { aw.fulfill(o); });
-  });
-  return aw;
+  return cluster_->call<TransferOutcome>(
+      id_, [node, to, delta](auto done) {
+        node->transfer(to, delta, std::move(done));
+      });
 }
 
 Await<ChangeSet> ReassignHandle::read_changes(ProcessId target) const {
-  auto aw = cluster_->make_await<ChangeSet>();
   ReassignNode* node = node_;
-  cluster_->post(id_, [node, target, aw] {
-    node->read_changes(target, [aw](const ChangeSet& cs) { aw.fulfill(cs); });
+  return cluster_->call<ChangeSet>(id_, [node, target](auto done) {
+    node->read_changes(target, std::move(done));
   });
-  return aw;
 }
 
 Await<WeightMap> ReassignHandle::weights_snapshot() const {
-  auto aw = cluster_->make_await<WeightMap>();
   ReassignNode* node = node_;
   std::vector<ProcessId> servers = node->config().servers();
-  cluster_->post(id_, [node, servers = std::move(servers), aw] {
-    aw.fulfill(node->changes().to_weight_map(servers));
-  });
-  return aw;
+  return cluster_->call<WeightMap>(
+      id_, [node, servers = std::move(servers)](auto done) {
+        done(node->changes().to_weight_map(servers));
+      });
 }
 
 WeightMap ReassignHandle::weights() const {
@@ -759,13 +721,10 @@ WeightMap ReassignHandle::weights() const {
 }
 
 Await<ChangeSet> ReassignClientHandle::read_changes(ProcessId target) const {
-  auto aw = cluster_->make_await<ChangeSet>();
   ReassignClient* client = client_;
-  cluster_->post(id_, [client, target, aw] {
-    client->read_changes(target,
-                         [aw](const ChangeSet& cs) { aw.fulfill(cs); });
+  return cluster_->call<ChangeSet>(id_, [client, target](auto done) {
+    client->read_changes(target, std::move(done));
   });
-  return aw;
 }
 
 }  // namespace wrs

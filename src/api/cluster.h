@@ -24,10 +24,12 @@
 //
 // The SAME driver source runs on the deterministic simulator, the
 // thread-per-process runtime, or real loopback sockets by flipping the
-// builder's Runtime enum: Await<T>::get pumps the simulator's event loop
-// or blocks on a condition variable as appropriate (see api/await.h), and
-// operations are always issued from the owning process's execution
-// context.
+// builder's Runtime enum: Await<T>::get runs the simulator's event loop
+// or blocks on a condition variable as appropriate (see api/await.h).
+// Every verb reaches its process through Cluster::call(pid, start),
+// which posts start(done) into that process's execution context and
+// returns the Await that done fulfills — the one bridge from driver code
+// into a process, open to drivers for operations the handles lack.
 //
 // Scenario injection is first-class: crash(s), slow(s, factor) /
 // clear_slow(s), and set_latency(...) reshape the deployment mid-run, so
@@ -77,8 +79,8 @@
 // early at `max_ops` frames), which servers answer with one BatchReply —
 // cutting msgs/op by the mean batch size at unchanged protocol
 // semantics. batching(1) is byte-identical to the unbatched wire
-// protocol, and bench/shard_scaleout --batch gates on the batched/
-// unbatched msgs-per-op ratio (see README "Wire protocol & batching").
+// protocol, and bench/paper's EXP-SH3 gates on the batched/unbatched
+// msgs-per-op ratio (see README "Wire protocol & batching").
 //
 // Multi-key reads can be ATOMIC: client().snapshot({"a", "b", "c"})
 // resolves to a consistent cut across the named keys — and across the
@@ -464,16 +466,29 @@ class Cluster {
   Await<bool> workload_done(std::size_t k = 0);
 
   // --- awaitables ----------------------------------------------------------
-  /// A fresh unfulfilled Await bound to this deployment's substrate; pair
-  /// it with any callback-style completion.
+  /// A fresh unfulfilled Await bound to this deployment's substrate (its
+  /// get() runs the simulator on Runtime::kSim); pair it with any
+  /// callback-style completion.
   template <typename T>
-  Await<T> make_await() {
-    return pump_ ? Await<T>(pump_) : Await<T>();
-  }
+  Await<T> make_await() { return Await<T>(sim_); }
 
   /// Runs `fn` in `pid`'s execution context (the only safe place to call
   /// a process's callback-style API on the thread runtime).
   void post(ProcessId pid, std::function<void()> fn);
+
+  /// Posts `start(done)` into `pid`'s execution context once, with no
+  /// delay, and returns the Await that `done(value)` fulfills. `start`
+  /// issues one callback-style operation and passes `done` as its
+  /// completion (or calls it directly) — every handle verb goes through
+  /// here.
+  template <typename T, typename Start>
+  Await<T> call(ProcessId pid, Start start) {
+    Await<T> aw = make_await<T>();
+    post(pid, [start = std::move(start), aw]() mutable {
+      start([aw](T value) { aw.fulfill(std::move(value)); });
+    });
+    return aw;
+  }
 
   // --- scenario injection --------------------------------------------------
   // Every verb validates its target: unknown process/server/shard ids
@@ -584,10 +599,6 @@ class Cluster {
   SocketEnv* sockets();
 
  private:
-  friend class ClientHandle;
-  friend class ReassignHandle;
-  friend class ReassignClientHandle;
-
   struct ServerSlot {
     std::unique_ptr<Process> process;
     ReassignNode* reassign = nullptr;
@@ -628,11 +639,10 @@ class Cluster {
   // env_ is declared before the process slots so workers are stopped
   // (dtor body) and the env destroyed only after all processes died.
   std::unique_ptr<Env> env_;
-  /// env_ on Runtime::kSim (the await pump, run_for and quiesce drive
-  /// it); null on the wall-clock runtimes.
+  /// env_ on Runtime::kSim (awaits, run_for and quiesce drive it); null
+  /// on the wall-clock runtimes.
   SimEnv* sim_ = nullptr;
   std::shared_ptr<DegradableLatency> degradable_;
-  std::shared_ptr<AwaitPump> pump_;
 
   std::vector<ServerSlot> servers_;
   /// add_client() grows clients_ from scenario threads while accessors

@@ -43,19 +43,6 @@ std::size_t ChangeSet::join(const ChangeSet& other) {
   return added;
 }
 
-std::vector<Change> ChangeSet::changes_for(ProcessId target) const {
-  std::vector<Change> out;
-  for (const auto& [id, delta] : map_) {
-    if (id.target == target) {
-      Change c;
-      c.id = id;
-      c.delta = delta;
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 ChangeSet ChangeSet::subset_for(ProcessId target) const {
   ChangeSet out;
   for (const auto& [id, delta] : map_) {

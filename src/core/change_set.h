@@ -36,10 +36,8 @@ class ChangeSet {
   /// Union-merge; returns the number of changes newly added.
   std::size_t join(const ChangeSet& other);
 
-  /// All changes created for `target` (the paper's get_changes(s)).
-  std::vector<Change> changes_for(ProcessId target) const;
-
-  /// Same as changes_for but packaged as a ChangeSet (for RC_Ack replies).
+  /// All changes created for `target` (the paper's get_changes(s)),
+  /// packaged as a ChangeSet for RC_Ack replies.
   ChangeSet subset_for(ProcessId target) const;
 
   /// Number of changes with the given (issuer, counter) pair — 2 once both

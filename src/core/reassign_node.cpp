@@ -155,17 +155,13 @@ void ReassignNode::schedule_sync() {
   std::uint64_t epoch = sync_epoch_;
   env_.schedule(self_, sync_period_, [this, epoch] {
     if (epoch != sync_epoch_ || sync_period_ <= 0) return;
-    sync_now();
+    std::optional<std::uint64_t> pending;
+    if (pending_transfer_.has_value()) pending = pending_transfer_->counter;
+    env_.broadcast_to_group(
+        self_, servers_,
+        make_msg<SyncMsg>(changes_, pending, config_.shard));
     schedule_sync();
   });
-}
-
-void ReassignNode::sync_now() {
-  std::optional<std::uint64_t> pending;
-  if (pending_transfer_.has_value()) pending = pending_transfer_->counter;
-  env_.broadcast_to_group(
-      self_, servers_,
-      make_msg<SyncMsg>(changes_, pending, config_.shard));
 }
 
 void ReassignNode::complete_transfer() {

@@ -104,10 +104,6 @@ class ReassignNode : public Process {
   /// `period` <= 0 disables (any scheduled round becomes a no-op).
   void enable_sync(TimeNs period);
 
-  /// One immediate anti-entropy round (chaos drivers use this to force
-  /// convergence after healing without waiting out the period).
-  void sync_now();
-
   // --- Process interface ---------------------------------------------------
   void on_message(ProcessId from, const Message& msg) override;
 
@@ -139,6 +135,8 @@ class ReassignNode : public Process {
 
   void apply_change(const Change& c);
   void maybe_ack_issuer(ProcessId issuer, std::uint64_t counter);
+  /// Schedules the next anti-entropy round, which broadcasts <SYNC> and
+  /// schedules the one after it.
   void schedule_sync();
   void on_rb_deliver(ProcessId origin, const Message& payload);
   void complete_transfer();

@@ -211,6 +211,9 @@ class TaskHeap {
     if (free_.empty()) {
       slot = static_cast<std::uint32_t>(tasks_.size());
       tasks_.push_back(std::move(fn));
+      // Every slot can be free at once: growing free_ with the arena
+      // keeps pop() allocation-free.
+      free_.reserve(tasks_.capacity());
     } else {
       slot = free_.back();
       free_.pop_back();

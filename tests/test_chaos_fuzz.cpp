@@ -160,12 +160,10 @@ EpisodeOutcome run_episode(Runtime rt, std::uint64_t seed) {
     bool transfer_pending = false;
   };
   auto probe = [&c](ProcessId s) {
-    Await<ServerState> aw = c.make_await<ServerState>();
     ReassignNode* node = &c.server(s).node();
-    c.post(s, [node, aw] {
-      aw.fulfill(ServerState{node->changes(), node->transfer_in_flight()});
+    return c.call<ServerState>(s, [node](auto done) {
+      done(ServerState{node->changes(), node->transfer_in_flight()});
     });
-    return aw;
   };
   bool converged = false;
   std::vector<ChangeSet> final_sets;
@@ -274,12 +272,11 @@ EpisodeOutcome run_episode(Runtime rt, std::uint64_t seed) {
   const std::vector<ProcessId> servers = c.config().servers();
   auto check_weights = [&](ProcessId pid, const AbdClient* client) {
     if (c.is_crashed(pid)) return;
-    Await<bool> aw = c.make_await<bool>();
-    c.post(pid, [client, servers, aw] {
-      aw.fulfill(client->current_weights() ==
-                 client->changes().to_weight_map(servers));
-    });
-    std::optional<bool> fresh = aw.try_get(seconds(10));
+    std::optional<bool> fresh =
+        c.call<bool>(pid, [client, servers](auto done) {
+           done(client->current_weights() ==
+                client->changes().to_weight_map(servers));
+         }).try_get(seconds(10));
     if (!fresh.has_value()) {
       out.violations.push_back("weight probe of " + process_name(pid) +
                                " never ran");

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "api/cluster.h"
-#include "runtime/sync.h"
 #include "storage/history.h"
 #include "testing/nemesis.h"
 
@@ -120,7 +119,8 @@ void expect_migrate_moves_data(Runtime rt) {
   // the thread runtime the slowest server's mark can trail the future:
   // probe it ON THAT SERVER'S OWN WORKER (serialized with the pending
   // MigCommit apply) and poll for the settled state. On the simulator
-  // the future pumps to quiescence, so a direct read is already settled.
+  // the future runs the event loop to quiescence, so a direct read is
+  // already settled.
   for (ProcessId s : c.shard_servers(src)) {
     using Probe = std::pair<std::optional<AbdServer::RouteMark>, bool>;
     auto read_state = [&] {
@@ -132,11 +132,10 @@ void expect_migrate_moves_data(Runtime rt) {
       state = read_state();
     } else {
       auto probe = [&] {
-        // shared_ptr: the worker's set() may still be inside notify_all
-        // when wait_for returns, so the task must co-own the Waiter.
-        auto w = std::make_shared<Waiter<Probe>>();
-        c.env().schedule(s, 0, [&, w] { w->set(read_state()); });
-        return w->wait_for(seconds(5)).value_or(Probe{});
+        return c
+            .call<Probe>(s, [&](auto done) { done(read_state()); })
+            .try_get(seconds(5))
+            .value_or(Probe{});
       };
       state = probe();
       for (int spin = 0;
@@ -329,10 +328,9 @@ void expect_chaos_migration_atomic(Runtime rt, std::uint64_t seed) {
   // converge BEFORE freezing the timers (the same convergence-then-check
   // shape as test_chaos_fuzz).
   auto probe = [&c](ProcessId s) {
-    Await<ChangeSet> aw = c.make_await<ChangeSet>();
     ReassignNode* node = &c.server(s).node();
-    c.post(s, [node, aw] { aw.fulfill(node->changes()); });
-    return aw;
+    return c.call<ChangeSet>(s,
+                             [node](auto done) { done(node->changes()); });
   };
   // Weight is conserved over SETTLED state: the initial grants plus every
   // transfer both of whose halves arrived. A crash can strand one half of

@@ -19,10 +19,11 @@ class PipelineOnBothRuntimes : public ::testing::TestWithParam<Runtime> {};
 /// Reads a client-side counter from the client's own execution context —
 /// the race-free way to observe AbdClient state on the thread runtime.
 std::size_t max_in_flight_of(Cluster& c, const ClientHandle& h) {
-  Await<std::size_t> aw = c.make_await<std::size_t>();
   AbdClient* abd = &h.router().shard_client(0);
-  c.post(h.id(), [abd, aw] { aw.fulfill(abd->max_in_flight()); });
-  return aw.get(seconds(30));
+  return c
+      .call<std::size_t>(h.id(),
+                         [abd](auto done) { done(abd->max_in_flight()); })
+      .get(seconds(30));
 }
 
 TEST_P(PipelineOnBothRuntimes, SingleClientSustainsManyConcurrentOps) {

@@ -462,6 +462,36 @@ TEST(ShardSelectors, ShardedRequiresStorageKind) {
                std::invalid_argument);
 }
 
+TEST(ShardSelectors, PartitionShardStallsOnlyThatShardUntilHealed) {
+  Cluster c = Cluster::builder()
+                  .servers(3)
+                  .shards(2)
+                  .retry(ms(50))
+                  .uniform_latency(ms(1), ms(5))
+                  .runtime(Runtime::kSim)
+                  .seed(31)
+                  .build();
+  auto key_on = [&c](ShardId g) {
+    for (int i = 0;; ++i) {
+      RegisterKey key = "key" + std::to_string(i);
+      if (c.shard_map().shard_of(key) == g) return key;
+    }
+  };
+  const RegisterKey key0 = key_on(0);
+  const RegisterKey key1 = key_on(1);
+
+  c.partition_shard(1);
+  EXPECT_TRUE(c.client().write(key0, "a").try_get(seconds(5)).has_value());
+  Await<Tag> walled = c.client().write(key1, "b");
+  EXPECT_FALSE(walled.try_get(seconds(5)).has_value());
+
+  // Messages cut while the wall stood are lost; the client's 50 ms
+  // retransmission reaches the healed group.
+  c.heal_shard(1);
+  ASSERT_TRUE(walled.try_get(seconds(5)).has_value());
+  EXPECT_EQ(c.client().read(key1).get().value, "b");
+}
+
 // --- Zipfian workload -------------------------------------------------------
 
 TEST(ZipfWorkload, SkewsKeysDeterministically) {
@@ -628,10 +658,9 @@ TEST_P(ShardChaos, AtomicityAndPerShardSafetyUnderPartitionPlusReassign) {
   // Per-shard convergence: live servers of each group agree, and each
   // group conserves ITS OWN total weight.
   auto probe = [&c](ProcessId s) {
-    Await<ChangeSet> aw = c.make_await<ChangeSet>();
     ReassignNode* node = &c.server(s).node();
-    c.post(s, [node, aw] { aw.fulfill(node->changes()); });
-    return aw;
+    return c.call<ChangeSet>(s,
+                             [node](auto done) { done(node->changes()); });
   };
   for (ShardId g = 0; g < shards; ++g) {
     bool converged = false;

@@ -29,7 +29,6 @@
 #include "net/wire_codec.h"
 #include "runtime/sim_env.h"
 #include "runtime/socket_env.h"
-#include "runtime/sync.h"
 #include "runtime/thread_env.h"
 #include "shard/shard_map.h"
 #include "storage/dynamic_node.h"
@@ -44,8 +43,8 @@ using deploy::NodeOptions;
 using deploy::SpawnedNode;
 
 /// One SocketEnv hosting a StorageClient, dialing server groups by
-/// static route. Ops run through promise-backed awaits (the env has no
-/// sim pump; get() blocks on a condition variable).
+/// static route. Ops run through awaits with no simulator (get() blocks
+/// on a condition variable).
 struct SocketClient {
   SocketEnv env;
   StorageClient client;
@@ -445,14 +444,14 @@ TEST(SocketTimers, SameDelayTimersFireInScheduleOrder) {
   env.start();
   constexpr int kTimers = 500;
   std::vector<int> order;  // touched only by the loop thread
-  Waiter<bool> done;
+  Await<bool> done;
   for (int i = 0; i < kTimers; ++i) {
-    env.schedule(0, ms(20), [&order, &done, i] {
+    env.schedule(0, ms(20), [&order, done, i] {
       order.push_back(i);
-      if (i == kTimers - 1) done.set(true);
+      if (i == kTimers - 1) done.fulfill(true);
     });
   }
-  ASSERT_TRUE(done.wait_for(seconds(10)).has_value());
+  ASSERT_TRUE(done.try_get(seconds(10)).has_value());
   env.stop();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kTimers));
   for (int i = 0; i < kTimers; ++i) EXPECT_EQ(order[i], i);
@@ -471,9 +470,9 @@ TEST(SocketTimers, TimerCapturesReleasedWhenGatedOrDestroyed) {
     env.crash(1);
     env.schedule(1, ms(20), [token, &fired] { fired.store(true); });
     env.schedule(0, seconds(60), [token] {});  // still pending at stop
-    Waiter<bool> later;
-    env.schedule(0, ms(40), [&later] { later.set(true); });
-    ASSERT_TRUE(later.wait_for(seconds(10)).has_value());
+    Await<bool> later;
+    env.schedule(0, ms(40), [later] { later.fulfill(true); });
+    ASSERT_TRUE(later.try_get(seconds(10)).has_value());
     // The timer gate refused the crashed pid's callback when it came
     // due; its capture died with it.
     EXPECT_FALSE(fired.load());

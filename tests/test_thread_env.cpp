@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/await.h"
 #include "net/wire_format.h"
-#include "runtime/sync.h"
 
 namespace wrs {
 namespace {
@@ -98,10 +98,10 @@ TEST(ThreadEnv, ScheduleFiresAfterDelay) {
   CountingProcess a;
   env.register_process(0, &a);
   env.start();
-  Waiter<TimeNs> waiter;
+  Await<TimeNs> fired;
   TimeNs before = env.now();
-  env.schedule(0, ms(20), [&] { waiter.set(env.now()); });
-  auto fired_at = waiter.wait_for(seconds(5));
+  env.schedule(0, ms(20), [&env, fired] { fired.fulfill(env.now()); });
+  auto fired_at = fired.try_get(seconds(5));
   env.stop();
   ASSERT_TRUE(fired_at.has_value());
   EXPECT_GE(*fired_at - before, ms(15));  // allow scheduler slop downward
@@ -214,14 +214,14 @@ TEST(ThreadEnv, SameDelayTimersFireInScheduleOrder) {
   env.start();
   constexpr int kTimers = 500;
   std::vector<int> order;  // touched only by pid 0's worker
-  Waiter<bool> done;
+  Await<bool> done;
   for (int i = 0; i < kTimers; ++i) {
-    env.schedule(0, ms(20), [&order, &done, i] {
+    env.schedule(0, ms(20), [&order, done, i] {
       order.push_back(i);
-      if (i == kTimers - 1) done.set(true);
+      if (i == kTimers - 1) done.fulfill(true);
     });
   }
-  ASSERT_TRUE(done.wait_for(seconds(10)).has_value());
+  ASSERT_TRUE(done.try_get(seconds(10)).has_value());
   env.stop();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kTimers));
   for (int i = 0; i < kTimers; ++i) EXPECT_EQ(order[i], i);
@@ -239,9 +239,9 @@ TEST(ThreadEnv, TimerCapturesReleasedWhenDroppedOrDestroyed) {
     env.crash(1);
     env.schedule(1, ms(20), [token] {});       // dropped when it comes due
     env.schedule(0, seconds(60), [token] {});  // still pending at stop
-    Waiter<bool> later;
-    env.schedule(0, ms(40), [&later] { later.set(true); });
-    ASSERT_TRUE(later.wait_for(seconds(10)).has_value());
+    Await<bool> later;
+    env.schedule(0, ms(40), [later] { later.fulfill(true); });
+    ASSERT_TRUE(later.try_get(seconds(10)).has_value());
     // The crashed pid's timer popped before the 40 ms one and died
     // unexecuted on the timer thread.
     EXPECT_EQ(token.use_count(), 2);
